@@ -34,6 +34,7 @@ from .factor_graph import (
     step_size_methods,
 )
 from .replica_rs import RSParams, pqr_eigenvalues, rs_moment_patterns, sk_paramagnetic_correction
+from .types_core import Alphabet
 
 
 class Report:
@@ -311,11 +312,14 @@ def cmd_ldpc(args) -> Report:
     rep.scalar("r", args.r)
     if args.omega is not None:
         rep.scalar("omega", args.omega)
-    rows = []
-    for N in parse_N_list(args.N):
-        res = ldpc_expected_codewords(args.l, args.r, N, omega=args.omega)
-        rows.append((N, res.log_expected_count, res.growth_rate,
-                     res.log_constant, res.theta))
+    Ns = parse_N_list(args.N)
+    ens = make_ensemble(args.l, args.r, Alphabet((0.0, 1.0)), "parity")
+    for N in Ns:
+        ens.require_admissible(N)
+    # growth rate, constant and tilt do not depend on N: solve once
+    res = ldpc_expected_codewords(args.l, args.r, Ns[0], omega=args.omega)
+    rows = [(N, N * res.growth_rate + res.log_constant, res.growth_rate,
+             res.log_constant, res.theta) for N in Ns]
     rep.table(["N", "log_expected_count", "growth_rate", "log_constant", "theta"], rows)
     return rep
 

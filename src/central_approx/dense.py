@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,23 +41,15 @@ from .types_core import (
     Alphabet,
     ProbMeasure,
     det,
+    dirichlet_starts,
     entropy,
     log_multinomial_rows,
-    num_types,
+    multistart_fixed_point,
+    select_maximizers,
     type_array_blocks,
 )
 
 FD_REL_STEP = 1e-5
-
-
-def worker_count() -> int:
-    """Parallel worker budget, capped by CENTRAL_APPROX_THREADS (default 1)."""
-    raw = os.environ.get("CENTRAL_APPROX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def pair_indices(n: int) -> list[tuple[int, int]]:
@@ -132,6 +122,9 @@ class OverlapFunction:
     def gradient(self, q) -> np.ndarray:
         return fd_gradient(self.value, np.asarray(q, dtype=float))
 
+    def gradient_batch(self, Q: np.ndarray) -> np.ndarray:
+        return np.array([self.gradient(row) for row in np.asarray(Q, dtype=float)])
+
     def hessian(self, q) -> np.ndarray:
         return fd_hessian(self.value, np.asarray(q, dtype=float))
 
@@ -178,14 +171,7 @@ class PolyOverlap(OverlapFunction):
         return cls.quadratic(n, beta * beta, pairs="distinct")
 
     def value(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        total = 0.0
-        for coef, powers in self.terms:
-            t = coef
-            for k, e in powers:
-                t *= q[k] ** e
-            total += t
-        return float(total)
+        return float(self.value_batch(np.asarray(q, dtype=float)[None, :])[0])
 
     def value_batch(self, Q: np.ndarray) -> np.ndarray:
         Q = np.asarray(Q, dtype=float)
@@ -198,16 +184,19 @@ class PolyOverlap(OverlapFunction):
         return out
 
     def gradient(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        g = np.zeros(self.n_pairs)
+        return self.gradient_batch(np.asarray(q, dtype=float)[None, :])[0]
+
+    def gradient_batch(self, Q: np.ndarray) -> np.ndarray:
+        Q = np.asarray(Q, dtype=float)
+        G = np.zeros((Q.shape[0], self.n_pairs))
         for coef, powers in self.terms:
             for k, e in powers:
-                t = coef * e * q[k] ** (e - 1)
+                t = coef * e * Q[:, k] ** (e - 1)
                 for k2, e2 in powers:
                     if k2 != k:
-                        t *= q[k2] ** e2
-                g[k] += t
-        return g
+                        t = t * Q[:, k2] ** e2
+                G[:, k] += t
+        return G
 
     def hessian(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -420,22 +409,12 @@ def _variational_objective(spec: DenseModelSpec, w: np.ndarray) -> float:
     return float(entropy(w) + w @ spec.f_values + spec.g.value(spec.overlaps(w)))
 
 
-def _stationary_map(spec: DenseModelSpec, w: np.ndarray) -> np.ndarray:
-    score = spec.f_values + spec.pair_products @ spec.g.gradient(spec.overlaps(w))
-    score = score - score.max()
-    e = np.exp(score)
-    return e / e.sum()
-
-
-def _run_fixed_point(spec, w, damping, tol, max_iter):
-    for it in range(max_iter):
-        target = _stationary_map(spec, w)
-        w_new = (1.0 - damping) * w + damping * target
-        delta = float(np.abs(w_new - w).max())
-        w = w_new
-        if delta <= tol:
-            return w, it + 1, True
-    return w, max_iter, False
+def _stationary_map(spec: DenseModelSpec, W: np.ndarray) -> np.ndarray:
+    """Softmax of the local score at the overlaps of each row of W."""
+    J = spec.pair_products
+    score = spec.f_values + spec.g.gradient_batch(W @ J) @ J.T
+    e = np.exp(score - score.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def solve_variational(
@@ -453,64 +432,42 @@ def solve_variational(
     """Damped fixed-point iteration with deterministic multi-start.
 
     Restart k draws its start from a Dirichlet(1) with seed (seed, k); a
-    uniform start is always included.  Runs are independent, so results do
-    not depend on the worker count.
+    uniform start is always included.  All starts iterate together; a start
+    stops once its damped step moves no weight by more than ``tol``.
     """
-    K = spec.num_symbols
+    starts = dirichlet_starts(spec.num_symbols, restarts, seed)
 
-    def starts():
-        yield np.full(K, 1.0 / K)
-        for k in range(restarts):
-            rng = np.random.default_rng((seed, k))
-            yield rng.dirichlet(np.ones(K))
+    def update(W):
+        W_new = (1.0 - damping) * W + damping * _stationary_map(spec, W)
+        return W_new, np.abs(W_new - W).max(axis=1)
 
-    def run(w0):
-        return _run_fixed_point(spec, w0, damping, tol, max_iter)
-
-    workers = worker_count()
-    start_list = list(starts())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run, start_list))
-    else:
-        runs = [run(w0) for w0 in start_list]
-
-    converged = [(w, its) for (w, its, ok) in runs if ok]
-    if not converged:
-        best_res = min(
-            float(np.abs(_stationary_map(spec, w) - w).max()) for (w, _, _) in runs
-        )
+    W, iterations, ok = multistart_fixed_point(starts, update, tol=tol, max_iter=max_iter)
+    if not ok.any():
+        best_res = float(np.abs(_stationary_map(spec, W) - W).max(axis=1).min())
         raise NonConvergenceError(
             f"no restart converged within {max_iter} iterations", residual=best_res
         )
 
-    scored = sorted(
-        ((_variational_objective(spec, w), w, its) for (w, its) in converged),
-        key=lambda t: -t[0],
+    W, iterations = W[ok], iterations[ok]
+    objectives = [_variational_objective(spec, w) for w in W]
+    kept, boundary = select_maximizers(
+        W, objectives, objective_gap=objective_gap, dedup_tol=dedup_tol,
+        boundary_tol=boundary_tol,
     )
-    best_obj = scored[0][0]
-    keep: list[np.ndarray] = []
-    for obj, w, _ in scored:
-        if obj < best_obj - objective_gap:
-            break
-        if all(float(np.abs(w - other).max()) > dedup_tol for other in keep):
-            keep.append(w)
-
-    best = keep[0]
-    residual = float(np.abs(_stationary_map(spec, best) - best).max())
-    boundary = any(float(w.min()) < boundary_tol for w in keep)
-    measures = [ProbMeasure(w, labels=spec.symbols) for w in keep]
+    best = kept[0]
+    residual = float(np.abs(_stationary_map(spec, W[best:best + 1]) - W[best]).max())
+    measures = [ProbMeasure(W[i], labels=spec.symbols) for i in kept]
     return VariationalSolution(
         nu_star=measures[0],
-        F=best_obj,
+        F=objectives[best],
         residual=residual,
         co_maximizers=measures,
         boundary=boundary,
         diagnostics={
-            "restarts": len(start_list),
-            "converged": len(converged),
-            "iterations_best": scored[0][2],
-            "objective_gap": 0.0 if len(scored) == 1 else best_obj - scored[-1][0],
+            "restarts": len(starts),
+            "converged": len(W),
+            "iterations_best": int(iterations[best]),
+            "objective_gap": objectives[best] - min(objectives),
         },
     )
 

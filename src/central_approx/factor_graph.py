@@ -40,11 +40,13 @@ from .types_core import (
     Alphabet,
     ProbMeasure,
     det,
+    dirichlet_starts,
     entropy,
     enumerate_types,
     log_multinomial,
     multinomial_exact,
-    num_types,
+    multistart_fixed_point,
+    select_maximizers,
 )
 
 __all__ = [
@@ -486,17 +488,11 @@ def _expected_Z_general(ensemble: EnsembleSpec, N: int, exact: bool,
     l, r = ensemble.l, ensemble.r
     M = ensemble.num_factors(N)
     S = ensemble.support
-    n_u = num_types(M, len(S))
-    if n_u > guard and not allow_large:
-        raise GuardError(
-            f"factor-type enumeration has {n_u} candidates, over the guard ({guard}); "
-            "pass allow_large=True to proceed"
-        )
     counts_S = ensemble.letter_counts[S]
     fNl = math.factorial(N * l)
     total_exact = Fraction(0)
     log_terms = []
-    for u_t in enumerate_types(M, len(S)):
+    for u_t in enumerate_types(M, len(S), guard=guard, allow_large=allow_large):
         u = u_t.counts
         balance = counts_S.T @ u
         if np.any(balance % l):
@@ -576,17 +572,17 @@ class BetheSolution:
 
 
 def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray, fld: np.ndarray) -> np.ndarray:
-    """Maximizing word measure for a fixed letter marginal."""
+    """Maximizing word measure for a fixed letter marginal (one per row of nu)."""
     loggain = (ensemble.l - 1) / ensemble.l * np.log(np.clip(nu, 1e-300, None)) + fld / ensemble.l
     with np.errstate(divide="ignore"):
         logf = np.log(ensemble.f_values)
-    expo = logf + ensemble.letter_counts @ loggain
-    expo -= logsumexp(expo)
-    return np.exp(expo)
+    expo = logf + loggain @ ensemble.letter_counts.T
+    e = np.exp(expo - expo.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _bethe_marginal(ensemble: EnsembleSpec, mu: np.ndarray) -> np.ndarray:
-    return (ensemble.letter_counts.T @ mu) / ensemble.r
+    return (mu @ ensemble.letter_counts) / ensemble.r
 
 
 def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray,
@@ -614,51 +610,37 @@ def solve_bethe(ensemble: EnsembleSpec, *, external_field=None, restarts: int = 
     fld = np.zeros(K) if external_field is None else np.asarray(external_field, float)
     if fld.shape != (K,) or not np.all(np.isfinite(fld)):
         raise ValidationFailure("external field needs one finite value per letter")
+    starts = dirichlet_starts(K, restarts, seed)
 
-    starts = [np.full(K, 1.0 / K)]
-    for k in range(restarts):
-        rng = np.random.default_rng((seed, k))
-        starts.append(rng.dirichlet(np.ones(K)))
+    def update(nu):
+        target = _bethe_marginal(ensemble, _bethe_mu(ensemble, nu, fld))
+        return (1.0 - damping) * nu + damping * target, np.abs(target - nu).max(axis=1)
 
-    converged = []
-    for nu in starts:
-        nu = nu.copy()
-        for it in range(max_iter):
-            target = _bethe_marginal(ensemble, _bethe_mu(ensemble, nu, fld))
-            step = float(np.max(np.abs(target - nu)))
-            nu = (1.0 - damping) * nu + damping * target
-            if step <= tol:
-                break
-        else:
-            continue
-        mu = _bethe_mu(ensemble, nu, fld)
-        resid = float(np.max(np.abs(_bethe_marginal(ensemble, mu) - nu)))
-        converged.append((_bethe_objective(ensemble, nu, mu, fld), nu, mu, resid, it))
-
-    if not converged:
+    nus, iterations, ok = multistart_fixed_point(starts, update, tol=tol, max_iter=max_iter)
+    if not ok.any():
         raise NonConvergenceError(
             f"no Bethe restart converged within {max_iter} iterations", residual=None
         )
-    converged.sort(key=lambda t: -t[0])
-    best_obj, best_nu, best_mu, best_resid, best_it = converged[0]
-    distinct = [best_nu]
-    for obj, nu, _, _, _ in converged[1:]:
-        if best_obj - obj > objective_gap:
-            break
-        if all(np.max(np.abs(nu - d)) > dedup_tol for d in distinct):
-            distinct.append(nu)
-    boundary = float(best_nu.min()) <= boundary_tol
+    nus, iterations = nus[ok], iterations[ok]
+    mus = _bethe_mu(ensemble, nus, fld)
+    objectives = [_bethe_objective(ensemble, nu, mu, fld) for nu, mu in zip(nus, mus)]
+    kept, boundary = select_maximizers(
+        nus, objectives, objective_gap=objective_gap, dedup_tol=dedup_tol,
+        boundary_tol=boundary_tol,
+    )
+    best = kept[0]
+    resid = float(np.max(np.abs(_bethe_marginal(ensemble, mus[best]) - nus[best])))
     return BetheSolution(
-        nu_star=ProbMeasure(best_nu),
-        mu_star=ProbMeasure(best_mu, labels=ensemble.word_labels),
-        F=best_obj,
-        residual=best_resid,
+        nu_star=ProbMeasure(nus[best]),
+        mu_star=ProbMeasure(mus[best], labels=ensemble.word_labels),
+        F=objectives[best],
+        residual=resid,
         boundary=boundary,
         diagnostics={
             "restarts": len(starts),
-            "converged": len(converged),
-            "iterations_best": best_it,
-            "unique": len(distinct) == 1,
+            "converged": len(nus),
+            "iterations_best": int(iterations[best]) - 1,
+            "unique": len(kept) == 1,
             "field": fld.copy(),
         },
     )
@@ -995,7 +977,9 @@ def expected_codewords_at_weight(l: int, r: int, N: int, w: int) -> Fraction:
 
 
 def _tilted_solution(ensemble: EnsembleSpec, omega: float, *, solver_kw) -> tuple:
-    """Field theta with marginal nu_theta(1) = omega, by bisection."""
+    """Field theta with marginal nu_theta(1) = omega: a bracket grown from
+    [-1, 1], narrowed by regula falsi with the Illinois step (halve the
+    kept end's value when the same end is kept twice)."""
     solver_kw = {"restarts": 4, **solver_kw}
 
     def marginal_one(theta: float) -> float:
@@ -1003,32 +987,38 @@ def _tilted_solution(ensemble: EnsembleSpec, omega: float, *, solver_kw) -> tupl
         return sol.nu_star[1], sol
 
     lo, hi = -1.0, 1.0
-    flo, slo = marginal_one(lo)
-    fhi, shi = marginal_one(hi)
+    flo, fhi = marginal_one(lo)[0], marginal_one(hi)[0]
     for _ in range(80):
-        if flo <= omega:
+        if flo > omega:
+            lo *= 2.0
+            flo = marginal_one(lo)[0]
+        elif fhi < omega:
+            hi *= 2.0
+            fhi = marginal_one(hi)[0]
+        else:
             break
-        lo *= 2.0
-        flo, slo = marginal_one(lo)
-    for _ in range(80):
-        if fhi >= omega:
-            break
-        hi *= 2.0
-        fhi, shi = marginal_one(hi)
     if not flo <= omega <= fhi:
         raise NonConvergenceError(
             f"could not bracket the weight fraction {omega:g}", residual=None
         )
-    sol = None
+    glo, ghi = flo - omega, fhi - omega
+    moved = 0  # -1 after moving lo, +1 after moving hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = hi - ghi * (hi - lo) / (ghi - glo) if ghi > glo else lo
+        if not lo < mid < hi:  # no secant, or it landed on an end: bisect
+            mid = 0.5 * (lo + hi)
         fm, sol = marginal_one(mid)
-        if abs(fm - omega) <= 1e-13:
+        gm = fm - omega
+        if abs(gm) <= 1e-13 or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
-        if fm < omega:
-            lo = mid
+        if gm < 0:
+            if moved < 0:
+                ghi *= 0.5
+            lo, glo, moved = mid, gm, -1
         else:
-            hi = mid
+            if moved > 0:
+                glo *= 0.5
+            hi, ghi, moved = mid, gm, 1
     return mid, sol
 
 

@@ -2,14 +2,17 @@
 
 Everything downstream reduces to weighted sums over type vectors (integer
 count vectors with a fixed total) and to determinants of moderately sized
-moment matrices.  This module owns both primitives:
+moment matrices.  This module owns both primitives, and the solver
+machinery that the dense and factor-graph sides share:
 
 * exact and log-gamma multinomial coefficients, entropy, and the local
   (Gaussian) approximation of a multinomial around a target measure;
 * deterministic lexicographic enumeration of all types, with size guards
   and a batched array variant for vectorized consumers;
 * ``det`` / ``solve`` / ``inv`` wrappers around an LU factorization with
-  partial pivoting and an explicit singularity signal.
+  partial pivoting and an explicit singularity signal;
+* the batched multi-start fixed-point loop and the co-maximizer selection used
+  by the variational and Bethe solvers.
 """
 
 from __future__ import annotations
@@ -380,3 +383,48 @@ def solve(a, b) -> np.ndarray:
 def inv(a) -> np.ndarray:
     n = np.asarray(a).shape[0]
     return solve(a, np.eye(n))
+
+
+# ---------------------------------------------------------------------------
+# Multi-start fixed-point loop: every start is a row of one (S, K) array,
+# so each iteration is a handful of numpy operations for all starts at once.
+
+def dirichlet_starts(K: int, restarts: int, seed: int) -> np.ndarray:
+    """Uniform start, then restart k drawn from Dirichlet(1) with seed (seed, k)."""
+    rows = [np.full(K, 1.0 / K)]
+    rows += [np.random.default_rng((seed, k)).dirichlet(np.ones(K)) for k in range(restarts)]
+    return np.array(rows)
+
+
+def multistart_fixed_point(starts: np.ndarray, update, *, tol: float, max_iter: int):
+    """Iterate ``X, delta = update(X)`` on all rows, freezing each at delta <= tol.
+    Returns the final points, each row's update count (``max_iter`` if it
+    never stopped) and the converged mask."""
+    X = np.array(starts, dtype=float)
+    iterations = np.full(len(X), max_iter)
+    converged = np.zeros(len(X), dtype=bool)
+    rows = np.arange(len(X))
+    for it in range(max_iter):
+        X[rows], delta = update(X[rows])
+        done = delta <= tol
+        iterations[rows[done]], converged[rows[done]] = it + 1, True
+        rows = rows[~done]
+        if not rows.size:
+            break
+    return X, iterations, converged
+
+
+def select_maximizers(points: np.ndarray, objectives, *, objective_gap: float,
+                      dedup_tol: float, boundary_tol: float):
+    """Indices of the distinct co-maximizers, best first (ties in start order):
+    within ``objective_gap`` of the best and more than ``dedup_tol`` apart.
+    Also returns whether any has a weight below ``boundary_tol``."""
+    obj = np.asarray(objectives, dtype=float)
+    order = np.argsort(-obj, kind="stable")
+    kept: list[int] = []
+    for i in order:
+        if obj[order[0]] - obj[i] > objective_gap:
+            break
+        if all(float(np.abs(points[i] - points[j]).max()) > dedup_tol for j in kept):
+            kept.append(int(i))
+    return kept, any(float(points[i].min()) < boundary_tol for i in kept)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from central_approx import acceptance
+from central_approx import acceptance, factor_graph
 from central_approx.cli import fmt, main, parse_N_list
 from central_approx.errors import ValidationFailure
 
@@ -217,6 +217,27 @@ def test_ldpc_codewords(capsys):
     row = doc["rows"][0]
     growth = row[doc["columns"].index("growth_rate")]
     assert growth == pytest.approx(0.26621528497429187, rel=1e-10)
+
+
+def test_ldpc_omega_rows_solve_the_tilt_once(capsys, monkeypatch):
+    calls = []
+    original = factor_graph.solve_bethe
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factor_graph, "solve_bethe", counting)
+    code, out, _ = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
+                           "--N", "60,120", "--omega", "0.3", "--format", "csv")
+    assert code == 0
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows == [
+        "N,log_expected_count,growth_rate,log_constant,theta",
+        "60,16.0846075242,0.266215284974,0.111690425777,-0.791633073266",
+        "120,32.0575246227,0.266215284974,0.111690425777,-0.791633073266",
+    ]
+    assert len(calls) <= 15
 
 
 def test_ldpc_infeasible_weight_is_minus_inf(capsys):

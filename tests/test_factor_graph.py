@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from central_approx import factor_graph
 from central_approx.errors import (
     BoundaryMaximizerError,
     GuardError,
@@ -36,6 +37,7 @@ from central_approx.factor_graph import (
     solve_bethe,
     step_size_methods,
 )
+from central_approx.factor_graph import _bethe_mu, _bethe_objective
 from central_approx.types_core import Alphabet
 
 BINARY = Alphabet((0.0, 1.0))
@@ -173,6 +175,25 @@ def test_general_alphabet_path_matches_oracle():
     assert exact_expected_Z_exact(ens, 2) == oracle.expected_Z == 9
 
 
+def test_general_path_forwards_enumeration_guard(monkeypatch):
+    # allow_large must reach the factor-type enumeration, not only the
+    # path's own up-front count check
+    seen = []
+    original = factor_graph.enumerate_types
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factor_graph, "enumerate_types", recording)
+    ens = make_ensemble(2, 2, TERNARY, "uniform")
+    with pytest.raises(GuardError):
+        exact_expected_Z(ens, 4, guard=3)
+    assert exact_expected_Z(ens, 4, guard=3, allow_large=True) == pytest.approx(
+        4 * math.log(3.0), abs=1e-12)
+    assert seen[-1] == {"guard": 3, "allow_large": True}
+
+
 def test_permutation_oracle_guard():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     with pytest.raises(GuardError):
@@ -274,6 +295,22 @@ def test_bethe_marginal_consistency():
     for w, m in zip(ens.letter_counts, sol.mu_star.weights):
         marg += m * w / ens.r
     assert np.abs(marg - sol.nu_star.weights).max() < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]),
+       st.lists(st.floats(0.2, 5.0), min_size=8, max_size=8))
+def test_bethe_multistart_reaches_the_best_fixed_point(d, values):
+    # strictly positive (d,d) tables: every start converges to a stationary
+    # point, F is the Bethe objective there, and more starts never lose
+    ens = make_ensemble(d, d, BINARY, values[:2**d])
+    sol = solve_bethe(ens)
+    assert sol.residual <= 1e-10
+    nu = sol.nu_star.weights
+    fld = np.zeros(2)
+    assert sol.F == pytest.approx(
+        _bethe_objective(ens, nu, _bethe_mu(ens, nu, fld), fld), abs=1e-12)
+    assert sol.F >= solve_bethe(ens, restarts=0).F - 1e-12
 
 
 # ------------------------------------------------- fluctuation matrices
@@ -464,6 +501,13 @@ def test_ldpc_weight_enumerator_point():
         gaps.append(res.growth_rate - log_exact / N)
     assert gaps[1] < gaps[0]
     assert 0 < gaps[1] < 0.015
+
+
+def test_ldpc_tilt_hits_the_weight_fraction():
+    res = ldpc_expected_codewords(3, 6, 60, omega=0.3)
+    ens = make_ensemble(3, 6, BINARY, "parity")
+    sol = solve_bethe(ens, external_field=np.array([0.0, res.theta]), restarts=4)
+    assert abs(sol.nu_star[1] - 0.3) <= 1e-13
 
 
 def test_ldpc_full_weight_even_r():

@@ -20,7 +20,9 @@ from central_approx.types_core import (
     log_multinomial,
     log_multinomial_rows,
     multinomial_exact,
+    multistart_fixed_point,
     num_types,
+    select_maximizers,
     solve,
     type_array_blocks,
 )
@@ -275,3 +277,25 @@ def test_det_product_identity_sylvester():
         defect = abs(d1 - d2) / (1.0 + abs(d1))
         worst = max(worst, defect)
     assert worst <= 1e-9
+
+
+# ---------------------------------------------- multi-start fixed point
+
+def test_multistart_freezes_each_row_at_its_own_stop():
+    # x <- x/2 moves a row by x/2: a start at 2^j stops after j updates
+    def halve(X):
+        return X / 2, np.abs(X / 2).max(axis=1)
+
+    X, iterations, converged = multistart_fixed_point(
+        np.array([[2.0], [8.0], [64.0]]), halve, tol=1.0, max_iter=4)
+    assert iterations.tolist() == [1, 3, 4]
+    assert converged.tolist() == [True, True, False]
+    assert X[:, 0].tolist() == [1.0, 1.0, 4.0]
+
+
+def test_selection_dedups_within_the_objective_gap():
+    points = np.array([[0.5, 0.5], [0.2, 0.8], [0.5 + 1e-12, 0.5 - 1e-12], [0.0, 1.0]])
+    kw = dict(objective_gap=1e-9, dedup_tol=1e-8, boundary_tol=1e-10)
+    assert select_maximizers(points, [1.0, 1.0, 1.0, 0.5], **kw) == ([0, 1], False)
+    # ties keep start order; a boundary co-maximizer sets the flag
+    assert select_maximizers(points, [1.0, 1.0 + 1e-10, 1.0, 1.0], **kw) == ([1, 0, 3], True)
