@@ -132,17 +132,20 @@ def check_local_multinomial_decay() -> tuple[bool, str]:
 
 def check_configuration_model() -> tuple[bool, str]:
     """Exact type sums equal the stub-permutation average, as rationals."""
+    ternary = Alphabet((0.0, 1.0, 2.0))
     cases = 0
-    for l, r in ((2, 2), (2, 4)):
-        for factor in ("parity", "uniform"):
-            ens = make_ensemble(l, r, BINARY, factor)
-            for N in range(1, 9):
-                if N * l > 8 or not ens.is_admissible(N):
-                    continue
-                oracle = brute_force_permutation_oracle(ens, N)
-                if exact_expected_Z_exact(ens, N) != oracle.expected_Z:
-                    return False, f"mismatch at (l={l}, r={r}, {factor}, N={N})"
-                cases += 1
+    battery = [(l, r, BINARY, factor, 8) for l, r in ((2, 2), (2, 4))
+               for factor in ("parity", "uniform")]
+    battery += [(2, 2, ternary, factor, 3) for factor in ("uniform", "all-equal")]
+    for l, r, alphabet, factor, max_N in battery:
+        ens = make_ensemble(l, r, alphabet, factor)
+        for N in range(1, max_N + 1):
+            if N * l > 8 or not ens.is_admissible(N):
+                continue
+            oracle = brute_force_permutation_oracle(ens, N)
+            if exact_expected_Z_exact(ens, N) != oracle.expected_Z:
+                return False, f"mismatch at (l={l}, r={r}, |X|={len(alphabet)}, {factor}, N={N})"
+            cases += 1
     return True, f"{cases} exact equalities"
 
 

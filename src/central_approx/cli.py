@@ -171,6 +171,15 @@ def _dense_sum_kwargs(guards: dict) -> dict:
     return kw
 
 
+def _fg_sum_kwargs(guards: dict, args) -> dict:
+    kw = {}
+    if "type_pairs" in guards:
+        kw["guard"] = guards["type_pairs"]
+    if guards.get("allow_large") or args.allow_large:
+        kw["allow_large"] = True
+    return kw
+
+
 def cmd_dense_exact(args) -> Report:
     spec, guards = _dense_from_args(args)
     rep = Report("dense-exact")
@@ -251,11 +260,7 @@ def cmd_sk(args) -> Report:
 
 def cmd_fg_exact(args) -> Report:
     ens, guards = _ensemble_from_args(args)
-    kw = {}
-    if "type_pairs" in guards:
-        kw["guard"] = guards["type_pairs"]
-    if guards.get("allow_large") or args.allow_large:
-        kw["allow_large"] = True
+    kw = _fg_sum_kwargs(guards, args)
     rep = Report("fg-exact")
     rows = [(N, exact_expected_Z(ens, N, **kw)) for N in parse_N_list(args.N)]
     rep.table(["N", "log_exact"], rows)
@@ -277,11 +282,7 @@ def cmd_fg_asymptotic(args) -> Report:
 
 def cmd_fg_compare(args) -> Report:
     ens, guards = _ensemble_from_args(args)
-    kw = {}
-    if "type_pairs" in guards:
-        kw["guard"] = guards["type_pairs"]
-    if guards.get("allow_large") or args.allow_large:
-        kw["allow_large"] = True
+    kw = _fg_sum_kwargs(guards, args)
     sol = solve_bethe(ens, seed=args.seed)
     const = fg_constant_log(ens, sol)
     rep = Report("fg-compare")

@@ -4,7 +4,8 @@ A graph draws its edges as a uniform permutation of the N*l variable stubs
 onto the M*r factor stubs, M = N*l/r.  Everything averages cleanly over
 that permutation: the expected number of assignments with a given
 variable-type v and factor-type u is a ratio of multinomials, so E[Z] is
-an exact finite sum.  The growth rate is the Bethe maximum, and the
+an exact finite sum, and its sum over u at each v is one coefficient of a
+polynomial power.  The growth rate is the Bethe maximum, and the
 constant factor combines the variable-type Gaussian with an integer step
 size s: the consistency constraints confine the factor-type lattice to a
 sublattice, and s is its index, computed from the congruence system via
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .errors import (
     BoundaryMaximizerError,
@@ -42,11 +43,13 @@ from .types_core import (
     det,
     dirichlet_starts,
     entropy,
-    enumerate_types,
     log_multinomial,
+    log_multinomial_rows,
     multinomial_exact,
     multistart_fixed_point,
+    num_types,
     select_maximizers,
+    type_array_blocks,
 )
 
 __all__ = [
@@ -392,163 +395,158 @@ def _log_fraction(x: Fraction) -> float:
 
 
 # --------------------------------------------------------------------------
-# exact E[Z] via the type sum
+# exact E[Z]: one generating-function contraction over the variable types
+#
+# At a fixed variable type v, the sum over consistent factor types is one
+# coefficient, [y^{l v}] (sum_{w in S} f(w) y^{N(w)})^M, with N(w) the letter
+# counts of w.  The power is packed (letter 0 is implied, the other K-1
+# counts form one flat exponent with strides (rM+1)^(z-1)), or, when the
+# factor types are fewer, expanded over them by the multinomial theorem.
 
 
-def _weight_polynomial(ensemble: EnsembleSpec, exact: bool) -> list:
-    """Coefficient j: total factor value of support words with j second letters."""
-    counts1 = ensemble.letter_counts[:, 1]
-    coeffs = [Fraction(0) if exact else 0.0] * (ensemble.r + 1)
-    for w in ensemble.support:
-        val = ensemble.f_exact[w] if exact else float(ensemble.f_values[w])
-        coeffs[int(counts1[w])] += val
-    return coeffs
-
-
-def _poly_mul(a: list, b: list) -> list:
-    zero = a[0] * 0
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+def _log_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two polynomials held as log coefficients (-inf for 0)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = np.full(len(a) + len(b) - 1, -np.inf)
+    for i in np.flatnonzero(a > -np.inf):
+        seg = out[i:i + len(b)]
+        np.logaddexp(seg, a[i] + b, out=seg)
     return out
 
 
-def _poly_pow(p: list, k: int) -> list:
-    result = [p[0] * 0 + 1]
-    base = list(p)
-    while k:
-        if k & 1:
-            result = _poly_mul(result, base)
-        base = _poly_mul(base, base)
-        k >>= 1
-    return result
+def _multinomial(counts: list) -> int:
+    """Exact multinomial, without the total cap of types_core.multinomial_exact."""
+    coef, total = 1, counts[0]
+    for c in counts[1:]:
+        total += c
+        coef *= math.comb(total, c)
+    return coef
 
 
-def _expected_Z_binary_exact(ensemble: EnsembleSpec, N: int) -> Fraction:
-    l = ensemble.l
-    M = ensemble.num_factors(N)
-    P = _poly_pow(_weight_polynomial(ensemble, exact=True), M)
-    fNl = math.factorial(N * l)
-    total = Fraction(0)
-    for w1 in range(N + 1):
-        deg = l * w1
-        if deg >= len(P) or P[deg] == 0:
-            continue
-        num = (math.comb(N, w1) * math.factorial((N - w1) * l) * math.factorial(w1 * l))
-        total += Fraction(num, fNl) * P[deg]
-    return total
+def _packed_power(ensemble: EnsembleSpec, M: int, base: list | np.ndarray, width: int,
+                  V: np.ndarray, exact: bool) -> list | np.ndarray:
+    """Coefficients of the M-th power at l*v, v a row of V.
 
-
-def _expected_Z_binary_float(ensemble: EnsembleSpec, N: int) -> float:
-    # same contraction in the log domain: coefficients of the M-th power
-    # are built by logsumexp convolutions, so no renormalization is needed
-    l = ensemble.l
-    M = ensemble.num_factors(N)
-    base = _weight_polynomial(ensemble, exact=False)
+    Exact: one packed integer, `width` bytes a slot.  Else logs (-inf for 0).
+    """
+    l, r, K = ensemble.l, ensemble.r, len(ensemble.alphabet)
+    strides = np.array([(r * M + 1) ** z for z in range(K - 1)], dtype=np.int64)
+    word_at = ensemble.letter_counts[ensemble.support, 1:] @ strides
+    read_at = l * (V[:, 1:] @ strides)
+    if exact:
+        packed = sum(q << (8 * width * at) for at, q in zip(word_at.tolist(), base))
+        data = (packed**M).to_bytes((r * M + 1) ** (K - 1) * width, "little")
+        return [int.from_bytes(data[at * width:(at + 1) * width], "little")
+                for at in read_at.tolist()]
     with np.errstate(divide="ignore"):
-        logp = np.log(np.array(base))
-
-    def logconv(a, b):
-        out = np.full(len(a) + len(b) - 1, -np.inf)
-        for i in range(len(a)):
-            if a[i] == -np.inf:
-                continue
-            out[i:i + len(b)] = np.logaddexp(out[i:i + len(b)], a[i] + b)
-        return out
-
-    result = np.array([0.0])
-    power = logp
-    k = M
-    while k:
-        if k & 1:
-            result = logconv(result, power)
-        power = logconv(power, power)
-        k >>= 1
-    terms = []
-    for w1 in range(N + 1):
-        deg = l * w1
-        if deg >= len(result) or result[deg] == -np.inf:
-            continue
-        terms.append(
-            result[deg]
-            + math.lgamma(N + 1) - math.lgamma(w1 + 1) - math.lgamma(N - w1 + 1)
-            + math.lgamma((N - w1) * l + 1) + math.lgamma(w1 * l + 1)
-            - math.lgamma(N * l + 1)
-        )
-    return float(logsumexp(terms)) if terms else -math.inf
+        poly = np.log(np.bincount(word_at, weights=base))
+    power = np.zeros(1)
+    for bit in bin(M)[2:]:
+        power = _log_poly_mul(power, power)
+        if bit == "1":
+            power = _log_poly_mul(power, poly)
+    pad = max(0, int(read_at.max()) + 1 - len(power))
+    return np.pad(power, (0, pad), constant_values=-np.inf)[read_at]
 
 
-def _expected_Z_general(ensemble: EnsembleSpec, N: int, exact: bool,
-                        guard: int, allow_large: bool):
-    # enumerate factor-types over the support; each determines the
-    # variable-type uniquely through the consistency balance
-    l, r = ensemble.l, ensemble.r
+def _expanded_power(ensemble: EnsembleSpec, M: int, base: list | np.ndarray, exact: bool,
+                    only: tuple | None) -> tuple:
+    """Per consistent factor type u: its variable type, and multinomial(u) prod f^u.
+
+    Integers when exact, logs otherwise; with `only`, just that variable type.
+    """
+    l = ensemble.l
+    counts = ensemble.letter_counts[ensemble.support]
+    Vs, coefs = [], []
+    for U in type_array_blocks(M, len(counts), allow_large=True):
+        balance = U @ counts
+        keep = ~np.any(balance % l, axis=1)
+        if only is not None:
+            keep &= np.all(balance == l * np.asarray(only), axis=1)
+        U = U[keep]
+        Vs.append(balance[keep] // l)
+        if exact:
+            coefs += [_multinomial(u) * math.prod(map(pow, base, u)) for u in U.tolist()]
+        else:
+            coefs.append(log_multinomial_rows(U) + U @ np.log(base))
+    return np.concatenate(Vs), coefs if exact else np.concatenate(coefs)
+
+
+def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
+              allow_large: bool, only: tuple | None = None) -> Fraction | float:
+    """E[Z] summed over every variable type or just `only`; its log unless exact.
+
+    Exact arithmetic runs on the table scaled to integers by its LCD D; a
+    packed slot holds (sum of the scaled table)^M, which bounds every
+    coefficient.  The guard bounds the packed array (64-bit words) or the
+    factor-type count, whichever is smaller.
+    """
+    l, r, K = ensemble.l, ensemble.r, len(ensemble.alphabet)
     M = ensemble.num_factors(N)
     S = ensemble.support
-    counts_S = ensemble.letter_counts[S]
-    fNl = math.factorial(N * l)
-    total_exact = Fraction(0)
-    log_terms = []
-    for u_t in enumerate_types(M, len(S), guard=guard, allow_large=allow_large):
-        u = u_t.counts
-        balance = counts_S.T @ u
-        if np.any(balance % l):
-            continue
-        v = balance // l
-        if exact:
-            num = multinomial_exact(v) * multinomial_exact(u)
-            for c in v:
-                num *= math.factorial(int(c) * l)
-            term = Fraction(num, fNl)
-            for pos, c in enumerate(u):
-                if c:
-                    term *= ensemble.f_exact[int(S[pos])] ** int(c)
-            total_exact += term
-        else:
-            lt = (log_multinomial(v) + log_multinomial(u)
-                  - math.lgamma(N * l + 1)
-                  + sum(math.lgamma(int(c) * l + 1) for c in v))
-            for pos, c in enumerate(u):
-                if c:
-                    lt += int(c) * math.log(ensemble.f_values[int(S[pos])])
-            log_terms.append(lt)
     if exact:
-        return total_exact
-    return float(logsumexp(log_terms)) if log_terms else -math.inf
+        vals = [ensemble.f_exact[w] for w in S]
+        D = math.lcm(*(x.denominator for x in vals))
+        base = [x.numerator * (D // x.denominator) for x in vals]
+        width = -(-M * sum(base).bit_length() // 8)  # bytes per slot
+    else:
+        base = ensemble.f_values[S]
+        width = 8  # one float64 per slot
+    packed = (r * M + 1) ** (K - 1) * -(-width // 8)
+    expanded = num_types(M, len(S))
+    if min(packed, expanded) > guard and not allow_large:
+        raise GuardError(
+            f"exact sum needs {packed} packed coefficient words or {expanded} "
+            f"factor types (guard {guard}); pass allow_large=True to override"
+        )
+    if packed <= expanded:
+        V = (np.array([only], dtype=np.int64) if only is not None
+             else np.concatenate(list(type_array_blocks(N, K, allow_large=True))))
+        coef = _packed_power(ensemble, M, base, width, V, exact)
+    else:
+        V, coef = _expanded_power(ensemble, M, base, exact, only)
+    if exact:
+        # multinomial(v) prod (l v_z)! / (Nl)! = prod ratio[v_z] / ratio[N]
+        ratio = [1]  # ratio[x] = (l x)! / x!
+        for x in range(1, N + 1):
+            ratio.append(ratio[-1] * math.prod(range(l * x - l + 1, l * x + 1)) // x)
+        total = sum(c * math.prod(ratio[x] for x in v) for v, c in zip(V.tolist(), coef) if c)
+        return Fraction(total, ratio[N] * D**M)
+    terms = coef + log_multinomial_rows(V) + gammaln(l * V + 1.0).sum(axis=1)
+    terms = terms[terms > -np.inf] - math.lgamma(N * l + 1)
+    return float(logsumexp(terms)) if terms.size else -math.inf
 
 
 def exact_expected_Z(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_GUARD,
                      allow_large: bool = False) -> float:
-    """log E[Z] by exact summation over consistent type pairs.
+    """log E[Z] by one generating-function contraction over variable types.
 
-    Two-letter alphabets go through a generating-function contraction (the
-    inner sum over factor-types with a fixed letter balance is one
-    coefficient of a polynomial power), which keeps e.g. (3,6) ensembles
-    exact at N in the hundreds.  Other alphabets enumerate factor-types
-    over the support directly, guarded by the enumeration size.
+    At each variable type, the sum over factor types is one coefficient of
+    a polynomial power, packed into a flat array or, on sparse supports,
+    expanded over the factor types.  Rational tables are summed exactly,
+    float tables in the log domain.  GuardError when both the packed array
+    (64-bit words) and the factor-type count exceed `guard`, unless allow_large.
     """
     ensemble.require_admissible(N)
-    if len(ensemble.alphabet) == 2:
-        if ensemble.f_exact is not None:
-            return _log_fraction(_expected_Z_binary_exact(ensemble, N))
-        return _expected_Z_binary_float(ensemble, N)
-    return _expected_Z_general(ensemble, N, False, guard, allow_large)
+    if ensemble.f_exact is not None:
+        return _log_fraction(_type_sum(ensemble, N, True, guard, allow_large))
+    return _type_sum(ensemble, N, False, guard, allow_large)
 
 
 def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_GUARD,
                            allow_large: bool = False) -> Fraction:
-    """E[Z] as an exact rational; needs an exact factor table."""
+    """E[Z] as an exact rational, for any alphabet; needs an exact factor table.
+
+    Same contraction as exact_expected_Z, in integer arithmetic on the
+    table scaled by its common denominator; same guard.
+    """
     if ensemble.f_exact is None:
         raise ValidationFailure(
             "exact arithmetic needs an exact factor table (integer or rational values)"
         )
     ensemble.require_admissible(N)
-    if len(ensemble.alphabet) == 2:
-        return _expected_Z_binary_exact(ensemble, N)
-    return _expected_Z_general(ensemble, N, True, guard, allow_large)
+    return _type_sum(ensemble, N, True, guard, allow_large)
 
 
 # --------------------------------------------------------------------------
@@ -962,18 +960,14 @@ class LdpcResult:
     theta: float = 0.0
 
 
-def expected_codewords_at_weight(l: int, r: int, N: int, w: int) -> Fraction:
-    """Exact expected number of weight-w codewords of the (l,r) ensemble."""
+def expected_codewords_at_weight(l: int, r: int, N: int, w: int, *, guard: int = TYPE_PAIR_GUARD,
+                                 allow_large: bool = False) -> Fraction:
+    """Exact expected number of weight-w codewords of the (l,r) ensemble, guarded as E[Z]."""
     ens = make_ensemble(l, r, Alphabet((0.0, 1.0)), "parity")
-    M = ens.num_factors(N)
+    ens.require_admissible(N)
     if not 0 <= w <= N:
         raise ValidationFailure(f"weight {w} outside 0..{N}")
-    P = _poly_pow(_weight_polynomial(ens, exact=True), M)
-    deg = l * w
-    if deg >= len(P) or P[deg] == 0:
-        return Fraction(0)
-    num = math.comb(N, w) * math.factorial((N - w) * l) * math.factorial(w * l)
-    return Fraction(num, math.factorial(N * l)) * P[deg]
+    return _type_sum(ens, N, True, guard, allow_large, only=(N - w, w))
 
 
 def _tilted_solution(ensemble: EnsembleSpec, omega: float, *, solver_kw) -> tuple:

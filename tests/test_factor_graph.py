@@ -5,6 +5,7 @@ average at tiny N, big-rational type sums, and a dual grid sweep for the
 Bethe maximum.  Asymptotic claims are checked by ratios at growing N.
 """
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from central_approx import factor_graph
 from central_approx.errors import (
     BoundaryMaximizerError,
     GuardError,
@@ -175,23 +175,47 @@ def test_general_alphabet_path_matches_oracle():
     assert exact_expected_Z_exact(ens, 2) == oracle.expected_Z == 9
 
 
-def test_general_path_forwards_enumeration_guard(monkeypatch):
-    # allow_large must reach the factor-type enumeration, not only the
-    # path's own up-front count check
-    seen = []
-    original = factor_graph.enumerate_types
+@pytest.mark.parametrize("alphabet,l,r,factor,N,expected", [
+    (BINARY, 2, 4, "parity", 4, Fraction(304, 35)),
+    (TERNARY, 2, 2, "uniform", 4, Fraction(81)),
+], ids=["binary-parity", "ternary-uniform"])
+def test_contraction_guard(alphabet, l, r, factor, N, expected):
+    # the guard bounds the coefficient array in both arithmetics
+    ens = make_ensemble(l, r, alphabet, factor)
+    as_float = make_ensemble(l, r, alphabet, ens.f_values.tolist())
+    assert as_float.f_exact is None
+    for fn, e in ((exact_expected_Z_exact, ens), (exact_expected_Z, ens),
+                  (exact_expected_Z, as_float)):
+        with pytest.raises(GuardError):
+            fn(e, N, guard=3)
+    assert exact_expected_Z_exact(ens, N, guard=3, allow_large=True) == expected
+    for e in (ens, as_float):
+        assert exact_expected_Z(e, N, guard=3, allow_large=True) == pytest.approx(
+            math.log(expected), abs=1e-12)
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(factor_graph, "enumerate_types", recording)
-    ens = make_ensemble(2, 2, TERNARY, "uniform")
-    with pytest.raises(GuardError):
-        exact_expected_Z(ens, 4, guard=3)
-    assert exact_expected_Z(ens, 4, guard=3, allow_large=True) == pytest.approx(
-        4 * math.log(3.0), abs=1e-12)
-    assert seen[-1] == {"guard": 3, "allow_large": True}
+@pytest.mark.parametrize("K,N", [(3, 500), (4, 100), (6, 20)])
+def test_sparse_support_under_the_default_guard(K, N):
+    # all-equal (2,2): Z = K^(cycles of the random 2-regular graph), and
+    # E[Z] = prod_j (2j-1+K-1)/(2j-1).  Its K support words leave far fewer
+    # factor types than packed coefficient words, so the power is expanded.
+    alphabet = Alphabet(tuple(float(z) for z in range(K)))
+    ens = make_ensemble(2, 2, alphabet, "all-equal")
+    expected = math.prod(Fraction(2 * j + K - 2, 2 * j - 1) for j in range(1, N + 1))
+    assert exact_expected_Z_exact(ens, N) == expected
+    as_float = make_ensemble(2, 2, alphabet, ens.f_values.tolist())
+    assert exact_expected_Z(as_float, N) == pytest.approx(math.log(expected), rel=1e-12)
+
+
+def test_codewords_at_weight_split_the_exact_sum():
+    # one term per weight, under the same guard; (2,2) parity is expanded
+    for l, r, N in ((2, 4, 4), (2, 2, 6)):
+        ens = make_ensemble(l, r, BINARY, "parity")
+        with pytest.raises(GuardError):
+            expected_codewords_at_weight(l, r, N, N // 2, guard=3)
+        per_weight = [expected_codewords_at_weight(l, r, N, w, guard=3, allow_large=True)
+                      for w in range(N + 1)]
+        assert sum(per_weight) == exact_expected_Z_exact(ens, N)
 
 
 def test_permutation_oracle_guard():
@@ -209,12 +233,21 @@ def test_exact_rational_needs_exact_table():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(0, 4), min_size=4, max_size=4))
-def test_generating_function_matches_permutations(table):
+@given(st.sampled_from([BINARY, TERNARY]), st.sampled_from([2, 3]), st.data())
+def test_generating_function_matches_permutations(alphabet, N, data):
+    K = len(alphabet)
+    table = data.draw(st.lists(st.integers(0, 4), min_size=K * K, max_size=K * K))
     assume(any(table))
-    ens = make_ensemble(2, 2, BINARY, table)
-    oracle = brute_force_permutation_oracle(ens, 2)
-    assert exact_expected_Z_exact(ens, 2) == oracle.expected_Z
+    ens = make_ensemble(2, 2, alphabet, table)
+    oracle = brute_force_permutation_oracle(ens, N)
+    exact = exact_expected_Z_exact(ens, N)
+    assert exact == oracle.expected_Z
+    # the same table as a callable has no exact values: the log arithmetic runs
+    index = {w: i for i, w in enumerate(itertools.product(alphabet.values, repeat=2))}
+    as_float = make_ensemble(2, 2, alphabet, lambda w: table[index[w]])
+    assert as_float.f_exact is None
+    expected = math.log(exact) if exact else -math.inf
+    assert exact_expected_Z(as_float, N) == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------- Bethe maximum
