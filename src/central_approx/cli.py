@@ -25,7 +25,6 @@ from .dense import central_approx_constant, exact_type_sum, solve_variational
 from .errors import NumericalFailure, ValidationFailure
 from .factor_graph import (
     exact_expected_Z,
-    fg_asymptotic_estimate,
     fg_constant_log,
     lattice_step_s,
     ldpc_expected_codewords,
@@ -127,20 +126,23 @@ def parse_N_list(text: str) -> list[int]:
 
 # ------------------------------------------------------------- model setup
 
+def _model_config(path: str, *models: str, error: str | None = None) -> dict:
+    """Load a config and reject one whose model is not among ``models``."""
+    cfg = load_config(path)
+    if cfg["model"] not in models:
+        raise ValidationFailure(
+            error or f"{path} is a {cfg['model']!r} config; need {models[0]}")
+    return cfg
+
+
 def _dense_from_args(args) -> tuple:
-    cfg = load_config(args.config)
-    if cfg["model"] != "dense":
-        raise ValidationFailure(f"{args.config} is a {cfg['model']!r} config; need dense")
+    cfg = _model_config(args.config, "dense")
     return build_dense(cfg), cfg.get("guards", {})
 
 
 def _ensemble_from_args(args):
     if args.config:
-        cfg = load_config(args.config)
-        if cfg["model"] != "factor-graph":
-            raise ValidationFailure(
-                f"{args.config} is a {cfg['model']!r} config; need factor-graph"
-            )
+        cfg = _model_config(args.config, "factor-graph")
         return build_ensemble(cfg), cfg.get("guards", {})
     if args.l is None or args.r is None or args.factor is None:
         raise ValidationFailure("need either --config or all of --l, --r, --factor")
@@ -150,10 +152,7 @@ def _ensemble_from_args(args):
 
 def _rs_params(args):
     if args.config:
-        cfg = load_config(args.config)
-        if cfg["model"] != "rs":
-            raise ValidationFailure(f"{args.config} is a {cfg['model']!r} config; need rs")
-        return build_rs(cfg)
+        return build_rs(_model_config(args.config, "rs"))
     missing = [k for k in ("n", "q", "r", "P", "Q", "R") if getattr(args, k) is None]
     if missing:
         raise ValidationFailure("need either --config or all of --" + ", --".join(missing))
@@ -275,7 +274,7 @@ def cmd_fg_asymptotic(args) -> Report:
     rep.scalar("F", sol.F)
     rep.scalar("log_constant", const)
     rep.scalar("s", lattice_step_s(ens))
-    rows = [(N, fg_asymptotic_estimate(ens, N, sol)) for N in parse_N_list(args.N)]
+    rows = [(N, N * sol.F + const) for N in parse_N_list(args.N)]
     rep.table(["N", "log_asymptotic"], rows)
     return rep
 
@@ -291,7 +290,7 @@ def cmd_fg_compare(args) -> Report:
     rows = []
     for N in parse_N_list(args.N):
         exact = exact_expected_Z(ens, N, **kw)
-        est = fg_asymptotic_estimate(ens, N, sol)
+        est = N * sol.F + const
         rows.append((N, exact, est, math.exp(exact - est)))
     rep.table(["N", "log_exact", "log_asymptotic", "ratio"], rows)
     return rep
@@ -326,7 +325,8 @@ def cmd_ldpc(args) -> Report:
 
 
 def cmd_clt_cov(args) -> Report:
-    cfg = load_config(args.config)
+    cfg = _model_config(args.config, "dense", "factor-graph",
+                        error="clt-cov needs a dense or factor-graph config")
     rep = Report("clt-cov")
     if cfg["model"] == "dense":
         spec = build_dense(cfg)
@@ -338,7 +338,7 @@ def cmd_clt_cov(args) -> Report:
             cov = overlap_covariance(spec, sol.nu_star)
         else:
             raise ValidationFailure(f"dense models have kinds: type, overlap; got {kind!r}")
-    elif cfg["model"] == "factor-graph":
+    else:
         ens = build_ensemble(cfg)
         sol = solve_bethe(ens, seed=args.seed)
         kind = args.kind or "variable"
@@ -348,8 +348,6 @@ def cmd_clt_cov(args) -> Report:
                 f"factor-graph models have kinds: {', '.join(covs)}; got {kind!r}"
             )
         cov = covs[kind]
-    else:
-        raise ValidationFailure("clt-cov needs a dense or factor-graph config")
     rep.scalar("kind", kind)
     rep.scalar("dim", cov.dim)
     rep.scalar("rank", cov.rank)

@@ -24,28 +24,21 @@ Pair coordinates are ordered (a, b) with a <= b, lexicographically:
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import (
-    ATInstabilityError,
-    BoundaryMaximizerError,
-    GuardError,
-    NonConvergenceError,
-    SingularMatrixError,
-)
+from .errors import BoundaryMaximizerError, GuardError
 from .types_core import (
     Alphabet,
+    MaximizerRecord,
     ProbMeasure,
-    det,
     dirichlet_starts,
     entropy,
+    log_gaussian_sum,
     log_multinomial_rows,
-    multistart_fixed_point,
-    select_maximizers,
+    solve_multistart,
     type_array_blocks,
 )
 
@@ -389,22 +382,6 @@ def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
 
 # ------------------------------------------------------- variational layer
 
-@dataclass
-class VariationalSolution:
-    """Maximizing measure(s) of H(nu) + <f>_nu + g(q(nu)) over the simplex."""
-
-    nu_star: ProbMeasure
-    F: float
-    residual: float
-    co_maximizers: list[ProbMeasure]
-    boundary: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def unique(self) -> bool:
-        return len(self.co_maximizers) == 1
-
-
 def _variational_objective(spec: DenseModelSpec, w: np.ndarray) -> float:
     return float(entropy(w) + w @ spec.f_values + spec.g.value(spec.overlaps(w)))
 
@@ -417,58 +394,20 @@ def _stationary_map(spec: DenseModelSpec, W: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def solve_variational(
-    spec: DenseModelSpec,
-    *,
-    restarts: int = 32,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    seed: int = 0,
-    objective_gap: float = 1e-9,
-    dedup_tol: float = 1e-8,
-    boundary_tol: float = 1e-10,
-) -> VariationalSolution:
-    """Damped fixed-point iteration with deterministic multi-start.
+def solve_variational(spec: DenseModelSpec, *, restarts: int = 32,
+                      seed: int = 0) -> MaximizerRecord:
+    """Maximizing measure(s) of H(nu) + <f>_nu + g(q(nu)) over the simplex.
 
-    Restart k draws its start from a Dirichlet(1) with seed (seed, k); a
-    uniform start is always included.  All starts iterate together; a start
-    stops once its damped step moves no weight by more than ``tol``.
+    Damped fixed-point iteration of the stationary map from the starts of
+    dirichlet_starts; a start stops once its damped step moves no weight by
+    more than FIXED_POINT_TOL.
     """
-    starts = dirichlet_starts(spec.num_symbols, restarts, seed)
-
-    def update(W):
-        W_new = (1.0 - damping) * W + damping * _stationary_map(spec, W)
-        return W_new, np.abs(W_new - W).max(axis=1)
-
-    W, iterations, ok = multistart_fixed_point(starts, update, tol=tol, max_iter=max_iter)
-    if not ok.any():
-        best_res = float(np.abs(_stationary_map(spec, W) - W).max(axis=1).min())
-        raise NonConvergenceError(
-            f"no restart converged within {max_iter} iterations", residual=best_res
-        )
-
-    W, iterations = W[ok], iterations[ok]
-    objectives = [_variational_objective(spec, w) for w in W]
-    kept, boundary = select_maximizers(
-        W, objectives, objective_gap=objective_gap, dedup_tol=dedup_tol,
-        boundary_tol=boundary_tol,
-    )
-    best = kept[0]
-    residual = float(np.abs(_stationary_map(spec, W[best:best + 1]) - W[best]).max())
-    measures = [ProbMeasure(W[i], labels=spec.symbols) for i in kept]
-    return VariationalSolution(
-        nu_star=measures[0],
-        F=objectives[best],
-        residual=residual,
-        co_maximizers=measures,
-        boundary=boundary,
-        diagnostics={
-            "restarts": len(starts),
-            "converged": len(W),
-            "iterations_best": int(iterations[best]),
-            "objective_gap": objectives[best] - min(objectives),
-        },
+    return solve_multistart(
+        dirichlet_starts(spec.num_symbols, restarts, seed),
+        lambda W: _stationary_map(spec, W),
+        lambda W: [_variational_objective(spec, w) for w in W],
+        labels=spec.symbols,
+        stop_on_step=True,
     )
 
 
@@ -543,60 +482,31 @@ def assemble_matrices(spec: DenseModelSpec, nu_star) -> DenseFluctuationMatrices
 
 @dataclass
 class CentralApproxResult:
-    """Exponent and Gaussian constant factor of the type sum."""
+    """Exponent and Gaussian constant factor of the type sum; ``det_value``
+    is the determinant at the best co-maximizer."""
 
     F: float
     log_constant: float
     det_value: float
-    matrices: DenseFluctuationMatrices
-    per_maximizer: list[tuple[ProbMeasure, float]]
-    diagnostics: dict = field(default_factory=dict)
 
 
-def central_approx_constant(spec: DenseModelSpec, solution: VariationalSolution,
-                            *, boundary_tol: float = 1e-10) -> CentralApproxResult:
-    """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}.
+def central_approx_constant(spec: DenseModelSpec,
+                            solution: MaximizerRecord) -> CentralApproxResult:
+    """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}, summed over the
+    co-maximizers (log_gaussian_sum, which also raises at a boundary
+    maximizer or a non-positive determinant)."""
 
-    With several co-maximizers the contributions add before taking logs.
-    Raises BoundaryMaximizerError at a boundary maximizer and
-    ATInstabilityError when any determinant is non-positive.
-    """
-    per: list[tuple[ProbMeasure, float]] = []
-    logs = []
-    mats0 = None
-    for m in solution.co_maximizers:
-        if m.min_weight() < boundary_tol:
-            raise BoundaryMaximizerError(
-                f"maximizer touches the simplex boundary (min weight {m.min_weight():.2e})"
-            )
-        mats = assemble_matrices(spec, m)
-        P = mats.hessian.shape[0]
-        try:
-            d = det(np.eye(P) - mats.hessian @ mats.pair_covariance)
-        except SingularMatrixError as exc:
-            raise ATInstabilityError(f"fluctuation determinant is singular: {exc}") from exc
-        if d <= 0.0:
-            raise ATInstabilityError(
-                f"fluctuation determinant {d:.6e} <= 0: Gaussian constant undefined"
-            )
-        per.append((m, d))
-        logs.append(-0.5 * math.log(d))
-        if mats0 is None:
-            mats0 = mats
-    return CentralApproxResult(
-        F=solution.F,
-        log_constant=float(logsumexp(np.array(logs))),
-        det_value=per[0][1],
-        matrices=mats0,
-        per_maximizer=per,
-        diagnostics={"n_maximizers": len(per), "residual": solution.residual},
-    )
+    def fluctuation(i):
+        mats = assemble_matrices(spec, solution.co_maximizers[i])
+        return mats.pair_covariance, mats.hessian
+
+    log_constant, dets = log_gaussian_sum(solution, fluctuation)
+    return CentralApproxResult(solution.F, log_constant, dets[0])
 
 
 def asymptotic_estimate(spec: DenseModelSpec, N: int,
-                        result: CentralApproxResult | None = None, **solver_kw) -> float:
+                        result: CentralApproxResult | None = None) -> float:
     """N F + log constant: the central-approximation estimate of the log sum."""
     if result is None:
-        solution = solve_variational(spec, **solver_kw)
-        result = central_approx_constant(spec, solution)
+        result = central_approx_constant(spec, solve_variational(spec))
     return N * result.F + result.log_constant

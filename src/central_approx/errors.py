@@ -30,13 +30,13 @@ class SingularMatrixError(NumericalFailure):
     """LU factorization hit a pivot below the singularity threshold."""
 
 
-class ATInstabilityError(NumericalFailure):
-    """Fluctuation determinant is non-positive: the Gaussian constant
-    factor does not exist at this maximizer."""
-
-
 class InstabilityError(NumericalFailure):
     """Closed-form correction undefined (non-positive log argument)."""
+
+
+class ATInstabilityError(InstabilityError):
+    """Fluctuation determinant is singular or non-positive: the Gaussian
+    constant factor does not exist at this maximizer."""
 
 
 class NonConvergenceError(NumericalFailure):

@@ -23,7 +23,7 @@ import itertools
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,23 +32,22 @@ from scipy.special import gammaln, logsumexp
 from .errors import (
     BoundaryMaximizerError,
     GuardError,
-    InstabilityError,
     NonConvergenceError,
-    SingularMatrixError,
     ValidationFailure,
 )
 from .types_core import (
     Alphabet,
+    MaximizerRecord,
     ProbMeasure,
-    det,
     dirichlet_starts,
     entropy,
+    log_gaussian_sum,
     log_multinomial,
     log_multinomial_rows,
+    multinomial,
     multinomial_exact,
-    multistart_fixed_point,
     num_types,
-    select_maximizers,
+    solve_multistart,
     type_array_blocks,
 )
 
@@ -415,15 +414,6 @@ def _log_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multinomial(counts: list) -> int:
-    """Exact multinomial, without the total cap of types_core.multinomial_exact."""
-    coef, total = 1, counts[0]
-    for c in counts[1:]:
-        total += c
-        coef *= math.comb(total, c)
-    return coef
-
-
 def _packed_power(ensemble: EnsembleSpec, M: int, base: list | np.ndarray, width: int,
                   V: np.ndarray, exact: bool) -> list | np.ndarray:
     """Coefficients of the M-th power at l*v, v a row of V.
@@ -467,7 +457,7 @@ def _expanded_power(ensemble: EnsembleSpec, M: int, base: list | np.ndarray, exa
         U = U[keep]
         Vs.append(balance[keep] // l)
         if exact:
-            coefs += [_multinomial(u) * math.prod(map(pow, base, u)) for u in U.tolist()]
+            coefs += [multinomial(u) * math.prod(map(pow, base, u)) for u in U.tolist()]
         else:
             coefs.append(log_multinomial_rows(U) + U @ np.log(base))
     return np.concatenate(Vs), coefs if exact else np.concatenate(coefs)
@@ -554,19 +544,15 @@ def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_
 
 
 @dataclass
-class BetheSolution:
-    """Stationary pair of measures and the value of the Bethe maximum."""
+class BetheSolution(MaximizerRecord):
+    """The Bethe maximum: the shared record over letter marginals, plus the
+    maximizing word measure of each co-maximizer."""
 
-    nu_star: ProbMeasure
-    mu_star: ProbMeasure
-    F: float
-    residual: float
-    boundary: bool
-    diagnostics: dict = field(default_factory=dict)
+    word_measures: list[ProbMeasure]
 
     @property
-    def unique(self) -> bool:
-        return bool(self.diagnostics.get("unique", True))
+    def mu_star(self) -> ProbMeasure:
+        return self.word_measures[0]
 
 
 def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray, fld: np.ndarray) -> np.ndarray:
@@ -592,9 +578,7 @@ def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray,
 
 
 def solve_bethe(ensemble: EnsembleSpec, *, external_field=None, restarts: int = 32,
-                damping: float = 0.5, tol: float = 1e-12, max_iter: int = 100_000,
-                seed: int = 0, objective_gap: float = 1e-9, dedup_tol: float = 1e-8,
-                boundary_tol: float = 1e-10) -> BetheSolution:
+                seed: int = 0) -> BetheSolution:
     """Damped fixed-point iteration for the Bethe maximum, multi-started.
 
     Iterates nu <- marginal(mu(nu)) where mu(nu) is the entropy-maximizing
@@ -608,40 +592,20 @@ def solve_bethe(ensemble: EnsembleSpec, *, external_field=None, restarts: int = 
     fld = np.zeros(K) if external_field is None else np.asarray(external_field, float)
     if fld.shape != (K,) or not np.all(np.isfinite(fld)):
         raise ValidationFailure("external field needs one finite value per letter")
-    starts = dirichlet_starts(K, restarts, seed)
 
-    def update(nu):
-        target = _bethe_marginal(ensemble, _bethe_mu(ensemble, nu, fld))
-        return (1.0 - damping) * nu + damping * target, np.abs(target - nu).max(axis=1)
+    def objectives(nus):
+        return [_bethe_objective(ensemble, nu, mu, fld)
+                for nu, mu in zip(nus, _bethe_mu(ensemble, nus, fld))]
 
-    nus, iterations, ok = multistart_fixed_point(starts, update, tol=tol, max_iter=max_iter)
-    if not ok.any():
-        raise NonConvergenceError(
-            f"no Bethe restart converged within {max_iter} iterations", residual=None
-        )
-    nus, iterations = nus[ok], iterations[ok]
+    record = solve_multistart(
+        dirichlet_starts(K, restarts, seed),
+        lambda nus: _bethe_marginal(ensemble, _bethe_mu(ensemble, nus, fld)),
+        objectives,
+    )
+    nus = np.array([m.weights for m in record.co_maximizers])
     mus = _bethe_mu(ensemble, nus, fld)
-    objectives = [_bethe_objective(ensemble, nu, mu, fld) for nu, mu in zip(nus, mus)]
-    kept, boundary = select_maximizers(
-        nus, objectives, objective_gap=objective_gap, dedup_tol=dedup_tol,
-        boundary_tol=boundary_tol,
-    )
-    best = kept[0]
-    resid = float(np.max(np.abs(_bethe_marginal(ensemble, mus[best]) - nus[best])))
-    return BetheSolution(
-        nu_star=ProbMeasure(nus[best]),
-        mu_star=ProbMeasure(mus[best], labels=ensemble.word_labels),
-        F=objectives[best],
-        residual=resid,
-        boundary=boundary,
-        diagnostics={
-            "restarts": len(starts),
-            "converged": len(nus),
-            "iterations_best": int(iterations[best]) - 1,
-            "unique": len(kept) == 1,
-            "field": fld.copy(),
-        },
-    )
+    return BetheSolution(**vars(record), word_measures=[
+        ProbMeasure(mu, labels=ensemble.word_labels) for mu in mus])
 
 
 # --------------------------------------------------------------------------
@@ -916,36 +880,27 @@ def lattice_step_s(ensemble: EnsembleSpec, *, ref_word: int | None = None,
 # asymptotic estimate and the LDPC application
 
 
-def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution, *,
-                    step: int | None = None) -> float:
-    """log of the N-free constant: l^((K-1)/2) / s * det(...)^(-1/2)."""
-    if solution.boundary:
-        raise BoundaryMaximizerError(
-            "Bethe maximizer touches the boundary; constant factor undefined"
-        )
-    mats = assemble_fg_matrices(ensemble, solution.mu_star, solution.nu_star)
+def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> float:
+    """log of the N-free constant: l^((K-1)/2) / s * the sum over the
+    co-maximizers of det(I - C(V'-V))^(-1/2) (log_gaussian_sum)."""
+
+    def fluctuation(i):
+        mats = assemble_fg_matrices(ensemble, solution.word_measures[i],
+                                    solution.co_maximizers[i])
+        return mats.variable_covariance_bare, mats.curvature
+
+    log_sum, _ = log_gaussian_sum(solution, fluctuation)
     K = len(ensemble.alphabet)
-    middle = np.eye(K) - mats.curvature @ mats.variable_covariance_bare
-    try:
-        d = det(middle)
-    except SingularMatrixError as exc:
-        raise InstabilityError(f"det(I - C(V'-V)) vanishes: {exc}") from exc
-    if d <= 0.0:
-        raise InstabilityError(
-            f"det(I - C(V'-V)) = {d:.6g} is not positive; fluctuations unstable"
-        )
-    s = lattice_step_s(ensemble) if step is None else step
-    return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(s) - 0.5 * math.log(d)
+    return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(lattice_step_s(ensemble)) + log_sum
 
 
 def fg_asymptotic_estimate(ensemble: EnsembleSpec, N: int,
-                           solution: BetheSolution | None = None, *,
-                           step: int | None = None, **solver_kw) -> float:
+                           solution: BetheSolution | None = None) -> float:
     """log E[Z] up to (1+o(1)): N F + the constant term."""
     ensemble.require_admissible(N)
     if solution is None:
-        solution = solve_bethe(ensemble, **solver_kw)
-    return N * solution.F + fg_constant_log(ensemble, solution, step=step)
+        solution = solve_bethe(ensemble)
+    return N * solution.F + fg_constant_log(ensemble, solution)
 
 
 @dataclass
@@ -970,14 +925,13 @@ def expected_codewords_at_weight(l: int, r: int, N: int, w: int, *, guard: int =
     return _type_sum(ens, N, True, guard, allow_large, only=(N - w, w))
 
 
-def _tilted_solution(ensemble: EnsembleSpec, omega: float, *, solver_kw) -> tuple:
+def _tilted_solution(ensemble: EnsembleSpec, omega: float) -> tuple:
     """Field theta with marginal nu_theta(1) = omega: a bracket grown from
     [-1, 1], narrowed by regula falsi with the Illinois step (halve the
     kept end's value when the same end is kept twice)."""
-    solver_kw = {"restarts": 4, **solver_kw}
 
     def marginal_one(theta: float) -> float:
-        sol = solve_bethe(ensemble, external_field=np.array([0.0, theta]), **solver_kw)
+        sol = solve_bethe(ensemble, external_field=np.array([0.0, theta]), restarts=4)
         return sol.nu_star[1], sol
 
     lo, hi = -1.0, 1.0
@@ -1016,8 +970,7 @@ def _tilted_solution(ensemble: EnsembleSpec, omega: float, *, solver_kw) -> tupl
     return mid, sol
 
 
-def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None,
-                            **solver_kw) -> LdpcResult:
+def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) -> LdpcResult:
     """Expected codeword count of the random (l,r) LDPC ensemble.
 
     With omega = None, counts all codewords: growth rate F from the Bethe
@@ -1036,7 +989,7 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None,
     ens = make_ensemble(l, r, Alphabet((0.0, 1.0)), "parity")
     ens.require_admissible(N)
     if omega is None:
-        sol = solve_bethe(ens, **solver_kw)
+        sol = solve_bethe(ens)
         const = fg_constant_log(ens, sol)
         return LdpcResult(N, None, N * sol.F + const, sol.F, const)
     if not 0.0 <= omega <= 1.0:
@@ -1054,7 +1007,7 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None,
             f"weight fraction {omega:g} sits on the support boundary; "
             "use expected_codewords_at_weight for exact counts there"
         )
-    theta, sol = _tilted_solution(ens, omega, solver_kw=solver_kw)
+    theta, sol = _tilted_solution(ens, omega)
     growth = sol.F - theta * omega
     const = fg_constant_log(ens, sol)
     return LdpcResult(N, omega, N * growth + const, growth, const, theta)

@@ -11,8 +11,9 @@ machinery that the dense and factor-graph sides share:
   and a batched array variant for vectorized consumers;
 * ``det`` / ``solve`` / ``inv`` wrappers around an LU factorization with
   partial pivoting and an explicit singularity signal;
-* the batched multi-start fixed-point loop and the co-maximizer selection used
-  by the variational and Bethe solvers.
+* the multi-start solve shared by the variational and Bethe solvers (batched
+  fixed-point loop, co-maximizer selection, one result record), and the
+  Gaussian constant summed over the co-maximizers.
 """
 
 from __future__ import annotations
@@ -24,9 +25,15 @@ from typing import Iterator
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
-from .errors import GuardError, SingularMatrixError
+from .errors import (
+    ATInstabilityError,
+    BoundaryMaximizerError,
+    GuardError,
+    NonConvergenceError,
+    SingularMatrixError,
+)
 
 # Tolerances and guards used by the constructors below.  Kept module level
 # so tests can reference the same numbers.
@@ -34,6 +41,14 @@ PROB_SUM_TOL = 1e-12
 EXACT_MULTINOMIAL_MAX_TOTAL = 2000
 TYPE_ENUM_GUARD = 10**8
 PIVOT_RTOL = 1e-14
+
+# Settings of the multi-start solve, shared by both solvers.
+DAMPING = 0.5
+FIXED_POINT_TOL = 1e-12
+MAX_ITER = 100_000
+OBJECTIVE_GAP = 1e-9
+DEDUP_TOL = 1e-8
+BOUNDARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,6 +192,15 @@ def _counts_of(counts) -> np.ndarray:
     return c
 
 
+def multinomial(counts) -> int:
+    """Exact multinomial coefficient of a sequence of nonnegative ints, uncapped."""
+    coef, total = 1, 0
+    for k in counts:
+        total += k
+        coef *= math.comb(total, k)
+    return coef
+
+
 def multinomial_exact(counts) -> int:
     """Exact multinomial coefficient as a big integer.
 
@@ -189,12 +213,7 @@ def multinomial_exact(counts) -> int:
         raise GuardError(
             f"exact multinomial guarded to total <= {EXACT_MULTINOMIAL_MAX_TOTAL}, got {total}"
         )
-    coef = 1
-    remaining = total
-    for k in c.tolist():
-        coef *= math.comb(remaining, k)
-        remaining -= k
-    return coef
+    return multinomial(c.tolist())
 
 
 def log_multinomial(counts) -> float:
@@ -414,17 +433,110 @@ def multistart_fixed_point(starts: np.ndarray, update, *, tol: float, max_iter: 
     return X, iterations, converged
 
 
-def select_maximizers(points: np.ndarray, objectives, *, objective_gap: float,
-                      dedup_tol: float, boundary_tol: float):
+def select_maximizers(points: np.ndarray, objectives):
     """Indices of the distinct co-maximizers, best first (ties in start order):
-    within ``objective_gap`` of the best and more than ``dedup_tol`` apart.
-    Also returns whether any has a weight below ``boundary_tol``."""
+    within OBJECTIVE_GAP of the best and more than DEDUP_TOL apart.  Also
+    returns whether any has a weight below BOUNDARY_TOL."""
     obj = np.asarray(objectives, dtype=float)
     order = np.argsort(-obj, kind="stable")
     kept: list[int] = []
     for i in order:
-        if obj[order[0]] - obj[i] > objective_gap:
+        if obj[order[0]] - obj[i] > OBJECTIVE_GAP:
             break
-        if all(float(np.abs(points[i] - points[j]).max()) > dedup_tol for j in kept):
+        if all(float(np.abs(points[i] - points[j]).max()) > DEDUP_TOL for j in kept):
             kept.append(int(i))
-    return kept, any(float(points[i].min()) < boundary_tol for i in kept)
+    return kept, any(float(points[i].min()) < BOUNDARY_TOL for i in kept)
+
+
+@dataclass
+class MaximizerRecord:
+    """Result of a multi-start solve: the co-maximizers, best first, and how
+    the solve went.  ``diagnostics`` holds exactly ``restarts`` (starts
+    run), ``converged`` (starts that stopped) and ``iterations_best``."""
+
+    co_maximizers: list[ProbMeasure]
+    F: float
+    residual: float
+    boundary: bool
+    diagnostics: dict
+
+    @property
+    def nu_star(self) -> ProbMeasure:
+        return self.co_maximizers[0]
+
+    @property
+    def unique(self) -> bool:
+        return len(self.co_maximizers) == 1
+
+
+def solve_multistart(starts: np.ndarray, fmap, objectives, *, labels=None,
+                     stop_on_step: bool = False) -> MaximizerRecord:
+    """Iterate x <- (1 - DAMPING) x + DAMPING fmap(x) from every start and keep
+    the co-maximizers; ``objectives(X)`` gives one value per converged row.
+
+    A start stops once its residual |fmap(x) - x| is at most FIXED_POINT_TOL
+    (the Bethe test), or with ``stop_on_step`` once its damped step is (the
+    variational test); both tests are kept so that neither solver's
+    iteration counts change.  ``iterations_best`` counts the updates that
+    led to the point the test passed on.  The residual is |fmap(x) - x| at
+    the best point.  NonConvergenceError, carrying the smallest residual,
+    when no start stops within MAX_ITER.
+    """
+    def update(X):
+        target = fmap(X)
+        X_new = (1.0 - DAMPING) * X + DAMPING * target
+        delta = np.abs(X_new - X) if stop_on_step else np.abs(target - X)
+        return X_new, delta.max(axis=1)
+
+    X, iterations, ok = multistart_fixed_point(starts, update, tol=FIXED_POINT_TOL,
+                                               max_iter=MAX_ITER)
+    if not ok.any():
+        raise NonConvergenceError(
+            f"no restart converged within {MAX_ITER} iterations",
+            residual=float(np.abs(fmap(X) - X).max(axis=1).min()),
+        )
+    X, iterations = X[ok], iterations[ok]
+    obj = objectives(X)
+    kept, boundary = select_maximizers(X, obj)
+    best = kept[0]
+    return MaximizerRecord(
+        co_maximizers=[ProbMeasure(X[i], labels=labels) for i in kept],
+        F=float(obj[best]),
+        residual=float(np.abs(fmap(X[best:best + 1]) - X[best]).max()),
+        boundary=boundary,
+        diagnostics={
+            "restarts": len(starts),
+            "converged": len(X),
+            "iterations_best": int(iterations[best]) - (0 if stop_on_step else 1),
+        },
+    )
+
+
+def log_gaussian_sum(solution: MaximizerRecord, fluctuation) -> tuple[float, list[float]]:
+    """log sum_m det(I - B_m M_m)^(-1/2) over the co-maximizers of ``solution``.
+
+    ``fluctuation(i)`` returns (M_i, B_i), the covariance and the curvature
+    at co-maximizer i.  Returns the log sum and the determinants, best
+    first.  Raises BoundaryMaximizerError when the solution has a boundary
+    maximizer and ATInstabilityError when a determinant is singular or
+    non-positive.
+    """
+    if solution.boundary:
+        margin = min(m.min_weight() for m in solution.co_maximizers)
+        raise BoundaryMaximizerError(
+            f"maximizer touches the simplex boundary (min weight {margin:.2e}); "
+            "the Gaussian constant needs interior maximizers"
+        )
+    dets = []
+    for i in range(len(solution.co_maximizers)):
+        cov, curvature = fluctuation(i)
+        try:
+            d = det(np.eye(len(curvature)) - curvature @ cov)
+        except SingularMatrixError as exc:
+            raise ATInstabilityError(f"fluctuation determinant is singular: {exc}") from exc
+        if d <= 0.0:
+            raise ATInstabilityError(
+                f"fluctuation determinant {d:.6e} <= 0: Gaussian constant undefined"
+            )
+        dets.append(d)
+    return float(logsumexp([-0.5 * math.log(d) for d in dets])), dets

@@ -5,10 +5,12 @@ uses; criterion 11 runs the CLI itself in a subprocess.  Runtime caps are
 generous (laptop-class), the point is catching accidental blowups.
 """
 
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,9 +45,13 @@ def test_criterion(name, cap):
 def test_selftest_cli():
     exe = shutil.which("central-approx")
     cmd = [exe] if exe else [sys.executable, "-m", "central_approx.cli"]
+    # the child imports the package from this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     proc = subprocess.run(
-        cmd + ["selftest"], capture_output=True, text=True, timeout=360,
+        cmd + ["selftest"], capture_output=True, text=True, timeout=360, env=env,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -12,12 +12,11 @@ from central_approx.errors import (
     BoundaryMaximizerError,
     GuardError,
 )
-from central_approx.types_core import Alphabet, ProbMeasure
+from central_approx.types_core import Alphabet, MaximizerRecord, ProbMeasure
 from central_approx.dense import (
     CallableOverlap,
     DenseModelSpec,
     PolyOverlap,
-    VariationalSolution,
     asymptotic_estimate,
     assemble_matrices,
     brute_force_expectation,
@@ -249,8 +248,8 @@ def test_at_instability_raised():
     # constant computation with the unstable point directly
     spec = DenseModelSpec(1, BINARY, zero_local(), PolyOverlap.quadratic(1, 6.0))
     half = ProbMeasure(np.array([0.5, 0.5]))
-    fake = VariationalSolution(nu_star=half, F=0.0, residual=0.0,
-                               co_maximizers=[half], boundary=False)
+    fake = MaximizerRecord(co_maximizers=[half], F=0.0, residual=0.0,
+                           boundary=False, diagnostics={})
     with pytest.raises(ATInstabilityError):
         central_approx_constant(spec, fake)
 

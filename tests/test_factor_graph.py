@@ -16,11 +16,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from central_approx.errors import (
+    ATInstabilityError,
     BoundaryMaximizerError,
     GuardError,
+    InstabilityError,
+    NonConvergenceError,
+    NumericalFailure,
     ValidationFailure,
 )
 from central_approx.factor_graph import (
+    BetheSolution,
     brute_force_permutation_oracle,
     assemble_fg_matrices,
     exact_expected_Z,
@@ -38,7 +43,8 @@ from central_approx.factor_graph import (
     step_size_methods,
 )
 from central_approx.factor_graph import _bethe_mu, _bethe_objective
-from central_approx.types_core import Alphabet
+from central_approx import types_core
+from central_approx.types_core import Alphabet, ProbMeasure
 
 BINARY = Alphabet((0.0, 1.0))
 TERNARY = Alphabet((0.0, 1.0, 2.0))
@@ -330,6 +336,13 @@ def test_bethe_marginal_consistency():
     assert np.abs(marg - sol.nu_star.weights).max() < 1e-10
 
 
+def test_bethe_nonconvergence_reports_the_best_residual(monkeypatch):
+    monkeypatch.setattr(types_core, "MAX_ITER", 3)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_bethe(make_ensemble(3, 3, BINARY, [1, 2, 3, 4, 5, 6, 7, 8]))
+    assert 0.0 < info.value.residual < 1.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([2, 3]),
        st.lists(st.floats(0.2, 5.0), min_size=8, max_size=8))
@@ -496,6 +509,45 @@ def test_growth_rate_invariant_under_relabeling(table):
     a = solve_bethe(ens, restarts=6)
     b = solve_bethe(flipped, restarts=6)
     assert a.F == pytest.approx(b.F, abs=1e-9)
+    try:
+        const_a, const_b = fg_constant_log(ens, a), fg_constant_log(flipped, b)
+    except NumericalFailure:
+        assume(False)
+    assert const_a == pytest.approx(const_b, abs=1e-8)
+
+
+# ferromagnetic tables: two mirror-image Bethe maximizers, each carrying half
+# of E[Z]; the constant must sum their Gaussian terms
+FERROMAGNETS = [(4, 2, [4, 1, 1, 4]), (3, 3, [5, 1, 1, 1, 1, 1, 1, 5])]
+
+
+@pytest.mark.parametrize("l,r,table", FERROMAGNETS)
+def test_co_maximizers_sum_their_constants(l, r, table):
+    ens = make_ensemble(l, r, BINARY, table)
+    sol = solve_bethe(ens)
+    assert len(sol.co_maximizers) == 2
+    a, b = (m.weights for m in sol.co_maximizers)
+    assert np.allclose(a, b[::-1], atol=1e-10)
+    const = fg_constant_log(ens, sol)
+    gaps = [abs(math.exp(exact_expected_Z(ens, N) - N * sol.F - const) - 1.0)
+            for N in (30, 60, 120)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 0.006
+
+
+def test_fg_instability_raised():
+    # the symmetric point of the (4,2) ferromagnet is a saddle of the Bethe
+    # objective, where det(I - C(V'-V)) = -0.2; the solver escapes to the two
+    # asymmetric maximizers, so drive the constant with the saddle directly
+    ens = make_ensemble(4, 2, BINARY, [4, 1, 1, 4])
+    half = np.array([0.5, 0.5])
+    saddle = BetheSolution(
+        co_maximizers=[ProbMeasure(half)], F=0.0, residual=0.0, boundary=False,
+        diagnostics={}, word_measures=[ProbMeasure(_bethe_mu(ens, half, np.zeros(2)))])
+    with pytest.raises(ATInstabilityError):
+        fg_constant_log(ens, saddle)
+    with pytest.raises(InstabilityError):
+        fg_constant_log(ens, saddle)
 
 
 # ------------------------------------------------------------------ LDPC

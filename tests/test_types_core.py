@@ -295,7 +295,7 @@ def test_multistart_freezes_each_row_at_its_own_stop():
 
 def test_selection_dedups_within_the_objective_gap():
     points = np.array([[0.5, 0.5], [0.2, 0.8], [0.5 + 1e-12, 0.5 - 1e-12], [0.0, 1.0]])
-    kw = dict(objective_gap=1e-9, dedup_tol=1e-8, boundary_tol=1e-10)
-    assert select_maximizers(points, [1.0, 1.0, 1.0, 0.5], **kw) == ([0, 1], False)
+    # OBJECTIVE_GAP 1e-9, DEDUP_TOL 1e-8, BOUNDARY_TOL 1e-10
+    assert select_maximizers(points, [1.0, 1.0, 1.0, 0.5]) == ([0, 1], False)
     # ties keep start order; a boundary co-maximizer sets the flag
-    assert select_maximizers(points, [1.0, 1.0 + 1e-10, 1.0, 1.0], **kw) == ([1, 0, 3], True)
+    assert select_maximizers(points, [1.0, 1.0 + 1e-10, 1.0, 1.0]) == ([1, 0, 3], True)
