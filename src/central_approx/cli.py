@@ -161,28 +161,34 @@ def _rs_params(args):
 
 # ------------------------------------------------------------- subcommands
 
-def _dense_sum_kwargs(guards: dict) -> dict:
+def _sum_kwargs(guards: dict, key: str, allow_large: bool = False) -> dict:
+    """Keywords of an exact sum: the guard under ``key`` and allow_large."""
     kw = {}
-    if "type_sum" in guards:
-        kw["guard"] = guards["type_sum"]
-    if guards.get("allow_large"):
+    if key in guards:
+        kw["guard"] = guards[key]
+    if guards.get("allow_large") or allow_large:
         kw["allow_large"] = True
     return kw
 
 
-def _fg_sum_kwargs(guards: dict, args) -> dict:
-    kw = {}
-    if "type_pairs" in guards:
-        kw["guard"] = guards["type_pairs"]
-    if guards.get("allow_large") or args.allow_large:
-        kw["allow_large"] = True
-    return kw
+def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) -> Report:
+    """Scalars F and log_constant; per N the exact and asymptotic logs and their ratio."""
+    rep = Report(command)
+    rep.scalar("F", F)
+    rep.scalar("log_constant", log_constant)
+    rows = []
+    for N in Ns:
+        exact = log_exact(N)
+        est = N * F + log_constant
+        rows.append((N, exact, est, math.exp(exact - est)))
+    rep.table(["N", "log_exact", "log_asymptotic", "ratio"], rows)
+    return rep
 
 
 def cmd_dense_exact(args) -> Report:
     spec, guards = _dense_from_args(args)
     rep = Report("dense-exact")
-    kw = _dense_sum_kwargs(guards)
+    kw = _sum_kwargs(guards, "type_sum")
     rows = [(N, exact_type_sum(spec, N, **kw)) for N in parse_N_list(args.N)]
     rep.table(["N", "log_exact"], rows)
     return rep
@@ -208,17 +214,9 @@ def cmd_dense_asymptotic(args) -> Report:
 def cmd_dense_compare(args) -> Report:
     spec, guards = _dense_from_args(args)
     result = _dense_solution(spec, args)
-    kw = _dense_sum_kwargs(guards)
-    rep = Report("dense-compare")
-    rep.scalar("F", result.F)
-    rep.scalar("log_constant", result.log_constant)
-    rows = []
-    for N in parse_N_list(args.N):
-        exact = exact_type_sum(spec, N, **kw)
-        est = N * result.F + result.log_constant
-        rows.append((N, exact, est, math.exp(exact - est)))
-    rep.table(["N", "log_exact", "log_asymptotic", "ratio"], rows)
-    return rep
+    kw = _sum_kwargs(guards, "type_sum")
+    return _compare_report("dense-compare", result.F, result.log_constant, parse_N_list(args.N),
+                           lambda N: exact_type_sum(spec, N, **kw))
 
 
 def cmd_rs_det(args) -> Report:
@@ -259,7 +257,7 @@ def cmd_sk(args) -> Report:
 
 def cmd_fg_exact(args) -> Report:
     ens, guards = _ensemble_from_args(args)
-    kw = _fg_sum_kwargs(guards, args)
+    kw = _sum_kwargs(guards, "type_pairs", args.allow_large)
     rep = Report("fg-exact")
     rows = [(N, exact_expected_Z(ens, N, **kw)) for N in parse_N_list(args.N)]
     rep.table(["N", "log_exact"], rows)
@@ -281,19 +279,10 @@ def cmd_fg_asymptotic(args) -> Report:
 
 def cmd_fg_compare(args) -> Report:
     ens, guards = _ensemble_from_args(args)
-    kw = _fg_sum_kwargs(guards, args)
+    kw = _sum_kwargs(guards, "type_pairs", args.allow_large)
     sol = solve_bethe(ens, seed=args.seed)
-    const = fg_constant_log(ens, sol)
-    rep = Report("fg-compare")
-    rep.scalar("F", sol.F)
-    rep.scalar("log_constant", const)
-    rows = []
-    for N in parse_N_list(args.N):
-        exact = exact_expected_Z(ens, N, **kw)
-        est = N * sol.F + const
-        rows.append((N, exact, est, math.exp(exact - est)))
-    rep.table(["N", "log_exact", "log_asymptotic", "ratio"], rows)
-    return rep
+    return _compare_report("fg-compare", sol.F, fg_constant_log(ens, sol), parse_N_list(args.N),
+                           lambda N: exact_expected_Z(ens, N, **kw))
 
 
 def cmd_fg_s(args) -> Report:

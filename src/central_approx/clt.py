@@ -23,8 +23,8 @@ from .dense import (
     pair_indices,
     type_log_weights,
 )
-from .errors import ATInstabilityError, GuardError, NumericalFailure, SingularMatrixError
-from .types_core import ProbMeasure, num_types, solve, type_array_blocks
+from .errors import ATInstabilityError, NumericalFailure, SingularMatrixError
+from .types_core import ProbMeasure, solve, type_array_blocks
 
 __all__ = [
     "CovarianceResult",
@@ -126,14 +126,7 @@ def empirical_type_covariance_oracle(spec: DenseModelSpec, N: int, *,
     constant leaves a covariance unchanged.  Validation plumbing for
     dense_type_covariance; cost grows like the number of types.
     """
-    K = len(spec.symbols)
-    total = num_types(N, K)
-    if total > guard and not allow_large:
-        raise GuardError(
-            f"covariance oracle over {total} types exceeds the guard ({guard}); "
-            "pass allow_large=True to proceed"
-        )
-    blocks = list(type_array_blocks(N, K, guard=guard, allow_large=allow_large))
+    blocks = list(type_array_blocks(N, len(spec.symbols), guard=guard, allow_large=allow_large))
     V = np.concatenate(blocks, axis=0)
     logw = type_log_weights(spec, N, V)
     w = np.exp(logw - logsumexp(logw))

@@ -10,8 +10,8 @@ interest is
 Three routes are provided:
 
 * ``brute_force_expectation``: literal configuration sum (tiny N only);
-* ``exact_type_sum``: the same value as a multinomial-weighted sum over
-  empirical types, feasible into the thousands of sites;
+* ``exact_type_sum``: the same value from the generating function of the
+  pair-product sums, feasible into the thousands of sites;
 * ``asymptotic_estimate``: N F plus the log of the Gaussian constant
   factor coming from the curvature of the type sum at its maximizing
   measure.
@@ -38,6 +38,7 @@ from .types_core import (
     entropy,
     log_gaussian_sum,
     log_multinomial_rows,
+    power_terms,
     solve_multistart,
     type_array_blocks,
 )
@@ -341,17 +342,16 @@ def type_log_weights(spec: DenseModelSpec, N: int, V: np.ndarray) -> np.ndarray:
 
 def exact_type_sum(spec: DenseModelSpec, N: int, *, guard: int = 10**8,
                    allow_large: bool = False) -> float:
-    """log of the configuration sum, organized over empirical types.
-
-    Equal to brute_force_expectation wherever both are feasible; remains
-    tractable while the type count C(N + K - 1, K - 1) is manageable.
-    """
+    """log of the configuration sum: sum over the pair-product sums r of
+    [y^r] (sum_x e^{f(x)} y^{J(x)})^N * e^{N g(r/N)}, the power from
+    types_core.power_terms and guarded by it.  Equal to brute_force_expectation
+    wherever both are feasible."""
     if N < 1:
         raise ValueError("need N >= 1")
-    pieces = []
-    for V in type_array_blocks(N, spec.num_symbols, guard=guard, allow_large=allow_large):
-        pieces.append(logsumexp(type_log_weights(spec, N, V)))
-    return float(logsumexp(np.array(pieces)))
+    pieces = [logsumexp(coef + N * spec.g.value_batch(rows / N))
+              for rows, coef in power_terms(spec.pair_products, spec.f_values, N,
+                                            guard=guard, allow_large=allow_large)]
+    return float(logsumexp(pieces))
 
 
 def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,

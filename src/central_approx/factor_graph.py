@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +43,9 @@ from .types_core import (
     log_gaussian_sum,
     log_multinomial,
     log_multinomial_rows,
-    multinomial,
     multinomial_exact,
-    num_types,
+    power_terms,
     solve_multistart,
-    type_array_blocks,
 )
 
 __all__ = [
@@ -398,112 +395,40 @@ def _log_fraction(x: Fraction) -> float:
 #
 # At a fixed variable type v, the sum over consistent factor types is one
 # coefficient, [y^{l v}] (sum_{w in S} f(w) y^{N(w)})^M, with N(w) the letter
-# counts of w.  The power is packed (letter 0 is implied, the other K-1
-# counts form one flat exponent with strides (rM+1)^(z-1)), or, when the
-# factor types are fewer, expanded over them by the multinomial theorem.
-
-
-def _log_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two polynomials held as log coefficients (-inf for 0)."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.full(len(a) + len(b) - 1, -np.inf)
-    for i in np.flatnonzero(a > -np.inf):
-        seg = out[i:i + len(b)]
-        np.logaddexp(seg, a[i] + b, out=seg)
-    return out
-
-
-def _packed_power(ensemble: EnsembleSpec, M: int, base: list | np.ndarray, width: int,
-                  V: np.ndarray, exact: bool) -> list | np.ndarray:
-    """Coefficients of the M-th power at l*v, v a row of V.
-
-    Exact: one packed integer, `width` bytes a slot.  Else logs (-inf for 0).
-    """
-    l, r, K = ensemble.l, ensemble.r, len(ensemble.alphabet)
-    strides = np.array([(r * M + 1) ** z for z in range(K - 1)], dtype=np.int64)
-    word_at = ensemble.letter_counts[ensemble.support, 1:] @ strides
-    read_at = l * (V[:, 1:] @ strides)
-    if exact:
-        packed = sum(q << (8 * width * at) for at, q in zip(word_at.tolist(), base))
-        data = (packed**M).to_bytes((r * M + 1) ** (K - 1) * width, "little")
-        return [int.from_bytes(data[at * width:(at + 1) * width], "little")
-                for at in read_at.tolist()]
-    with np.errstate(divide="ignore"):
-        poly = np.log(np.bincount(word_at, weights=base))
-    power = np.zeros(1)
-    for bit in bin(M)[2:]:
-        power = _log_poly_mul(power, power)
-        if bit == "1":
-            power = _log_poly_mul(power, poly)
-    pad = max(0, int(read_at.max()) + 1 - len(power))
-    return np.pad(power, (0, pad), constant_values=-np.inf)[read_at]
-
-
-def _expanded_power(ensemble: EnsembleSpec, M: int, base: list | np.ndarray, exact: bool,
-                    only: tuple | None) -> tuple:
-    """Per consistent factor type u: its variable type, and multinomial(u) prod f^u.
-
-    Integers when exact, logs otherwise; with `only`, just that variable type.
-    """
-    l = ensemble.l
-    counts = ensemble.letter_counts[ensemble.support]
-    Vs, coefs = [], []
-    for U in type_array_blocks(M, len(counts), allow_large=True):
-        balance = U @ counts
-        keep = ~np.any(balance % l, axis=1)
-        if only is not None:
-            keep &= np.all(balance == l * np.asarray(only), axis=1)
-        U = U[keep]
-        Vs.append(balance[keep] // l)
-        if exact:
-            coefs += [multinomial(u) * math.prod(map(pow, base, u)) for u in U.tolist()]
-        else:
-            coefs.append(log_multinomial_rows(U) + U @ np.log(base))
-    return np.concatenate(Vs), coefs if exact else np.concatenate(coefs)
+# counts of w (letter 0 implied).  types_core.power_terms builds the power.
 
 
 def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
               allow_large: bool, only: tuple | None = None) -> Fraction | float:
     """E[Z] summed over every variable type or just `only`; its log unless exact.
-
-    Exact arithmetic runs on the table scaled to integers by its LCD D; a
-    packed slot holds (sum of the scaled table)^M, which bounds every
-    coefficient.  The guard bounds the packed array (64-bit words) or the
-    factor-type count, whichever is smaller.
-    """
-    l, r, K = ensemble.l, ensemble.r, len(ensemble.alphabet)
+    Exact arithmetic runs on the table scaled to integers by its LCD D."""
+    l = ensemble.l
     M = ensemble.num_factors(N)
     S = ensemble.support
     if exact:
         vals = [ensemble.f_exact[w] for w in S]
         D = math.lcm(*(x.denominator for x in vals))
-        base = [x.numerator * (D // x.denominator) for x in vals]
-        width = -(-M * sum(base).bit_length() // 8)  # bytes per slot
+        weights = [x.numerator * (D // x.denominator) for x in vals]
     else:
-        base = ensemble.f_values[S]
-        width = 8  # one float64 per slot
-    packed = (r * M + 1) ** (K - 1) * -(-width // 8)
-    expanded = num_types(M, len(S))
-    if min(packed, expanded) > guard and not allow_large:
-        raise GuardError(
-            f"exact sum needs {packed} packed coefficient words or {expanded} "
-            f"factor types (guard {guard}); pass allow_large=True to override"
-        )
-    if packed <= expanded:
-        V = (np.array([only], dtype=np.int64) if only is not None
-             else np.concatenate(list(type_array_blocks(N, K, allow_large=True))))
-        coef = _packed_power(ensemble, M, base, width, V, exact)
-    else:
-        V, coef = _expanded_power(ensemble, M, base, exact, only)
+        weights = np.log(ensemble.f_values[S])
+    Vs, coefs = [], []
+    for rows, coef in power_terms(ensemble.letter_counts[S, 1:], weights, M,
+                                  guard=guard, allow_large=allow_large):
+        keep = ~np.any(rows % l, axis=1)
+        if only is not None:
+            keep &= np.all(rows == l * np.asarray(only[1:]), axis=1)
+        V = rows[keep] // l
+        Vs.append(np.column_stack([N - V.sum(axis=1), V]))
+        coefs += [c for c, k in zip(coef, keep.tolist()) if k] if exact else [coef[keep]]
+    V = np.concatenate(Vs)
     if exact:
         # multinomial(v) prod (l v_z)! / (Nl)! = prod ratio[v_z] / ratio[N]
         ratio = [1]  # ratio[x] = (l x)! / x!
         for x in range(1, N + 1):
             ratio.append(ratio[-1] * math.prod(range(l * x - l + 1, l * x + 1)) // x)
-        total = sum(c * math.prod(ratio[x] for x in v) for v, c in zip(V.tolist(), coef) if c)
+        total = sum(c * math.prod(ratio[x] for x in v) for v, c in zip(V.tolist(), coefs) if c)
         return Fraction(total, ratio[N] * D**M)
-    terms = coef + log_multinomial_rows(V) + gammaln(l * V + 1.0).sum(axis=1)
+    terms = np.concatenate(coefs) + log_multinomial_rows(V) + gammaln(l * V + 1.0).sum(axis=1)
     terms = terms[terms > -np.inf] - math.lgamma(N * l + 1)
     return float(logsumexp(terms)) if terms.size else -math.inf
 
@@ -514,11 +439,11 @@ def exact_expected_Z(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_G
 
     At each variable type, the sum over factor types is one coefficient of
     a polynomial power, packed into a flat array or, on sparse supports,
-    expanded over the factor types.  Rational tables are summed exactly,
-    float tables in the log domain.  GuardError when both the packed array
-    (64-bit words) and the factor-type count exceed `guard`, unless allow_large.
+    expanded over the factor types (types_core.power_terms).  Rational
+    tables are summed exactly, float tables in the log domain.  GuardError
+    when both the packed array (64-bit words) and the type count exceed
+    `guard`, unless allow_large.
     """
-    ensemble.require_admissible(N)
     if ensemble.f_exact is not None:
         return _log_fraction(_type_sum(ensemble, N, True, guard, allow_large))
     return _type_sum(ensemble, N, False, guard, allow_large)
@@ -535,7 +460,6 @@ def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_
         raise ValidationFailure(
             "exact arithmetic needs an exact factor table (integer or rational values)"
         )
-    ensemble.require_admissible(N)
     return _type_sum(ensemble, N, True, guard, allow_large)
 
 
@@ -556,17 +480,22 @@ class BetheSolution(MaximizerRecord):
 
 
 def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray, fld: np.ndarray) -> np.ndarray:
-    """Maximizing word measure for a fixed letter marginal (one per row of nu)."""
+    """Maximizing word measure for a fixed letter marginal (one per row of nu);
+    summed letter by letter, not by a matrix product, so that a row rounds the
+    same whatever else shares its batch."""
     loggain = (ensemble.l - 1) / ensemble.l * np.log(np.clip(nu, 1e-300, None)) + fld / ensemble.l
     with np.errstate(divide="ignore"):
         logf = np.log(ensemble.f_values)
-    expo = logf + loggain @ ensemble.letter_counts.T
+    expo = logf + sum(loggain[..., z, None] * counts
+                      for z, counts in enumerate(ensemble.letter_counts.T))
     e = np.exp(expo - expo.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _bethe_marginal(ensemble: EnsembleSpec, mu: np.ndarray) -> np.ndarray:
-    return (mu @ ensemble.letter_counts) / ensemble.r
+    """Letter marginal of word measures, each row on its own as in _bethe_mu."""
+    return np.stack([(mu * counts).sum(axis=-1) for counts in ensemble.letter_counts.T],
+                    axis=-1) / ensemble.r
 
 
 def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray,
@@ -768,45 +697,21 @@ def _rank_mod_prime(A: np.ndarray, p: int) -> int:
     return rank
 
 
-def _kernel_count_mod(A: np.ndarray, l: int) -> int:
-    """Number of solutions of A eps = 0 over Z/l, by column DP."""
+def _residue_sum(A: np.ndarray, l: int, weight) -> int:
+    """Sum over eps in (Z/l)^n with A eps = 0 (mod l) of prod_j weight[eps_j],
+    by column DP over the residue vectors of the rows."""
     m, n = A.shape
-    if m == 0 or n == 0:
-        return l**n
     states = {(0,) * m: 1}
     for j in range(n):
         col = [int(x) % l for x in A[:, j]]
         new: dict = defaultdict(int)
         for state, cnt in states.items():
             for val in range(l):
-                key = tuple((state[i] + col[i] * val) % l for i in range(m))
-                new[key] += cnt
+                if weight[val]:
+                    key = tuple((state[i] + col[i] * val) % l for i in range(m))
+                    new[key] += cnt * weight[val]
         states = dict(new)
     return states.get((0,) * m, 0)
-
-
-def _box_density(A: np.ndarray, l: int, L: int) -> Fraction:
-    """Fraction of integer points of [-L, L]^n solving the congruences."""
-    m, n = A.shape
-    box = 2 * L + 1
-    residue_counts = [0] * l
-    for e in range(-L, L + 1):
-        residue_counts[e % l] += 1
-    if m == 0 or n == 0:
-        return Fraction(1)
-    states = {(0,) * m: 1}
-    for j in range(n):
-        col = [int(x) % l for x in A[:, j]]
-        new: dict = defaultdict(int)
-        for state, cnt in states.items():
-            for val in range(l):
-                c = residue_counts[val]
-                if not c:
-                    continue
-                key = tuple((state[i] + col[i] * val) % l for i in range(m))
-                new[key] += cnt * c
-        states = dict(new)
-    return Fraction(states.get((0,) * m, 0), box**n)
 
 
 def _is_prime(p: int) -> bool:
@@ -829,13 +734,8 @@ def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
     """
     A = _step_matrix(ensemble, ref_word, ref_symbol)
     l = ensemble.l
-    out: dict = {}
-    divisors = smith_normal_form_divisors(A) if A.size else []
-    s = 1
-    for d in divisors:
-        s *= l // math.gcd(d, l)
-    out["snf"] = s
-    kernel = _kernel_count_mod(A, l)
+    out: dict = {"snf": lattice_step_s(ensemble, ref_word=ref_word, ref_symbol=ref_symbol)}
+    kernel = _residue_sum(A, l, [1] * l)
     n = A.shape[1]
     total = l**n
     if kernel == 0 or total % kernel:
@@ -849,7 +749,11 @@ def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
             g = math.gcd(g, int(x))
         out["binary_gcd"] = l // g
     if density_box_L is not None:
-        out["box_density"] = _box_density(A, l, density_box_L)
+        L = density_box_L
+        in_box = [0] * l  # points of [-L, L] in each residue class
+        for e in range(-L, L + 1):
+            in_box[e % l] += 1
+        out["box_density"] = Fraction(_residue_sum(A, l, in_box), (2 * L + 1) ** n)
     return out
 
 
@@ -859,21 +763,12 @@ def lattice_step_s(ensemble: EnsembleSpec, *, ref_word: int | None = None,
 
     The factor-type fluctuations can only move on the sublattice where
     every letter-balance shift is a multiple of l; s is the index of that
-    sublattice, i.e. the size of the image of the congruence map.  The
-    Smith-normal-form value is authoritative; the prime-field rank and the
-    binary gcd special cases are checked against it and a disagreement
-    warns (it indicates a bug, not an input problem).
+    sublattice, the size of the image of the congruence map, read off its
+    Smith normal form.  step_size_methods cross-checks it by other routes.
     """
-    methods = step_size_methods(ensemble, ref_word=ref_word, ref_symbol=ref_symbol)
-    s = methods["snf"]
-    for name in ("residue_count", "prime_rank", "binary_gcd"):
-        if name in methods and methods[name] != s:
-            warnings.warn(
-                f"step size disagreement: snf={s} but {name}={methods[name]}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return s
+    l = ensemble.l
+    A = _step_matrix(ensemble, ref_word, ref_symbol)
+    return math.prod(l // math.gcd(d, l) for d in smith_normal_form_divisors(A))
 
 
 # --------------------------------------------------------------------------

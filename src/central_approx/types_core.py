@@ -9,6 +9,8 @@ machinery that the dense and factor-graph sides share:
   (Gaussian) approximation of a multinomial around a target measure;
 * deterministic lexicographic enumeration of all types, with size guards
   and a batched array variant for vectorized consumers;
+* the one exact contraction kernel, the terms of a polynomial power, packed
+  or expanded over types (``power_terms``);
 * ``det`` / ``solve`` / ``inv`` wrappers around an LU factorization with
   partial pivoting and an explicit singularity signal;
 * the multi-start solve shared by the variational and Bethe solvers (batched
@@ -347,6 +349,112 @@ def enumerate_types(
     for block in type_array_blocks(N, cells, guard=guard, allow_large=allow_large):
         for row in block:
             yield TypeVector(row, total=N)
+
+
+# ---------------------------------------------------------------------------
+# The exact contraction kernel behind the dense and factor-graph exact sums.
+
+def _log_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two polynomials held as log coefficients (-inf for 0)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = np.full(len(a) + len(b) - 1, -np.inf)
+    for i in np.flatnonzero(a > -np.inf):
+        seg = out[i:i + len(b)]
+        np.logaddexp(seg, a[i] + b, out=seg)
+    return out
+
+
+def _packing(E: np.ndarray, weights, M: int) -> tuple:
+    """Per integer column of E the shift (minimum), the step (gcd after the shift)
+    and the slot count span * M + 1; and the bytes a slot of the exact M-th
+    power needs, which (sum of the weights)^M bounds (0 for log weights)."""
+    low = E.min(axis=0)
+    step = np.maximum(np.gcd.reduce(E - low, axis=0), 1)
+    width = 0 if isinstance(weights, np.ndarray) else -(-M * sum(weights).bit_length() // 8)
+    return low, step, (E - low).max(axis=0) // step * M + 1, width
+
+
+def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
+    """Exponent rows and nonzero coefficients of the M-th power, one term per
+    distinct row of E, packed by _packing into one flat polynomial (strides:
+    products of the lower columns' slot counts): a big integer when exact."""
+    low, step, spans, width = packing
+    strides = np.cumprod(spans) // spans
+    at = (E - low) // step @ strides
+    if width:
+        packed = sum(w << (8 * width * a) for a, w in zip(at.tolist(), weights))
+        data = (packed**M).to_bytes(int(np.prod(spans)) * width, "little")
+        slots = np.flatnonzero(np.frombuffer(data, np.uint8).reshape(-1, width).any(axis=1))
+        coefs = [int.from_bytes(data[i * width:(i + 1) * width], "little")
+                 for i in slots.tolist()]
+    else:
+        poly = np.full(int(at.max()) + 1, -np.inf)
+        poly[at] = weights
+        power, m = np.zeros(1), 0
+        for bit in bin(M)[2:]:
+            # from power m to 2m: squaring costs (nonzero terms) x length, and
+            # m products with the base cost m x (base terms) x length
+            if np.count_nonzero(power > -np.inf) <= m * len(weights):
+                power = _log_poly_mul(power, power)
+            else:
+                for _ in range(m):
+                    power = _log_poly_mul(power, poly)
+            m *= 2
+            if bit == "1":
+                power, m = _log_poly_mul(power, poly), m + 1
+        slots = np.flatnonzero(power > -np.inf)
+        coefs = power[slots]
+    return slots[:, None] // strides % spans * step + M * low, coefs
+
+
+def _expanded_power(E: np.ndarray, weights, M: int) -> Iterator[tuple]:
+    """Blocks of exponent rows and coefficients of the M-th power by the
+    multinomial theorem: one term u @ E per type u of type_array_blocks(M, T)."""
+    for U in type_array_blocks(M, len(E), allow_large=True):
+        if isinstance(weights, np.ndarray):
+            coefs = log_multinomial_rows(U) + U @ weights
+        else:
+            coefs = [multinomial(u) * math.prod(map(pow, weights, u)) for u in U.tolist()]
+        yield U @ E, coefs
+
+
+def power_terms(exponents, weights, M: int, *, guard: int,
+                allow_large: bool = False) -> Iterator[tuple]:
+    """Terms of (sum_t w_t y^{E_t})^M, E_t the rows of ``exponents``, in blocks of
+    (exponent rows, coefficients): exact integers for Python-int weights, logs
+    for a float array of log weights.  Rows may repeat; a caller sums over them.
+
+    Equal rows are merged first, T rows remain.  Integer exponents can be
+    packed (_packing, _packed_power): shifted by its minimum and divided by its
+    gcd, column d spans 0..span_d, so the power fits prod(span_d M + 1) slots.
+    The expansion (_expanded_power) goes block by block, in bounded memory.
+    The side needing fewer numbers is built (packed 64-bit words, or types;
+    the expansion on a tie); GuardError when both exceed ``guard``, unless
+    ``allow_large``.
+    """
+    exact = not isinstance(weights, np.ndarray)
+    E, group = np.unique(np.asarray(exponents), axis=0, return_inverse=True)
+    if exact:
+        merged = [0] * len(E)
+        for t, w in zip(group.tolist(), weights):
+            merged[t] += w
+    else:
+        merged = np.full(len(E), -np.inf)
+        np.logaddexp.at(merged, group, weights)
+    expanded, packed = num_types(M, len(E)), math.inf
+    if np.all(np.isfinite(E)) and np.array_equal(E, np.round(E)):
+        E = E.astype(np.int64)
+        packing = _packing(E, merged, M)
+        packed = math.prod(packing[2].tolist()) * max(1, -(-packing[3] // 8))
+    if min(packed, expanded) > guard and not allow_large:
+        words = f"{packed} packed coefficient words or " if packed < math.inf else ""
+        raise GuardError(f"exact sum needs {words}{expanded} types (guard {guard}); "
+                         "pass allow_large=True to override")
+    if packed < expanded:
+        yield _packed_power(E, merged, M, packing)
+    else:
+        yield from _expanded_power(E, merged, M)
 
 
 # ---------------------------------------------------------------------------

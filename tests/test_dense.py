@@ -107,6 +107,8 @@ def test_brute_force_equals_type_sum_small():
         (2, SPINS, zero_local(), PolyOverlap(2, [(0.25, {1: 2})]), [3, 6]),
         (2, BINARY, field_local(-0.2), PolyOverlap.quadratic(2, 0.4), [4]),
         (3, SPINS, zero_local(), PolyOverlap.pairwise_square(3, 0.5), [3, 5]),
+        # packed: x^2 in {0, 1, 4} needs 4N+1 slots, against C(N+2, 2) types
+        (1, Alphabet((0.0, 1.0, 2.0)), field_local(0.4), PolyOverlap.quadratic(1, -0.3), [8, 11]),
     ]
     for n, alph, f, g, Ns in cases:
         spec = DenseModelSpec(n, alph, f, g)
@@ -114,6 +116,19 @@ def test_brute_force_equals_type_sum_small():
             bf = brute_force_expectation(spec, N)
             ts = exact_type_sum(spec, N)
             assert abs(bf - ts) <= 1e-10 * max(1.0, abs(bf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.sampled_from([(1.0, -1.0), (0.0, 1.0), (0.0, 1.0, 2.0), (0.5, -1.25)]),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.data())
+def test_type_sum_matches_brute_force(n, values, h, lam, data):
+    # integer alphabets read the generating function (packed from N=6 on for
+    # n=1 over {0,1,2}), the real-valued one is expanded over the types
+    spec = DenseModelSpec(n, Alphabet(values), field_local(h), PolyOverlap.quadratic(n, lam))
+    N = data.draw(st.integers(1, int(math.log(2e5) / math.log(spec.num_symbols))))
+    bf = brute_force_expectation(spec, N)
+    assert exact_type_sum(spec, N) == pytest.approx(bf, rel=1e-10)
 
 
 def test_brute_force_guard():

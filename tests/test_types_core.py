@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from central_approx.errors import GuardError, SingularMatrixError
 from central_approx.types_core import (
@@ -22,10 +23,12 @@ from central_approx.types_core import (
     multinomial_exact,
     multistart_fixed_point,
     num_types,
+    power_terms,
     select_maximizers,
     solve,
     type_array_blocks,
 )
+from central_approx.types_core import _expanded_power, _packed_power, _packing
 
 
 # ---------------------------------------------------------------- alphabets
@@ -224,6 +227,57 @@ def test_enumeration_guard():
     # override works (use a small case so it stays fast)
     n = sum(1 for _ in enumerate_types(5, 3, guard=2, allow_large=True))
     assert n == num_types(5, 3)
+
+
+# ------------------------------------------------------- polynomial powers
+
+def _grouped(blocks, exact):
+    """Coefficient per exponent row, summed over the blocks' repeated rows."""
+    terms: dict = {}
+    for rows, coefs in blocks:
+        for row, c in zip(map(tuple, np.asarray(rows).tolist()), coefs):
+            terms.setdefault(row, []).append(c)
+    return {row: sum(cs) if exact else float(logsumexp(cs)) for row, cs in terms.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.data())
+def test_packed_and_expanded_powers_agree(M, exact, data):
+    # the two halves of power_terms on the same distinct integer rows, with
+    # negative entries and, for the first column when drawn, a constant one
+    D = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=D, max_size=D),
+                              min_size=1, max_size=5))
+    E = np.unique(np.array(rows, dtype=np.int64), axis=0)
+    if data.draw(st.booleans()):
+        E[:, 0] = -2
+        E = np.unique(E, axis=0)
+    T = len(E)
+    if exact:
+        weights = data.draw(st.lists(st.integers(1, 5), min_size=T, max_size=T))
+    else:
+        weights = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=T, max_size=T)))
+    packed = _grouped([_packed_power(E, weights, M, _packing(E, weights, M))], exact)
+    expanded = _grouped(_expanded_power(E, weights, M), exact)
+    assert packed.keys() == expanded.keys()
+    for row, c in expanded.items():
+        if exact:
+            assert packed[row] == c
+        else:
+            assert packed[row] == pytest.approx(c, rel=1e-12, abs=1e-12)
+
+
+def test_power_terms_merges_rows_and_guards_both_sides():
+    # (y + y + y^-1)^3 = (2y + 1/y)^3: the two equal rows merge into one term
+    blocks = list(power_terms(np.array([[1], [1], [-1]]), [1, 1, 1], 3, guard=4))
+    assert _grouped(blocks, True) == {(3,): 8, (1,): 12, (-1,): 6, (-3,): 1}
+    logs = _grouped(power_terms(np.array([[1], [1], [-1]]), np.zeros(3), 3, guard=4), False)
+    assert logs[(1,)] == pytest.approx(math.log(12), rel=1e-14)
+    # 7 packed slots and num_types(3, 3) = 10 types: both above a guard of 6
+    with pytest.raises(GuardError):
+        list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=6))
+    assert len(list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=6,
+                                allow_large=True))) == 1
 
 
 # ------------------------------------------------------------ linear algebra
