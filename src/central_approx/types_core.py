@@ -425,13 +425,13 @@ def power_terms(exponents, weights, M: int, *, guard: int,
     (exponent rows, coefficients): exact integers for Python-int weights, logs
     for a float array of log weights.  Rows may repeat; a caller sums over them.
 
-    Equal rows are merged first, T rows remain.  Integer exponents can be
-    packed (_packing, _packed_power): shifted by its minimum and divided by its
-    gcd, column d spans 0..span_d, so the power fits prod(span_d M + 1) slots.
-    The expansion (_expanded_power) goes block by block, in bounded memory.
-    The side needing fewer numbers is built (packed 64-bit words, or types;
-    the expansion on a tie); GuardError when both exceed ``guard``, unless
-    ``allow_large``.
+    Equal rows are merged first, T rows remain.  Integer exponents (up to
+    2^31 in size) can be packed (_packing, _packed_power): shifted by its
+    minimum and divided by its gcd, column d spans 0..span_d, so the power
+    fits prod(span_d M + 1) slots.  The expansion (_expanded_power) goes
+    block by block, in bounded memory.  The side needing fewer numbers is
+    built (packed 64-bit words, or types; the expansion on a tie); GuardError
+    when both exceed ``guard``, unless ``allow_large``.
     """
     exact = not isinstance(weights, np.ndarray)
     E, group = np.unique(np.asarray(exponents), axis=0, return_inverse=True)
@@ -443,7 +443,7 @@ def power_terms(exponents, weights, M: int, *, guard: int,
         merged = np.full(len(E), -np.inf)
         np.logaddexp.at(merged, group, weights)
     expanded, packed = num_types(M, len(E)), math.inf
-    if np.all(np.isfinite(E)) and np.array_equal(E, np.round(E)):
+    if np.all(np.abs(E) <= 2**31) and np.array_equal(E, np.round(E)):  # int64-safe
         E = E.astype(np.int64)
         packing = _packing(E, merged, M)
         packed = math.prod(packing[2].tolist()) * max(1, -(-packing[3] // 8))
