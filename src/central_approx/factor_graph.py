@@ -419,7 +419,7 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
             keep &= np.all(rows == l * np.asarray(only[1:]), axis=1)
         V = rows[keep] // l
         Vs.append(np.column_stack([N - V.sum(axis=1), V]))
-        coefs += [c for c, k in zip(coef, keep.tolist()) if k] if exact else [coef[keep]]
+        coefs += [coef[i] for i in np.flatnonzero(keep).tolist()] if exact else [coef[keep]]
     V = np.concatenate(Vs)
     if exact:
         # multinomial(v) prod (l v_z)! / (Nl)! = prod ratio[v_z] / ratio[N]

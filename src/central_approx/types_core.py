@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -354,17 +354,6 @@ def enumerate_types(
 # ---------------------------------------------------------------------------
 # The exact contraction kernel behind the dense and factor-graph exact sums.
 
-def _log_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two polynomials held as log coefficients (-inf for 0)."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.full(len(a) + len(b) - 1, -np.inf)
-    for i in np.flatnonzero(a > -np.inf):
-        seg = out[i:i + len(b)]
-        np.logaddexp(seg, a[i] + b, out=seg)
-    return out
-
-
 def _packing(E: np.ndarray, weights, M: int) -> tuple:
     """Per integer column of E the shift (minimum), the step (gcd after the shift)
     and the slot count span * M + 1; and the bytes a slot of the exact M-th
@@ -378,7 +367,8 @@ def _packing(E: np.ndarray, weights, M: int) -> tuple:
 def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
     """Exponent rows and nonzero coefficients of the M-th power, one term per
     distinct row of E, packed by _packing into one flat polynomial (strides:
-    products of the lower columns' slot counts): a big integer when exact."""
+    products of the lower columns' slot counts): a big integer raised to the
+    M-th power when exact, M products with the base in logs otherwise."""
     low, step, spans, width = packing
     strides = np.cumprod(spans) // spans
     at = (E - low) // step @ strides
@@ -389,33 +379,49 @@ def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
         coefs = [int.from_bytes(data[i * width:(i + 1) * width], "little")
                  for i in slots.tolist()]
     else:
-        poly = np.full(int(at.max()) + 1, -np.inf)
-        poly[at] = weights
-        power, m = np.zeros(1), 0
-        for bit in bin(M)[2:]:
-            # from power m to 2m: squaring costs (nonzero terms) x length, and
-            # m products with the base cost m x (base terms) x length
-            if np.count_nonzero(power > -np.inf) <= m * len(weights):
-                power = _log_poly_mul(power, power)
-            else:
-                for _ in range(m):
-                    power = _log_poly_mul(power, poly)
-            m *= 2
-            if bit == "1":
-                power, m = _log_poly_mul(power, poly), m + 1
+        # M products with the base: each slot adds its T shifted terms scaled
+        # by the largest (no overflow) and takes one log
+        terms = list(zip(at.tolist(), weights.tolist()))
+        power = np.zeros(1)
+        for _ in range(M):
+            top = np.full(len(power) + int(at.max()), -np.inf)
+            for a, w in terms:
+                np.maximum(top[a:a + len(power)], power + w, out=top[a:a + len(power)])
+            top[top == -np.inf] = 0.0
+            total = np.zeros_like(top)
+            for a, w in terms:
+                total[a:a + len(power)] += np.exp(power + w - top[a:a + len(power)])
+            with np.errstate(divide="ignore"):
+                power = top + np.log(total)
         slots = np.flatnonzero(power > -np.inf)
         coefs = power[slots]
     return slots[:, None] // strides % spans * step + M * low, coefs
 
 
+class _TypeCoefficients(Sequence):
+    """multinomial(u) prod w^u for the types u, the rows of U, each computed
+    when read: a caller that keeps few rows builds few big integers."""
+
+    def __init__(self, U: np.ndarray, weights: list):
+        self.U, self.weights = U, weights
+
+    def __len__(self) -> int:
+        return len(self.U)
+
+    def __getitem__(self, i: int) -> int:
+        u = self.U[i].tolist()
+        return multinomial(u) * math.prod(map(pow, self.weights, u))
+
+
 def _expanded_power(E: np.ndarray, weights, M: int) -> Iterator[tuple]:
     """Blocks of exponent rows and coefficients of the M-th power by the
-    multinomial theorem: one term u @ E per type u of type_array_blocks(M, T)."""
+    multinomial theorem: one term u @ E per type u of type_array_blocks(M, T).
+    Exact coefficients are computed when read (_TypeCoefficients)."""
     for U in type_array_blocks(M, len(E), allow_large=True):
         if isinstance(weights, np.ndarray):
             coefs = log_multinomial_rows(U) + U @ weights
         else:
-            coefs = [multinomial(u) * math.prod(map(pow, weights, u)) for u in U.tolist()]
+            coefs = _TypeCoefficients(U, weights)
         yield U @ E, coefs
 
 
@@ -424,6 +430,8 @@ def power_terms(exponents, weights, M: int, *, guard: int,
     """Terms of (sum_t w_t y^{E_t})^M, E_t the rows of ``exponents``, in blocks of
     (exponent rows, coefficients): exact integers for Python-int weights, logs
     for a float array of log weights.  Rows may repeat; a caller sums over them.
+    Exact coefficients come as a sequence that a caller indexes by the rows it
+    keeps; the expansion computes each one only when it is read.
 
     Equal rows are merged first, T rows remain.  Integer exponents (up to
     2^31 in size) can be packed (_packing, _packed_power): shifted by its

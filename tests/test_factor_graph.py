@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from central_approx import types_core
 from central_approx.errors import (
     ATInstabilityError,
     BoundaryMaximizerError,
@@ -222,6 +223,19 @@ def test_codewords_at_weight_split_the_exact_sum():
         per_weight = [expected_codewords_at_weight(l, r, N, w, guard=3, allow_large=True)
                       for w in range(N + 1)]
         assert sum(per_weight) == exact_expected_Z_exact(ens, N)
+
+
+def test_expansion_builds_only_the_kept_coefficients(monkeypatch):
+    # (3,2) ternary all-equal at N=8 is expanded over the 91 factor types of
+    # M=12; only the 15 whose letter counts are divisible by l=3 reach E[Z],
+    # and only their exact coefficients are built
+    ens = make_ensemble(3, 2, TERNARY, "all-equal")
+    expected = exact_expected_Z_exact(ens, 8)
+    calls = []
+    real = types_core.multinomial
+    monkeypatch.setattr(types_core, "multinomial", lambda u: calls.append(u) or real(u))
+    assert exact_expected_Z_exact(ens, 8) == expected
+    assert len(calls) == 15
 
 
 def test_permutation_oracle_guard():

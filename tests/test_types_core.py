@@ -256,7 +256,10 @@ def test_packed_and_expanded_powers_agree(M, exact, data):
     if exact:
         weights = data.draw(st.lists(st.integers(1, 5), min_size=T, max_size=T))
     else:
-        weights = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=T, max_size=T)))
+        # log weights up to 800 apart: e^800 overflows, so the log product
+        # must shift each slot by its largest term
+        scale = data.draw(st.sampled_from([2.0, 800.0]))
+        weights = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=T, max_size=T)))
     packed = _grouped([_packed_power(E, weights, M, _packing(E, weights, M))], exact)
     expanded = _grouped(_expanded_power(E, weights, M), exact)
     assert packed.keys() == expanded.keys()
