@@ -74,6 +74,8 @@ __all__ = [
 
 PERMUTATION_GUARD_STUBS = 8
 PERMUTATION_MAX_STUBS = 12
+PERMUTATION_BLOCK = 256
+PERMUTATION_MERGE_BLOCKS = 64
 EXACT_COUNT_MAX_STUBS = 60
 TYPE_PAIR_GUARD = 10**7
 WORD_TABLE_GUARD = 1 << 20
@@ -330,8 +332,13 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
     For each permutation and each of the |X|^N assignments, reads off the
     variable- and factor-type and tallies them; E[N(v,u)] is the tally
     divided by (Nl)!, and E[Z] follows by weighting each pair with the
-    factor values.  Feasible only for a handful of stubs; the guard caps
-    N*l at 8 by default and at 12 with allow_large.
+    factor values.  Permutations are tallied PERMUTATION_BLOCK at a time:
+    each (assignment, permutation) row packs its variable-type index and its
+    sorted factor words into one int64 key, base W = |X|^r, and np.unique
+    counts the keys.  Block tallies are merged every PERMUTATION_MERGE_BLOCKS
+    blocks, so memory stays flat however many permutations run.  Feasible
+    only for a handful of stubs; the guard caps N*l at 8 by default and at
+    12 with allow_large, and refuses key spaces past int64.
     """
     stubs = N * ensemble.l
     M = ensemble.num_factors(N)
@@ -342,46 +349,65 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
         )
     K = len(ensemble.alphabet)
     r = ensemble.r
+    W = K**r
+    # one key per (variable type, sorted words); checked before the K^N
+    # assignments are built, from the number of variable types
+    if math.comb(N + K - 1, K - 1) * W**M >= 2**63:
+        raise GuardError(
+            f"permutation oracle keys (|X|^r)^M = {W}^{M} per variable type overflow int64"
+        )
     assigns = np.array(list(itertools.product(range(K), repeat=N)), dtype=np.int64)
-    v_keys = [tuple(int((row == z).sum()) for z in range(K)) for row in assigns]
+    v_types, v_idx = np.unique((assigns[:, :, None] == np.arange(K)).sum(axis=1),
+                               axis=0, return_inverse=True)
     radix = K ** np.arange(r - 1, -1, -1)
-    var_of_stub = tuple(i // ensemble.l for i in range(stubs))
+    place = W ** np.arange(M - 1, -1, -1)
+    v_base = v_idx.reshape(-1, 1) * W**M
+    var_of_stub = np.arange(stubs) // ensemble.l
 
-    raw = defaultdict(int)
-    for perm in itertools.permutations(range(stubs)):
-        vars_at = np.fromiter((var_of_stub[p] for p in perm), np.int64, stubs)
-        word_idx = assigns[:, vars_at].reshape(-1, M, r) @ radix
-        word_idx.sort(axis=1)
-        for i, row in enumerate(word_idx):
-            raw[(v_keys[i], tuple(row))] += 1
+    perms = itertools.permutations(range(stubs))
+    tallies = []
+    while True:
+        block = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(perms, PERMUTATION_BLOCK)), np.int64
+        )
+        if not block.size:
+            break
+        vars_at = var_of_stub[block.reshape(-1, stubs)]
+        words = assigns[:, vars_at].reshape(len(assigns), -1, M, r) @ radix
+        words.sort(axis=2)
+        tallies.append(np.unique(v_base + words @ place, return_counts=True))
+        if len(tallies) == PERMUTATION_MERGE_BLOCKS:
+            tallies = [_merge_tallies(tallies)]
+    keys, counts = _merge_tallies(tallies)
 
+    v_at, packed = np.divmod(keys, W**M)
+    u = np.zeros((len(keys), W), dtype=np.int64)
+    np.add.at(u, (np.arange(len(keys))[:, None], packed[:, None] // place % W), 1)
     nperm = math.factorial(stubs)
-    type_counts: dict = {}
-    for (v_key, row), count in raw.items():
-        u = np.zeros(K**r, dtype=np.int64)
-        for w in row:
-            u[w] += 1
-        type_counts[(v_key, tuple(int(x) for x in u))] = Fraction(count, nperm)
+    v_list = v_types.tolist()
+    type_counts = {
+        (tuple(v_list[i]), tuple(u_row)): Fraction(count, nperm)
+        for i, u_row, count in zip(v_at.tolist(), u.tolist(), counts.tolist())
+    }
 
+    f = ensemble.f_values if ensemble.f_exact is None else ensemble.f_exact
+    terms = [math.prod((f[w] ** c for w, c in enumerate(u_key) if c), start=weight)
+             for (_, u_key), weight in type_counts.items()]
     if ensemble.f_exact is not None:
-        ez = Fraction(0)
-        for (v_key, u_key), weight in type_counts.items():
-            term = weight
-            for w, c in enumerate(u_key):
-                if c:
-                    term *= ensemble.f_exact[w] ** c
-            ez += term
+        ez = sum(terms, Fraction(0))
         logez = _log_fraction(ez)
     else:
-        ez = 0.0
-        for (v_key, u_key), weight in type_counts.items():
-            term = float(weight)
-            for w, c in enumerate(u_key):
-                if c:
-                    term *= ensemble.f_values[w] ** c
-            ez += term
+        ez = math.fsum(terms)
         logez = math.log(ez) if ez > 0 else -math.inf
     return PermutationOracleResult(ez, logez, type_counts, nperm)
+
+
+def _merge_tallies(tallies: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sum (keys, counts) pairs into one pair with unique, sorted keys."""
+    keys, inverse = np.unique(np.concatenate([k for k, _ in tallies]), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in tallies]))
+    return keys, counts
 
 
 def _log_fraction(x: Fraction) -> float:

@@ -24,7 +24,7 @@ CRITERIA = [
     ("matrix-identities", 5.0),
     ("sylvester-determinants", 5.0),
     ("local-multinomial-decay", 1.0),
-    ("configuration-model-exactness", 60.0),
+    ("configuration-model-exactness", 5.0),
     ("fg-constant-convergence", 120.0),
     ("step-size-agreement", 30.0),
     ("fluctuation-covariances", 60.0),

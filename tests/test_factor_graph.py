@@ -122,16 +122,21 @@ def test_exact_count_guard():
 
 
 def test_type_counts_match_permutation_average():
-    # every consistent (v, u) at N=2, l=r=2: the formula must equal the
-    # tally over all 24 stub permutations, as exact rationals
-    ens = make_ensemble(2, 2, BINARY, "uniform")
-    oracle = brute_force_permutation_oracle(ens, 2)
-    assert oracle.permutations == 24
-    seen = 0
-    for (v_key, u_key), weight in oracle.type_counts.items():
-        assert expected_type_count_exact(ens, v_key, u_key, 2) == weight
-        seen += 1
-    assert seen >= 4
+    # every tallied (v, u) must equal the formula as an exact rational, and
+    # the weights must sum to K^N: each permutation x assignment counts once
+    for l, r, alphabet, factor, N, nperm in (
+        (2, 2, BINARY, "uniform", 2, 24),
+        (2, 2, TERNARY, "uniform", 3, 720),
+        (2, 2, TERNARY, "all-equal", 3, 720),
+        (2, 4, BINARY, "parity", 4, 40320),
+    ):
+        ens = make_ensemble(l, r, alphabet, factor)
+        oracle = brute_force_permutation_oracle(ens, N)
+        assert oracle.permutations == nperm
+        for (v_key, u_key), weight in oracle.type_counts.items():
+            assert expected_type_count_exact(ens, v_key, u_key, N) == weight
+        assert sum(oracle.type_counts.values()) == len(alphabet) ** N
+        assert len(oracle.type_counts) >= 4
 
 
 @pytest.mark.parametrize("l,r,N", [(2, 2, 3), (2, 4, 4)])
@@ -242,6 +247,21 @@ def test_permutation_oracle_guard():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     with pytest.raises(GuardError):
         brute_force_permutation_oracle(ens, 5)
+
+
+def test_permutation_oracle_key_guard(monkeypatch):
+    # 64 letters, (6,2) at N=2: 12 stubs are admitted with allow_large, but
+    # the packed key needs (64^2)^6 = 2^72 values per variable type; the
+    # guard refuses before any permutation is drawn
+    ens = make_ensemble(6, 2, Alphabet(range(64)), "uniform")
+    assert ens.is_admissible(2) and ens.num_factors(2) == 6
+
+    def no_enumeration(*args):
+        raise AssertionError("the permutation loop started")
+
+    monkeypatch.setattr(itertools, "permutations", no_enumeration)
+    with pytest.raises(GuardError, match="int64"):
+        brute_force_permutation_oracle(ens, 2, allow_large=True)
 
 
 def test_exact_rational_needs_exact_table():

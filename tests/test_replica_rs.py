@@ -7,6 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from central_approx.dense import (
+    DenseModelSpec,
+    PolyOverlap,
+    central_approx_constant,
+    solve_variational,
+    zero_local,
+)
 from central_approx.errors import InstabilityError, ValidationFailure
 from central_approx.replica_rs import (
     RSParams,
@@ -17,7 +24,7 @@ from central_approx.replica_rs import (
     rs_moment_patterns,
     sk_paramagnetic_correction,
 )
-from central_approx.types_core import det
+from central_approx.types_core import Alphabet, det
 
 params = st.floats(-0.3, 0.3, allow_nan=False)
 
@@ -92,6 +99,18 @@ def test_determinant_oracle_fuzz_n4(q, r, P, Q, R):
     Au = build_pqr_matrix(4, *rs_moment_patterns(q, r))
     direct = det(np.eye(6) - Ag @ Au)
     assert rs_determinant(4, q, r, P, Q, R) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,expected", [(2, 0.75), (3, 0.421875)])
+def test_determinant_matches_dense_route(n, expected):
+    # SK at beta=0.5 is the paramagnetic RS point q=r=0 with curvature
+    # P=beta^2: the dense route's determinant is the three-factor product
+    spec = DenseModelSpec(n, Alphabet((1.0, -1.0)), zero_local(),
+                          PolyOverlap.pairwise_square(n, 0.5))
+    dense_det = central_approx_constant(spec, solve_variational(spec)).det_value
+    closed = rs_determinant(n, 0.0, 0.0, 0.25, 0.0, 0.0)
+    assert closed == pytest.approx(expected, rel=1e-12)
+    assert dense_det == pytest.approx(closed, rel=1e-12)
 
 
 def test_determinant_degenerate_cases():
