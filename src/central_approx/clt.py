@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dense import (
     DenseModelSpec,
@@ -24,7 +23,7 @@ from .dense import (
     type_log_weights,
 )
 from .errors import ATInstabilityError, NumericalFailure, SingularMatrixError
-from .types_core import ProbMeasure, solve, type_array_blocks
+from .types_core import ProbMeasure, logsumexp, solve, type_array_blocks
 
 __all__ = [
     "CovarianceResult",

@@ -8,8 +8,6 @@ rejected up front so a typo cannot silently fall back to a default.
 import itertools
 import json
 
-import jsonschema
-
 from .dense import DenseModelSpec, PolyOverlap, field_local, zero_local
 from .errors import ValidationFailure
 from .factor_graph import EnsembleSpec, make_ensemble
@@ -179,6 +177,8 @@ _MODEL_BRANCH = {"dense": 0, "factor-graph": 1, "rs": 2}
 
 
 def validate_config(raw: dict, *, source: str = "<config>") -> dict:
+    import jsonschema  # imported here: a run that reads no config never loads it
+
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:

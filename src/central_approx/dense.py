@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BoundaryMaximizerError, GuardError
 from .types_core import (
@@ -38,6 +37,7 @@ from .types_core import (
     entropy,
     log_gaussian_sum,
     log_multinomial_rows,
+    logsumexp,
     power_terms,
     solve_multistart,
     type_array_blocks,
@@ -328,7 +328,7 @@ def brute_force_expectation(spec: DenseModelSpec, N: int, *, guard: int = 10**8,
         q = spec.pair_products[digits].mean(axis=1)
         lw = fsum + N * spec.g.value_batch(q)
         pieces.append(logsumexp(lw))
-    return float(logsumexp(np.array(pieces)))
+    return logsumexp(pieces)
 
 
 def type_log_weights(spec: DenseModelSpec, N: int, V: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ def exact_type_sum(spec: DenseModelSpec, N: int, *, guard: int = 10**8,
     pieces = [logsumexp(coef + N * spec.g.value_batch(rows / N))
               for rows, coef in power_terms(spec.pair_products, spec.f_values, N,
                                             guard=guard, allow_large=allow_large)]
-    return float(logsumexp(pieces))
+    return logsumexp(pieces)
 
 
 def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
@@ -375,9 +375,7 @@ def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
         mask = dist2 <= radius * radius
         if mask.any():
             pieces.append(logsumexp(type_log_weights(spec, N, V[mask])))
-    if not pieces:
-        return float("-inf")
-    return float(logsumexp(np.array(pieces)))
+    return logsumexp(pieces)
 
 
 # ------------------------------------------------------- variational layer

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     BoundaryMaximizerError,
@@ -41,8 +40,10 @@ from .types_core import (
     dirichlet_starts,
     entropy,
     log_gaussian_sum,
+    log_factorials,
     log_multinomial,
     log_multinomial_rows,
+    logsumexp,
     multinomial_exact,
     power_terms,
     solve_multistart,
@@ -454,9 +455,8 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
             ratio.append(ratio[-1] * math.prod(range(l * x - l + 1, l * x + 1)) // x)
         total = sum(c * math.prod(ratio[x] for x in v) for v, c in zip(V.tolist(), coefs) if c)
         return Fraction(total, ratio[N] * D**M)
-    terms = np.concatenate(coefs) + log_multinomial_rows(V) + gammaln(l * V + 1.0).sum(axis=1)
-    terms = terms[terms > -np.inf] - math.lgamma(N * l + 1)
-    return float(logsumexp(terms)) if terms.size else -math.inf
+    terms = np.concatenate(coefs) + log_multinomial_rows(V) + log_factorials(l * V).sum(axis=1)
+    return logsumexp(terms - math.lgamma(N * l + 1))
 
 
 def exact_expected_Z(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_GUARD,

@@ -11,8 +11,9 @@ machinery that the dense and factor-graph sides share:
   and a batched array variant for vectorized consumers;
 * the one exact contraction kernel, the terms of a polynomial power, packed
   or expanded over types (``power_terms``);
-* ``det`` / ``solve`` / ``inv`` wrappers around an LU factorization with
-  partial pivoting and an explicit singularity signal;
+* a numpy LU factorization with partial pivoting behind ``det`` and
+  ``solve``, with an explicit singularity signal, plus ``logsumexp`` and
+  log-factorials of integer counts (no scipy on the runtime path);
 * the multi-start solve shared by the variational and Bethe solvers (batched
   fixed-point loop, co-maximizer selection, one result record), and the
   Gaussian constant summed over the co-maximizers.
@@ -21,13 +22,10 @@ machinery that the dense and factor-graph sides share:
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     ATInstabilityError,
@@ -225,11 +223,38 @@ def log_multinomial(counts) -> float:
     return float(math.lgamma(total + 1) - sum(math.lgamma(k + 1) for k in c.tolist()))
 
 
+def log_factorials(counts) -> np.ndarray:
+    """log(k!) for every entry k of a nonnegative integer array.
+
+    Each value comes from math.lgamma once: from a table up to the largest
+    count, or per distinct count when that table would outgrow the input.
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    if c.size and int(c.min()) < 0:
+        raise ValueError("counts must be nonnegative")
+    top = int(c.max(initial=0))
+    if top < max(c.size, 1024):
+        return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])[c]
+    values, inverse = np.unique(c, return_inverse=True)
+    return np.array([math.lgamma(k + 1.0) for k in values.tolist()])[inverse].reshape(c.shape)
+
+
 def log_multinomial_rows(type_rows: np.ndarray) -> np.ndarray:
     """Row-wise log multinomial for an (m, cells) array of count vectors."""
     V = np.asarray(type_rows, dtype=np.int64)
-    totals = V.sum(axis=1)
-    return gammaln(totals + 1.0) - gammaln(V + 1.0).sum(axis=1)
+    return log_factorials(V.sum(axis=1)) - log_factorials(V).sum(axis=1)
+
+
+def logsumexp(a) -> float:
+    """log sum exp(a) over all entries, shifted by the largest: -inf for an
+    empty input, and a non-finite largest entry (inf, -inf, nan) as is."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    top = float(a.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(a - top).sum()))
 
 
 def entropy(measure) -> float:
@@ -470,25 +495,37 @@ def power_terms(exponents, weights, M: int, *, guard: int,
 # than PIVOT_RTOL times the matrix scale is treated as singular.
 
 def _lu(a: np.ndarray):
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Factors P a = L U of a square finite matrix, in one array (L strictly
+    below the diagonal, unit diagonal implied), the row order ``perm`` (row k
+    of P a is row perm[k] of a) and the number of row swaps; None for the
+    empty matrix.  Each step takes the first largest |entry| of the column
+    as pivot, swaps it up, scales the column and updates the trailing block."""
+    lu = np.array(a, dtype=float)
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(lu)):
         raise ValueError("matrix entries must be finite")
-    if m.shape[0] == 0:
-        return m, None, None
-    with warnings.catch_warnings():
-        # exact zero pivots are reported through SingularMatrixError below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m, check_finite=False)
-    pivots = np.diag(lu)
-    scale = float(np.abs(m).max())
-    if scale == 0.0 or float(np.abs(pivots).min()) < PIVOT_RTOL * scale:
+    n = lu.shape[0]
+    if n == 0:
+        return None
+    scale = float(np.abs(lu).max())
+    perm, swaps = np.arange(n), 0
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            swaps += 1
+        if lu[k, k] != 0.0:  # an exact zero column is left as is, and reported below
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    pivots = np.abs(np.diag(lu))
+    if scale == 0.0 or float(pivots.min()) < PIVOT_RTOL * scale:
         raise SingularMatrixError(
-            f"singular to working precision (min pivot {np.abs(pivots).min() if scale else 0.0:.3e}, "
+            f"singular to working precision (min pivot {pivots.min():.3e}, "
             f"scale {scale:.3e})"
         )
-    return m, lu, piv
+    return lu, perm, swaps
 
 
 def det(a) -> float:
@@ -497,27 +534,32 @@ def det(a) -> float:
     Raises SingularMatrixError when a pivot falls below PIVOT_RTOL * scale.
     The empty matrix has determinant 1.
     """
-    m, lu, piv = _lu(a)
-    if lu is None:
+    factors = _lu(a)
+    if factors is None:
         return 1.0
+    lu, _, swaps = factors
     pivots = np.diag(lu)
-    sign = 1.0 if (np.sum(piv != np.arange(m.shape[0])) % 2 == 0) else -1.0
-    sign *= float(np.prod(np.sign(pivots)))
-    logabs = float(np.log(np.abs(pivots)).sum())
-    return sign * math.exp(logabs)
+    sign = (-1.0) ** swaps * float(np.prod(np.sign(pivots)))
+    return sign * math.exp(float(np.log(np.abs(pivots)).sum()))
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a x = b through the same guarded LU factorization."""
-    m, lu, piv = _lu(a)
-    if lu is None:
-        return np.zeros_like(np.asarray(b, dtype=float))
-    return lu_solve((lu, piv), np.asarray(b, dtype=float), check_finite=False)
-
-
-def inv(a) -> np.ndarray:
-    n = np.asarray(a).shape[0]
-    return solve(a, np.eye(n))
+    """Solve a x = b (b a vector or a matrix of columns) through the same
+    guarded LU: forward substitution with L, then back substitution with U."""
+    factors = _lu(a)
+    b = np.asarray(b, dtype=float)
+    if factors is None:
+        return np.zeros_like(b)
+    lu, perm, _ = factors
+    if b.ndim not in (1, 2) or b.shape[0] != len(lu):
+        raise ValueError(f"right-hand side of shape {b.shape} does not fit a "
+                         f"{len(lu)}x{len(lu)} matrix")
+    x = b[perm]
+    for k in range(len(lu)):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in reversed(range(len(lu))):
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -655,4 +697,4 @@ def log_gaussian_sum(solution: MaximizerRecord, fluctuation) -> tuple[float, lis
                 f"fluctuation determinant {d:.6e} <= 0: Gaussian constant undefined"
             )
         dets.append(d)
-    return float(logsumexp([-0.5 * math.log(d) for d in dets])), dets
+    return logsumexp([-0.5 * math.log(d) for d in dets]), dets

@@ -3,12 +3,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from central_approx import acceptance, factor_graph
 from central_approx.cli import fmt, main, parse_N_list
+from central_approx.config import load_config
 from central_approx.errors import ValidationFailure
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -45,6 +52,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_neither_scipy_nor_jsonschema():
+    # scipy is a test oracle only, and jsonschema loads when a config is validated
+    code = ("import sys, central_approx.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
+    cfg = load_config(str(ROOT / "configs" / "cw.json"))
+    assert cfg["model"] == "dense"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**cfg, "typo": 1}))
+    code, out, err = run_cli(capsys, "dense-compare", "--config", str(bad), "--N", "10")
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: Additional properties are not allowed ('typo' was unexpected)\n"
 
 
 def test_parse_N_list():

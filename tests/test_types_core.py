@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.linalg import lu_factor, lu_solve
+from scipy.special import gammaln
+from scipy.special import logsumexp as scipy_logsumexp
 
 from central_approx.errors import GuardError, SingularMatrixError
 from central_approx.types_core import (
+    PIVOT_RTOL,
     Alphabet,
     ProbMeasure,
     TypeVector,
     det,
     entropy,
     enumerate_types,
-    inv,
     local_approx_log_multinomial,
     log_multinomial,
     log_multinomial_rows,
+    logsumexp,
     multinomial_exact,
     multistart_fixed_point,
     num_types,
@@ -28,7 +31,7 @@ from central_approx.types_core import (
     solve,
     type_array_blocks,
 )
-from central_approx.types_core import _expanded_power, _packed_power, _packing
+from central_approx.types_core import _expanded_power, _lu, _packed_power, _packing
 
 
 # ---------------------------------------------------------------- alphabets
@@ -130,6 +133,41 @@ def test_log_multinomial_rows_matches_scalar():
     rows = log_multinomial_rows(V)
     for row, val in zip(V, rows):
         assert val == pytest.approx(log_multinomial(row), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 10**4), min_size=1, max_size=5), min_size=1,
+                max_size=6).filter(lambda rows: len({len(r) for r in rows}) == 1))
+def test_log_multinomial_rows_matches_gammaln(rows):
+    # scipy is the independent oracle; counts up to 1e4 reach both the table
+    # and the per-distinct-count branch of log_factorials
+    V = np.array(rows)
+    ref = gammaln(V.sum(axis=1) + 1.0) - gammaln(V + 1.0).sum(axis=1)
+    got = log_multinomial_rows(V)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("a", [
+    [0.5, -1.0, 2.0],
+    np.array([[1.0, 2.0], [3.0, -4.0]]),
+    [],
+    np.array([]),
+    [-np.inf, -np.inf],
+    [np.inf],
+    [np.inf, 1.0, -np.inf],
+    [800.0, 799.5, 790.0],
+    [-800.0, -801.0, -1e4],
+    np.linspace(-800.0, 800.0, 101),
+    [3.0],
+])
+def test_logsumexp_matches_scipy(a):
+    ref = float(scipy_logsumexp(a))
+    got = logsumexp(a)
+    assert isinstance(got, float)
+    if math.isfinite(ref):
+        assert got == pytest.approx(ref, rel=1e-14, abs=1e-14)
+    else:
+        assert got == ref
 
 
 # ------------------------------------------------------------------ entropy
@@ -237,7 +275,7 @@ def _grouped(blocks, exact):
     for rows, coefs in blocks:
         for row, c in zip(map(tuple, np.asarray(rows).tolist()), coefs):
             terms.setdefault(row, []).append(c)
-    return {row: sum(cs) if exact else float(logsumexp(cs)) for row, cs in terms.items()}
+    return {row: sum(cs) if exact else float(scipy_logsumexp(cs)) for row, cs in terms.items()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -315,9 +353,97 @@ def test_solve_and_inv():
     b = rng.standard_normal(6)
     x = solve(a, b)
     assert np.allclose(a @ x, b, atol=1e-12)
-    assert np.allclose(a @ inv(a), np.eye(6), atol=1e-12)
+    assert np.allclose(a @ solve(a, np.eye(6)), np.eye(6), atol=1e-12)  # the inverse
     with pytest.raises(SingularMatrixError):
         solve(np.zeros((2, 2)), np.ones(2))
+
+
+def _well_conditioned(n: int, seed: int) -> np.ndarray:
+    """Q1 diag(d) Q2 with random orthogonal Q1, Q2 and d in [0.5, 2]: condition
+    number at most 4, and entries of both signs, so pivoting has to choose."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * rng.uniform(0.5, 2.0, size=n)) @ q2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_lu_det_solve_match_scipy(n, seed, columns):
+    # scipy's LAPACK LU and numpy's det are the independent oracles
+    a = _well_conditioned(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    b1, b2 = rng.standard_normal(n), rng.standard_normal((n, columns))
+    lu, perm, swaps = _lu(a)
+    ref_lu, ref_piv = lu_factor(a)
+    ref_perm = np.arange(n)
+    for k, p in enumerate(ref_piv):  # LAPACK's swap sequence as a row order
+        ref_perm[[k, p]] = ref_perm[[p, k]]
+    assert np.array_equal(perm, ref_perm)
+    assert swaps == int(np.sum(ref_piv != np.arange(n)))
+    assert np.abs(lu - ref_lu).max() <= 1e-12 * np.abs(ref_lu).max()
+    assert det(a) == pytest.approx(float(np.linalg.det(a)), rel=1e-12)
+    for b in (b1, b2, np.eye(n)):  # the identity gives the inverse
+        x, ref = solve(a, b), lu_solve((ref_lu, ref_piv), b)
+        assert x.shape == ref.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lu_pivot_ties_take_the_first_row():
+    # |column 0| ties three ways, and after one step |column 1| ties at 2; both
+    # steps are exact in floats, and LAPACK keeps the first row on a tie
+    a = np.array([[1.0, 2.0, 0.0], [-1.0, 0.0, 3.0], [1.0, 0.0, 1.0]])
+    lu, perm, swaps = _lu(a)
+    ref_lu, ref_piv = lu_factor(a)
+    assert perm.tolist() == [0, 1, 2] and swaps == 0
+    assert ref_piv.tolist() == [0, 1, 2]
+    assert np.array_equal(lu, ref_lu)
+    assert det(a) == pytest.approx(8.0, rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(list(range(12))), st.integers(1, 12))
+def test_permutation_matrix_det_is_exact_sign(order, n):
+    order = [i for i in order if i < n]
+    sign, seen = 1, set()
+    for start in range(n):  # parity from the cycles: an independent count
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start, length = order[start], length + 1
+        sign *= (-1) ** max(length - 1, 0)
+    assert det(np.eye(n)[order]) == float(sign)
+
+
+def test_singular_matrices_raise():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((5, 5))
+    rank_deficient = [
+        np.zeros((4, 4)),
+        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
+        np.vstack([a[:4], a[1]]),  # a repeated row
+        rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+    ]
+    for m in rank_deficient:
+        with pytest.raises(SingularMatrixError):
+            det(m)
+        with pytest.raises(SingularMatrixError):
+            solve(m, np.ones(len(m)))
+    # one pivot at half / twice PIVOT_RTOL * scale, the scale being 4
+    with pytest.raises(SingularMatrixError):
+        det(np.diag([4.0, 1.0, 0.5 * PIVOT_RTOL * 4.0, 2.0]))
+    assert det(np.diag([4.0, 1.0, 2.0 * PIVOT_RTOL * 4.0, 2.0])) == pytest.approx(
+        16.0 * PIVOT_RTOL * 4.0, rel=1e-14)
+
+
+def test_solve_checks_its_inputs():
+    with pytest.raises(ValueError):
+        solve(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError):
+        det(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        det([[1.0, np.nan], [0.0, 1.0]])
+    assert solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
 
 def test_det_product_identity_sylvester():
