@@ -341,10 +341,25 @@ def test_det_accuracy_moderate_size():
 
 
 def test_det_signals_singularity():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((5, 5))
+    rank_deficient = [
+        np.zeros((4, 4)),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
+        np.vstack([a[:4], a[1]]),  # a repeated row
+        rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+    ]
+    for m in rank_deficient:
+        with pytest.raises(SingularMatrixError):
+            det(m)
+        with pytest.raises(SingularMatrixError):
+            solve(m, np.ones(len(m)))
+    # one pivot at half / twice PIVOT_RTOL * scale, the scale being 4
     with pytest.raises(SingularMatrixError):
-        det([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        det(np.zeros((3, 3)))
+        det(np.diag([4.0, 1.0, 0.5 * PIVOT_RTOL * 4.0, 2.0]))
+    assert det(np.diag([4.0, 1.0, 2.0 * PIVOT_RTOL * 4.0, 2.0])) == pytest.approx(
+        16.0 * PIVOT_RTOL * 4.0, rel=1e-14)
 
 
 def test_solve_and_inv():
@@ -413,27 +428,6 @@ def test_permutation_matrix_det_is_exact_sign(order, n):
             start, length = order[start], length + 1
         sign *= (-1) ** max(length - 1, 0)
     assert det(np.eye(n)[order]) == float(sign)
-
-
-def test_singular_matrices_raise():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((5, 5))
-    rank_deficient = [
-        np.zeros((4, 4)),
-        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
-        np.vstack([a[:4], a[1]]),  # a repeated row
-        rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
-    ]
-    for m in rank_deficient:
-        with pytest.raises(SingularMatrixError):
-            det(m)
-        with pytest.raises(SingularMatrixError):
-            solve(m, np.ones(len(m)))
-    # one pivot at half / twice PIVOT_RTOL * scale, the scale being 4
-    with pytest.raises(SingularMatrixError):
-        det(np.diag([4.0, 1.0, 0.5 * PIVOT_RTOL * 4.0, 2.0]))
-    assert det(np.diag([4.0, 1.0, 2.0 * PIVOT_RTOL * 4.0, 2.0])) == pytest.approx(
-        16.0 * PIVOT_RTOL * 4.0, rel=1e-14)
 
 
 def test_solve_checks_its_inputs():
