@@ -7,8 +7,9 @@ rejected up front so a typo cannot silently fall back to a default.
 
 import itertools
 import json
+import re
 
-from .dense import DenseModelSpec, PolyOverlap, field_local, zero_local
+from .dense import DenseModelSpec, PolyOverlap, check_symbol_table, field_local, zero_local
 from .errors import ValidationFailure
 from .factor_graph import EnsembleSpec, make_ensemble
 from .replica_rs import RSParams
@@ -166,33 +167,110 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationFailure(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(raw, source=path)
 
 
-_MODEL_BRANCH = {"dense": 0, "factor-graph": 1, "rs": 2}
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: 1 equals 1.0, but true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _violations(x, schema: dict, path: tuple):
+    """Yield (path, keyword, message) for each way ``x`` breaks ``schema``.
+
+    Implements the keywords CONFIG_SCHEMA uses, with JSON Schema semantics
+    and jsonschema's wording; any other keyword raises, so a schema edit
+    cannot go unchecked.
+    """
+    obj = x if isinstance(x, dict) else {}
+    for key, want in schema.items():
+        if key == "oneOf":
+            found = [list(_violations(x, branch, path)) for branch in want]
+            valid = sum(not errs for errs in found)
+            if valid > 1:
+                yield path, key, f"{x!r} is valid under more than one of the given schemas"
+            elif not valid:
+                # report from the branches the instance declares: those whose
+                # type and const members (model, kind) it misses least
+                misses = [sum(k == "type" and len(p) == len(path)
+                              or k == "const" and len(p) == len(path) + 1 for p, k, _ in errs)
+                          for errs in found]
+                for errs, miss in zip(found, misses):
+                    if miss == min(misses):
+                        yield from errs
+        elif key == "type":
+            if not _TYPES[want](x):
+                yield path, key, f"{x!r} is not of type {want!r}"
+        elif key == "const":
+            if not _same(x, want):
+                yield path, key, f"{want!r} was expected"
+        elif key == "enum":
+            if not any(_same(x, v) for v in want):
+                yield path, key, f"{x!r} is not one of {want!r}"
+        elif key == "minimum":
+            if _TYPES["number"](x) and x < want:
+                yield path, key, f"{x!r} is less than the minimum of {want!r}"
+        elif key == "minItems":
+            if isinstance(x, list) and len(x) < want:
+                yield path, key, f"{x!r} " + ("should be non-empty" if want == 1 else "is too short")
+        elif key == "items":
+            for i, item in enumerate(x if isinstance(x, list) else ()):
+                yield from _violations(item, want, path + (i,))
+        elif key == "properties":
+            for name, sub in want.items():
+                if name in obj:
+                    yield from _violations(obj[name], sub, path + (name,))
+        elif key == "patternProperties":
+            for pattern, sub in want.items():
+                for name in obj:
+                    if re.search(pattern, name):
+                        yield from _violations(obj[name], sub, path + (name,))
+        elif key == "required":
+            for name in want:
+                if isinstance(x, dict) and name not in x:
+                    yield path, key, f"{name!r} is a required property"
+        elif key == "additionalProperties" and want is False:
+            patterns = sorted(schema.get("patternProperties", {}))
+            extras = sorted(name for name in obj if name not in schema.get("properties", {})
+                            and not any(re.search(p, name) for p in patterns))
+            names = ", ".join(map(repr, extras))
+            if extras and patterns:
+                verb = "does" if len(extras) == 1 else "do"
+                yield path, key, (f"{names} {verb} not match any of the regexes: "
+                                  + ", ".join(map(repr, patterns)))
+            elif extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, key, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        else:
+            raise NotImplementedError(f"schema keyword {key!r}: {want!r} is not implemented")
 
 
 def validate_config(raw: dict, *, source: str = "<config>") -> dict:
-    import jsonschema  # imported here: a run that reads no config never loads it
+    """Check ``raw`` against CONFIG_SCHEMA and return it.
 
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        # the oneOf error alone is unreadable; report from the branch the
-        # declared model selects, falling back to the deepest sub-error
-        detail = exc.message
-        if exc.context:
-            candidates = list(exc.context)
-            branch = _MODEL_BRANCH.get(raw.get("model")) if isinstance(raw, dict) else None
-            if branch is not None:
-                own = [e for e in candidates if next(iter(e.schema_path), None) == branch]
-                candidates = own or candidates
-            detail = max(candidates, key=lambda e: len(e.absolute_path)).message
-        raise ValidationFailure(f"{source}: {detail}") from exc
+    ValidationFailure reports the deepest violation, prefixed with its key
+    path (``g.terms[0]``) when it is below the top level.
+    """
+    errors = list(_violations(raw, CONFIG_SCHEMA, ()))
+    if errors:
+        path, _, message = max(errors, key=lambda e: len(e[0]))
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+        raise ValidationFailure(f"{source}: {where}: {message}" if where else f"{source}: {message}")
     return raw
 
 
@@ -205,7 +283,8 @@ def parse_alphabet(values) -> Alphabet:
 
 def build_dense(cfg: dict) -> DenseModelSpec:
     alphabet = parse_alphabet(cfg["alphabet"])
-    n = cfg["n"]
+    n = int(cfg["n"])
+    check_symbol_table(len(alphabet), n)  # before f and g are sized by n
     fblock = cfg.get("f", {"kind": "zero"})
     if fblock["kind"] == "zero":
         f = zero_local()
@@ -223,36 +302,29 @@ def build_dense(cfg: dict) -> DenseModelSpec:
         def f(xs, _table=table):
             return _table[tuple(xs)]
     gblock = cfg["g"]
-    if gblock["kind"] == "zero":
-        g = PolyOverlap.zero(n)
-    elif gblock["kind"] == "quadratic":
-        g = PolyOverlap.quadratic(n, gblock["lam"], gblock.get("pairs", "all"))
-    elif gblock["kind"] == "sk":
-        g = PolyOverlap.pairwise_square(n, gblock["beta"])
-    else:
-        terms = [(t["coef"], {int(k): v for k, v in t["powers"].items()})
-                 for t in gblock["terms"]]
-        g = PolyOverlap(n, terms)
     try:
+        if gblock["kind"] == "zero":
+            g = PolyOverlap.zero(n)
+        elif gblock["kind"] == "quadratic":
+            g = PolyOverlap.quadratic(n, gblock["lam"], gblock.get("pairs", "all"))
+        elif gblock["kind"] == "sk":
+            g = PolyOverlap.pairwise_square(n, gblock["beta"])
+        else:
+            terms = [(t["coef"], {int(k): v for k, v in t["powers"].items()})
+                     for t in gblock["terms"]]
+            g = PolyOverlap(n, terms)
         return DenseModelSpec(n, alphabet, f, g)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
 
 def build_ensemble(cfg: dict) -> EnsembleSpec:
-    alphabet = parse_alphabet(cfg["alphabet"])
     factor = cfg["factor"]
     if isinstance(factor, dict):
-        values = factor["values"]
-        if len(values) != len(alphabet) ** cfg["r"]:
-            raise ValidationFailure(
-                f"factor table needs {len(alphabet)**cfg['r']} values "
-                f"(|alphabet|^r), got {len(values)}"
-            )
-        ints = [int(x) if float(x).is_integer() else float(x) for x in values]
-        return make_ensemble(cfg["l"], cfg["r"], alphabet, ints)
-    return make_ensemble(cfg["l"], cfg["r"], alphabet, factor)
+        # integer values keep the exact-arithmetic path available
+        factor = [int(x) if float(x).is_integer() else float(x) for x in factor["values"]]
+    return make_ensemble(int(cfg["l"]), int(cfg["r"]), parse_alphabet(cfg["alphabet"]), factor)
 
 
 def build_rs(cfg: dict) -> RSParams:
-    return RSParams(cfg["n"], cfg["q"], cfg["r"], cfg["P"], cfg["Q"], cfg["R"])
+    return RSParams(int(cfg["n"]), cfg["q"], cfg["r"], cfg["P"], cfg["Q"], cfg["R"])

@@ -44,6 +44,7 @@ from .types_core import (
 )
 
 FD_REL_STEP = 1e-5
+SYMBOL_TABLE_GUARD = 1 << 20
 
 
 def pair_indices(n: int) -> list[tuple[int, int]]:
@@ -258,6 +259,17 @@ def field_local(h: float):
     return lambda xs: h * float(sum(xs))
 
 
+def check_symbol_table(K: int, n: int) -> None:
+    """GuardError unless the |X|^n symbols x n(n+1)/2 pairs matrix has at
+    most SYMBOL_TABLE_GUARD entries."""
+    # with K >= 2, K^n exceeds the guard once n reaches its bit length; the
+    # cap keeps a huge n from building a huge integer
+    entries = K ** min(n, SYMBOL_TABLE_GUARD.bit_length()) * (n * (n + 1) // 2)
+    if entries > SYMBOL_TABLE_GUARD:
+        raise GuardError(f"symbol table |X|^n x pairs = {K}^{n} x {n * (n + 1) // 2} "
+                         f"exceeds the guard ({SYMBOL_TABLE_GUARD})")
+
+
 class DenseModelSpec:
     """Replica count, alphabet, local term, and overlap coupling.
 
@@ -268,6 +280,7 @@ class DenseModelSpec:
     def __init__(self, n: int, alphabet: Alphabet, f, g: OverlapFunction):
         if n < 1:
             raise ValueError("need n >= 1")
+        check_symbol_table(len(alphabet), n)
         if g.n != n:
             raise ValueError("overlap function built for a different replica count")
         self.n = int(n)

@@ -84,19 +84,24 @@ WORD_TABLE_GUARD = 1 << 20
 BUILTIN_FACTORS = ("parity", "all-equal", "uniform", "table:<path>")
 
 
+def check_word_table(l: int, r: int, K: int) -> None:
+    """Degrees at least 2, and K^r words within WORD_TABLE_GUARD."""
+    if l < 2 or r < 2:
+        raise ValidationFailure(f"degrees must be at least 2, got l={l}, r={r}")
+    # with K >= 2, K^r exceeds the guard once r reaches its bit length; the
+    # cap keeps a huge r from building a huge integer
+    if K ** min(r, WORD_TABLE_GUARD.bit_length()) > WORD_TABLE_GUARD:
+        raise GuardError(f"word table |X|^r = {K}^{r} exceeds the guard ({WORD_TABLE_GUARD})")
+
+
 class EnsembleSpec:
     """An (l,r)-regular ensemble: degrees, alphabet, and the factor table."""
 
     def __init__(self, l: int, r: int, alphabet: Alphabet, f_values,
                  f_exact: tuple[Fraction, ...] | None = None,
                  factor_name: str | None = None):
-        if l < 2 or r < 2:
-            raise ValidationFailure(f"degrees must be at least 2, got l={l}, r={r}")
         K = len(alphabet)
-        if K**r > WORD_TABLE_GUARD:
-            raise GuardError(
-                f"word table |X|^r = {K**r} exceeds the guard ({WORD_TABLE_GUARD})"
-            )
+        check_word_table(l, r, K)
         self.l = int(l)
         self.r = int(r)
         self.alphabet = alphabet
@@ -109,7 +114,7 @@ class EnsembleSpec:
         f = np.asarray(f_values, dtype=float)
         if f.shape != (K**r,):
             raise ValidationFailure(
-                f"factor table needs one value per word, expected {K**r}, got {f.shape}"
+                f"factor table needs {K**r} values (|alphabet|^r), got shape {f.shape}"
             )
         if not np.all(np.isfinite(f)) or np.any(f < 0):
             raise ValidationFailure("factor values must be finite and nonnegative")
@@ -173,35 +178,39 @@ def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
     K = len(alphabet)
     index = {w: i for i, w in enumerate(itertools.product(alphabet.values, repeat=r))}
     vals: list = [None] * (K**r)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            tokens = body.split()
-            if len(tokens) != r + 1:
-                raise ValidationFailure(
-                    f"{path}:{lineno}: expected {r} symbols and a value, got {len(tokens)} tokens"
-                )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationFailure(f"cannot read factor table {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        tokens = body.split()
+        if len(tokens) != r + 1:
+            raise ValidationFailure(
+                f"{path}:{lineno}: expected {r} symbols and a value, got {len(tokens)} tokens"
+            )
+        try:
+            word = tuple(symbol_of[t] for t in tokens[:r])
+        except KeyError as exc:
+            raise ValidationFailure(
+                f"{path}:{lineno}: unknown symbol {exc.args[0]!r}"
+            ) from None
+        try:
+            val = Fraction(tokens[r])
+        except (ValueError, ZeroDivisionError):
             try:
-                word = tuple(symbol_of[t] for t in tokens[:r])
-            except KeyError as exc:
+                val = float(tokens[r])
+            except ValueError:
                 raise ValidationFailure(
-                    f"{path}:{lineno}: unknown symbol {exc.args[0]!r}"
+                    f"{path}:{lineno}: bad value {tokens[r]!r}"
                 ) from None
-            try:
-                val = Fraction(tokens[r])
-            except (ValueError, ZeroDivisionError):
-                try:
-                    val = float(tokens[r])
-                except ValueError:
-                    raise ValidationFailure(
-                        f"{path}:{lineno}: bad value {tokens[r]!r}"
-                    ) from None
-            pos = index[word]
-            if vals[pos] is not None:
-                raise ValidationFailure(f"{path}:{lineno}: word listed twice")
-            vals[pos] = val
+        pos = index[word]
+        if vals[pos] is not None:
+            raise ValidationFailure(f"{path}:{lineno}: word listed twice")
+        vals[pos] = val
     missing = sum(1 for v in vals if v is None)
     if missing:
         raise ValidationFailure(f"{path}: {missing} of {K**r} words missing")
@@ -221,6 +230,7 @@ def make_ensemble(l: int, r: int, alphabet: Alphabet, factor) -> EnsembleSpec:
     alphabet values.
     """
     K = len(alphabet)
+    check_word_table(l, r, K)  # before any K^r word list is built
     if isinstance(factor, str):
         if factor.startswith("table:"):
             return make_ensemble(l, r, alphabet, load_factor_table(factor[6:], alphabet, r))

@@ -55,15 +55,19 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_loads_neither_scipy_nor_jsonschema():
-    # scipy is a test oracle only, and jsonschema loads when a config is validated
-    code = ("import sys, central_approx.cli; "
+    # scipy and jsonschema are test oracles only: neither loads on import,
+    # nor in a run that validates a config
+    code = ("import sys, central_approx.cli as cli; "
+            "assert not sys.argv[1:] or cli.main(sys.argv[1:]) == 0; "
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for argv in ([], ["dense-compare", "--config", str(ROOT / "configs" / "cw.json"),
+                      "--N", "10"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
@@ -74,6 +78,56 @@ def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
     code, out, err = run_cli(capsys, "dense-compare", "--config", str(bad), "--N", "10")
     assert code == 2 and out == ""
     assert err == f"error: {bad}: Additional properties are not allowed ('typo' was unexpected)\n"
+
+
+@pytest.mark.parametrize("base, change, argv, message", [
+    ("cw.json", {"model": ["dense"]}, ["dense-compare", "--N", "10"],
+     "model: 'dense' was expected"),
+    ("cw.json", {"model": {"name": "dense"}}, ["dense-compare", "--N", "10"],
+     "model: 'dense' was expected"),
+    ("cw.json", {"n": 14}, ["dense-compare", "--N", "10"],
+     "symbol table |X|^n x pairs = 2^14 x 105 exceeds the guard (1048576)"),
+    ("cw.json", {"g": {"kind": "poly", "terms": [{"coef": 1, "powers": {"1": 2}}]}},
+     ["dense-compare", "--N", "10"], "pair position 1 out of range"),
+    ("parity36.json", {"l": 2, "r": 21, "factor": "uniform"}, ["fg-exact", "--N", "2"],
+     "word table |X|^r = 2^21 exceeds the guard (1048576)"),
+])
+def test_bad_config_exits_2(capsys, tmp_path, base, change, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads((ROOT / "configs" / base).read_text()), **change}))
+    code, out, err = run_cli(capsys, argv[0], "--config", str(bad), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("r, factor, message", [
+    (21, "parity", "word table |X|^r = 2^21 exceeds the guard"),
+    (21, "all-equal", "word table |X|^r = 2^21 exceeds the guard"),
+    (21, "uniform", "word table |X|^r = 2^21 exceeds the guard"),
+    (2, "table:{tmp}/absent.txt", "cannot read factor table"),
+    (2, "table:{tmp}/binary.txt", "cannot read factor table"),
+    (2, "table:{tmp}", "cannot read factor table"),
+])
+def test_bad_factor_flag_exits_2(capsys, tmp_path, r, factor, message):
+    (tmp_path / "binary.txt").write_bytes(b"\x89PNG\xff\xfe")
+    code, out, err = run_cli(capsys, "fg-exact", "--l", "2", "--r", str(r),
+                             "--factor", factor.format(tmp=tmp_path), "--N", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_integer_valued_floats_run_as_integers(capsys, tmp_path):
+    # JSON Schema counts 2.0 as an integer; the run must match the one with 2
+    for name, change, argv in [
+        ("perfbench/inputs/sk2.json", {"n": 2.0}, ["dense-compare", "--N", "10,20"]),
+        ("configs/parity36.json", {"l": 3.0, "r": 6.0}, ["fg-exact", "--N", "12"]),
+        ("configs/sk_pqr.json", {"n": 4.0}, ["rs-det"]),
+    ]:
+        floats = tmp_path / "floats.json"
+        floats.write_text(json.dumps({**json.loads((ROOT / name).read_text()), **change}))
+        runs = [run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+                for path in (ROOT / name, floats)]
+        assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 def test_parse_N_list():

@@ -1,10 +1,19 @@
 """Config schema validation and model construction."""
 
+import copy
 import json
+import math
+import tracemalloc
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from central_approx import config
 from central_approx.config import (
+    CONFIG_SCHEMA,
     build_dense,
     build_ensemble,
     build_rs,
@@ -12,10 +21,12 @@ from central_approx.config import (
     parse_alphabet,
     validate_config,
 )
-from central_approx.dense import exact_type_sum
-from central_approx.errors import ValidationFailure
-from central_approx.factor_graph import exact_expected_Z_exact
+from central_approx.dense import DenseModelSpec, PolyOverlap, exact_type_sum, zero_local
+from central_approx.errors import GuardError, ValidationFailure
+from central_approx.factor_graph import exact_expected_Z_exact, make_ensemble
+from central_approx.types_core import Alphabet
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def dense_cfg(**overrides):
     cfg = {
@@ -168,3 +179,145 @@ def test_build_rs():
 def test_parse_alphabet_rejects_duplicates():
     with pytest.raises(ValidationFailure, match="distinct"):
         parse_alphabet([0, 0])
+
+
+# ------------------------------------------- the checker against jsonschema
+
+def test_schema_is_valid_draft_2020_12():
+    # the metaschema check that validate_config no longer repeats per call
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+SEED_CONFIGS = [json.loads(p.read_text()) for p in sorted(ROOT.glob("configs/*.json"))
+                + sorted(ROOT.glob("perfbench/inputs/*.json"))]
+# plus one config per branch of the nested oneOfs that the files do not reach
+SEED_CONFIGS += [
+    dense_cfg(f={"kind": "field", "h": 0.3}, g={"kind": "quadratic", "lam": 0.5, "pairs": "all"},
+              guards={"type_sum": 10, "type_pairs": 5, "allow_large": False}),
+    dense_cfg(n=2, f={"kind": "table", "values": [0.1, 0.2, 0.3, 0.4]}, g={"kind": "zero"}),
+    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guards={"type_sum": 100}),
+    RS_CFG,
+]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+SUBTREES = [v for cfg in SEED_CONFIGS for _, v in _nodes(cfg)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3)
+    | st.sampled_from([2.0, 1.0, 0.0, -1.0, 1e300, math.nan, "dense", "rs", "zero", "sk",
+                       "poly", "all", "0", "12"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+VALUES = st.sampled_from(SUBTREES) | JSON_VALUES
+KEYS = st.sampled_from(sorted({k for p, _ in _nodes(SEED_CONFIGS) for k in p
+                               if isinstance(k, str)} | {"typo", "0", "7", "a"}))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(SEED_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(cfg))))
+        action = draw(st.sampled_from(["replace", "retype", "delete", "add"]))
+        if action == "add":
+            if isinstance(node, dict):
+                node[draw(KEYS)] = copy.deepcopy(draw(VALUES))
+            continue
+        if not path or action == "delete" and isinstance(path[-1], int):
+            continue
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "replace":
+            parent[path[-1]] = copy.deepcopy(draw(VALUES))
+        elif isinstance(node, (int, float)) and math.isfinite(node):
+            # the JSON number semantics: 2.0 is an integer, true is not 1
+            parent[path[-1]] = draw(st.sampled_from([float(node), int(node), bool(node)]))
+    return cfg
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_configs())
+def test_checker_agrees_with_jsonschema(cfg):
+    want = jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(cfg)
+    try:
+        validate_config(cfg)
+        got = True
+    except ValidationFailure:
+        got = False
+    assert got == want, cfg
+
+
+def test_json_schema_number_semantics():
+    validate_config(dense_cfg(n=2.0, schema_version=1.0))  # 2.0 is an integer, 1.0 == const 1
+    for bad in (dense_cfg(n=2.5), dense_cfg(n=True), dense_cfg(schema_version=True),
+                dense_cfg(alphabet=[0, False]), fg_cfg(factor=None)):
+        with pytest.raises(ValidationFailure):
+            validate_config(bad)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dense_cfg(typo=1), "Additional properties are not allowed ('typo' was unexpected)"),
+    (dense_cfg(model=["dense"]), "model: 'dense' was expected"),
+    (dense_cfg(g={"kind": "sk", "beta": 0.5, "typo": True}),
+     "g: Additional properties are not allowed ('typo' was unexpected)"),
+    (dense_cfg(g={"kind": "poly", "terms": [{"coef": 1, "powers": {"0": -1}}]}),
+     "g.terms[0].powers.0: -1 is less than the minimum of 0"),
+    (dense_cfg(g={"kind": "poly", "terms": [{"coef": 1, "powers": {"a": 1}}]}),
+     "g.terms[0].powers: 'a' does not match any of the regexes: '^[0-9]+$'"),
+    (dense_cfg(alphabet=[]), "alphabet: [] should be non-empty"),
+    (fg_cfg(factor={"values": [1], "x": 1}),
+     "factor: Additional properties are not allowed ('x' was unexpected)"),
+    (fg_cfg(guards={"type_sum": 0}), "guards.type_sum: 0 is less than the minimum of 1"),
+])
+def test_error_names_the_deepest_violation(cfg, message):
+    # from the oneOf branch the declared model (or kind) selects
+    with pytest.raises(ValidationFailure) as exc:
+        validate_config(cfg, source="c.json")
+    assert str(exc.value) == f"c.json: {message}"
+
+
+def test_unimplemented_schema_keyword_raises(monkeypatch):
+    monkeypatch.setattr(config, "CONFIG_SCHEMA", {"type": "object", "maxProperties": 3})
+    with pytest.raises(NotImplementedError, match="maxProperties"):
+        validate_config({})
+
+
+def test_integer_fields_built_from_floats():
+    # JSON Schema counts 2.0 as an integer, so the builders must accept it
+    built = [build_dense(dense_cfg(n=2.0, g={"kind": "sk", "beta": 0.5})).n,
+             *(lambda ens: (ens.l, ens.r))(build_ensemble(fg_cfg(l=3.0, r=6.0))),
+             build_rs({**RS_CFG, "n": 4.0}).n]
+    assert built == [2, 3, 6, 4] and all(type(v) is int for v in built)
+
+
+def test_size_guards_fire_before_allocating(tmp_path):
+    # each input is the smallest one past its guard, so a guard that runs too
+    # late costs a few MB here rather than the machine's memory
+    binary = Alphabet((0.0, 1.0))
+    cases = [lambda f=f: make_ensemble(2, 21, binary, f)
+             for f in ("parity", "all-equal", "uniform", f"table:{tmp_path}/absent.txt")]
+    cases.append(lambda: DenseModelSpec(14, binary, zero_local(), PolyOverlap.zero(14)))
+    # build_dense sizes f and g by n, so it checks before building them
+    cases.append(lambda: build_dense(dense_cfg(n=300, g={"kind": "sk", "beta": 0.5})))
+    for build in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="exceeds the guard"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
