@@ -209,55 +209,83 @@ def _nodes(value, path=()):
         yield from _nodes(child, path + (key,))
 
 
-SUBTREES = [v for cfg in SEED_CONFIGS for _, v in _nodes(cfg)]
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3)
-    | st.sampled_from([2.0, 1.0, 0.0, -1.0, 1e300, math.nan, "dense", "rs", "zero", "sk",
-                       "poly", "all", "0", "12"]),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=3),
-    max_leaves=6,
-)
-VALUES = st.sampled_from(SUBTREES) | JSON_VALUES
-KEYS = st.sampled_from(sorted({k for p, _ in _nodes(SEED_CONFIGS) for k in p
-                               if isinstance(k, str)} | {"typo", "0", "7", "a"}))
+DELETE = object()
 
 
-@st.composite
-def mutated_configs(draw):
-    cfg = copy.deepcopy(draw(st.sampled_from(SEED_CONFIGS)))
-    for _ in range(draw(st.integers(1, 3))):
-        path, node = draw(st.sampled_from(list(_nodes(cfg))))
-        action = draw(st.sampled_from(["replace", "retype", "delete", "add"]))
-        if action == "add":
-            if isinstance(node, dict):
-                node[draw(KEYS)] = copy.deepcopy(draw(VALUES))
+def _edits(cfg):
+    """Every single edit of ``cfg`` as (path, new value or DELETE): drop a
+    key, add one, replace a node, or nudge a leaf just across a keyword's
+    boundary (2.0 is an integer, true is not 1, a step down crosses a
+    minimum, a changed string misses a const or enum)."""
+    for path, node in _nodes(cfg):
+        if isinstance(node, dict):
+            yield from ((path + (key,), 1) for key in ("typo", "0", "a") if key not in node)
+        if not path:
             continue
-        if not path or action == "delete" and isinstance(path[-1], int):
-            continue
-        parent = cfg
-        for key in path[:-1]:
-            parent = parent[key]
-        if action == "delete":
-            del parent[path[-1]]
-        elif action == "replace":
-            parent[path[-1]] = copy.deepcopy(draw(VALUES))
+        if isinstance(path[-1], str):
+            yield path, DELETE
+        yield from ((path, v) for v in (None, True, [], {}, "x", -1, 0.5))
+        if isinstance(node, str):
+            yield path, node + "x"
         elif isinstance(node, (int, float)) and math.isfinite(node):
-            # the JSON number semantics: 2.0 is an integer, true is not 1
-            parent[path[-1]] = draw(st.sampled_from([float(node), int(node), bool(node)]))
+            yield from ((path, v) for v in (float(node), int(node), bool(node), node - 1))
+
+
+def _apply(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     return cfg
 
 
-@settings(max_examples=600, deadline=None)
-@given(mutated_configs())
-def test_checker_agrees_with_jsonschema(cfg):
+def _agrees_with_jsonschema(cfg):
     want = jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(cfg)
     try:
         validate_config(cfg)
         got = True
     except ValidationFailure:
         got = False
-    assert got == want, cfg
+    return got == want
+
+
+def test_checker_agrees_with_jsonschema_on_every_single_edit():
+    edited = [_apply(cfg, *edit) for cfg in SEED_CONFIGS for edit in _edits(cfg)]
+    assert len(edited) > 1000
+    assert [cfg for cfg in edited if not _agrees_with_jsonschema(cfg)] == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3)
+    | st.sampled_from([2.0, 1.0, 0.0, 1e300, math.nan, "dense", "rs", "zero", "sk", "0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+SUBTREES = [v for cfg in SEED_CONFIGS for _, v in _nodes(cfg)]
+
+
+@st.composite
+def mutated_configs(draw):
+    """One to three edits, each a single edit or a node replaced by a random
+    JSON value or by a subtree of any seed config."""
+    cfg = draw(st.sampled_from(SEED_CONFIGS))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [path for path, _ in _nodes(cfg) if path]
+        cfg = _apply(cfg, *draw(
+            st.sampled_from(list(_edits(cfg)))
+            | st.tuples(st.sampled_from(paths), st.sampled_from(SUBTREES) | JSON_VALUES)))
+    return cfg
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_configs())
+def test_checker_agrees_with_jsonschema(cfg):
+    assert _agrees_with_jsonschema(cfg), cfg
 
 
 def test_json_schema_number_semantics():
@@ -287,6 +315,15 @@ def test_error_names_the_deepest_violation(cfg, message):
     with pytest.raises(ValidationFailure) as exc:
         validate_config(cfg, source="c.json")
     assert str(exc.value) == f"c.json: {message}"
+
+
+def test_one_of_rejects_a_value_that_two_branches_accept(monkeypatch):
+    # CONFIG_SCHEMA's branches exclude each other, so only a stand-in shows this
+    monkeypatch.setattr(config, "CONFIG_SCHEMA", {"oneOf": [{"type": "number"},
+                                                            {"type": "integer"}]})
+    validate_config(0.5)
+    with pytest.raises(ValidationFailure, match="more than one"):
+        validate_config(2)
 
 
 def test_unimplemented_schema_keyword_raises(monkeypatch):
