@@ -5,66 +5,57 @@ sparse factor-graph ensembles two ways: exactly, as guarded sums over
 empirical types, and asymptotically, as e^{N F} times a Gaussian constant
 factor obtained from a central approximation of the type sum.  Agreement of
 the two routes is the core acceptance test.
+
+The public names below load their module on first use (PEP 562), so
+``import central_approx`` and the command-line start-up load no numpy
+until a model is built.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .types_core import Alphabet, ProbMeasure, TypeVector  # noqa: E402
-from .dense import (  # noqa: E402
-    DenseModelSpec,
-    PolyOverlap,
-    asymptotic_estimate,
-    central_approx_constant,
-    exact_type_sum,
-    field_local,
-    solve_variational,
-    zero_local,
-)
-from .replica_rs import (  # noqa: E402
-    RSParams,
-    rs_correction_n0,
-    rs_determinant,
-    sk_paramagnetic_correction,
-)
-from .clt import dense_type_covariance, fg_type_covariances, overlap_covariance  # noqa: E402
-from .factor_graph import (  # noqa: E402
-    EnsembleSpec,
-    exact_expected_Z,
-    exact_expected_Z_exact,
-    fg_asymptotic_estimate,
-    fg_constant_log,
-    lattice_step_s,
-    ldpc_expected_codewords,
-    make_ensemble,
-    solve_bethe,
-)
+# public name -> the module that defines it
+_EXPORTS = {
+    "Alphabet": "types_core",
+    "ProbMeasure": "types_core",
+    "TypeVector": "types_core",
+    "DenseModelSpec": "dense",
+    "PolyOverlap": "dense",
+    "zero_local": "dense",
+    "field_local": "dense",
+    "exact_type_sum": "dense",
+    "solve_variational": "dense",
+    "central_approx_constant": "dense",
+    "asymptotic_estimate": "dense",
+    "RSParams": "replica_rs",
+    "rs_determinant": "replica_rs",
+    "rs_correction_n0": "replica_rs",
+    "sk_paramagnetic_correction": "replica_rs",
+    "dense_type_covariance": "clt",
+    "overlap_covariance": "clt",
+    "fg_type_covariances": "clt",
+    "EnsembleSpec": "factor_graph",
+    "make_ensemble": "factor_graph",
+    "exact_expected_Z": "factor_graph",
+    "exact_expected_Z_exact": "factor_graph",
+    "solve_bethe": "factor_graph",
+    "fg_constant_log": "factor_graph",
+    "fg_asymptotic_estimate": "factor_graph",
+    "lattice_step_s": "factor_graph",
+    "ldpc_expected_codewords": "factor_graph",
+}
 
-__all__ = [
-    "Alphabet",
-    "ProbMeasure",
-    "TypeVector",
-    "DenseModelSpec",
-    "PolyOverlap",
-    "zero_local",
-    "field_local",
-    "exact_type_sum",
-    "solve_variational",
-    "central_approx_constant",
-    "asymptotic_estimate",
-    "RSParams",
-    "rs_determinant",
-    "rs_correction_n0",
-    "sk_paramagnetic_correction",
-    "dense_type_covariance",
-    "overlap_covariance",
-    "fg_type_covariances",
-    "EnsembleSpec",
-    "make_ensemble",
-    "exact_expected_Z",
-    "exact_expected_Z_exact",
-    "solve_bethe",
-    "fg_constant_log",
-    "fg_asymptotic_estimate",
-    "lattice_step_s",
-    "ldpc_expected_codewords",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

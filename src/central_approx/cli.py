@@ -6,6 +6,10 @@ JSON, always through the same 12-significant-digit float formatting so a
 rerun with the same config and seed is byte-identical.  Exit codes: 0 on
 success, 2 for anything wrong with the input, 3 when the math itself
 fails (instability, non-convergence), with the reason on stderr.
+
+Each subcommand imports the model modules it runs once its input is read,
+so --help, the closed forms (sk, rs-det, rs-correction) and input errors
+start without numpy, and a dense command never loads the factor-graph code.
 """
 
 import argparse
@@ -13,27 +17,12 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import acceptance
-from .clt import dense_type_covariance, fg_type_covariances, overlap_covariance
 from .config import build_dense, build_ensemble, build_rs, load_config, parse_alphabet
-from .dense import central_approx_constant, exact_type_sum, solve_variational
 from .errors import NumericalFailure, ValidationFailure
-from .factor_graph import (
-    exact_expected_Z,
-    fg_constant_log,
-    lattice_step_s,
-    ldpc_expected_codewords,
-    make_ensemble,
-    solve_bethe,
-    step_size_methods,
-)
-from .replica_rs import RSParams, pqr_eigenvalues, rs_moment_patterns, sk_paramagnetic_correction
-from .types_core import Alphabet
 
 
 class Report:
@@ -53,14 +42,20 @@ class Report:
         self.rows = [list(r) for r in rows]
 
 
+def _is_float(value) -> bool:
+    # float and numpy's floating types, which register as numbers.Real;
+    # rationals (Fraction) print as text and integers as integers
+    return isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational)
+
+
 def fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # int and numpy's integer types
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if _is_float(value):
         return format(float(value), ".12g")
     return str(value)
 
@@ -68,9 +63,9 @@ def fmt(value) -> str:
 def _json_value(value):
     if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if _is_float(value):
         x = float(value)
         if math.isfinite(x):
             return float(format(x, ".12g"))
@@ -147,6 +142,8 @@ def _ensemble_from_args(args):
     if args.l is None or args.r is None or args.factor is None:
         raise ValidationFailure("need either --config or all of --l, --r, --factor")
     alphabet = parse_alphabet(args.alphabet.split(","))
+    from .factor_graph import make_ensemble
+
     return make_ensemble(args.l, args.r, alphabet, args.factor), {}
 
 
@@ -156,6 +153,8 @@ def _rs_params(args):
     missing = [k for k in ("n", "q", "r", "P", "Q", "R") if getattr(args, k) is None]
     if missing:
         raise ValidationFailure("need either --config or all of --" + ", --".join(missing))
+    from .replica_rs import RSParams
+
     return RSParams(args.n, args.q, args.r, args.P, args.Q, args.R)
 
 
@@ -187,6 +186,8 @@ def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) 
 
 def cmd_dense_exact(args) -> Report:
     spec, guards = _dense_from_args(args)
+    from .dense import exact_type_sum
+
     rep = Report("dense-exact")
     kw = _sum_kwargs(guards, "type_sum")
     rows = [(N, exact_type_sum(spec, N, **kw)) for N in parse_N_list(args.N)]
@@ -195,6 +196,8 @@ def cmd_dense_exact(args) -> Report:
 
 
 def _dense_solution(spec, args):
+    from .dense import central_approx_constant, solve_variational
+
     solution = solve_variational(spec, seed=args.seed)
     return central_approx_constant(spec, solution)
 
@@ -213,6 +216,8 @@ def cmd_dense_asymptotic(args) -> Report:
 
 def cmd_dense_compare(args) -> Report:
     spec, guards = _dense_from_args(args)
+    from .dense import exact_type_sum
+
     result = _dense_solution(spec, args)
     kw = _sum_kwargs(guards, "type_sum")
     return _compare_report("dense-compare", result.F, result.log_constant, parse_N_list(args.N),
@@ -221,6 +226,8 @@ def cmd_dense_compare(args) -> Report:
 
 def cmd_rs_det(args) -> Report:
     params = _rs_params(args)
+    from .replica_rs import pqr_eigenvalues, rs_moment_patterns
+
     rep = Report("rs-det")
     rep.scalar("n", params.n)
     rep.scalar("determinant", params.determinant())
@@ -244,6 +251,8 @@ def cmd_rs_correction(args) -> Report:
 
 
 def cmd_sk(args) -> Report:
+    from .replica_rs import sk_paramagnetic_correction
+
     rep = Report("sk")
     rep.scalar("beta", args.beta)
     rows = [(N, sk_paramagnetic_correction(args.beta, N)) for N in parse_N_list(args.N)]
@@ -257,6 +266,8 @@ def cmd_sk(args) -> Report:
 
 def cmd_fg_exact(args) -> Report:
     ens, guards = _ensemble_from_args(args)
+    from .factor_graph import exact_expected_Z
+
     kw = _sum_kwargs(guards, "type_pairs", args.allow_large)
     rep = Report("fg-exact")
     rows = [(N, exact_expected_Z(ens, N, **kw)) for N in parse_N_list(args.N)]
@@ -266,6 +277,8 @@ def cmd_fg_exact(args) -> Report:
 
 def cmd_fg_asymptotic(args) -> Report:
     ens, _ = _ensemble_from_args(args)
+    from .factor_graph import fg_constant_log, lattice_step_s, solve_bethe
+
     sol = solve_bethe(ens, seed=args.seed)
     const = fg_constant_log(ens, sol)
     rep = Report("fg-asymptotic")
@@ -279,6 +292,8 @@ def cmd_fg_asymptotic(args) -> Report:
 
 def cmd_fg_compare(args) -> Report:
     ens, guards = _ensemble_from_args(args)
+    from .factor_graph import exact_expected_Z, fg_constant_log, solve_bethe
+
     kw = _sum_kwargs(guards, "type_pairs", args.allow_large)
     sol = solve_bethe(ens, seed=args.seed)
     return _compare_report("fg-compare", sol.F, fg_constant_log(ens, sol), parse_N_list(args.N),
@@ -287,6 +302,8 @@ def cmd_fg_compare(args) -> Report:
 
 def cmd_fg_s(args) -> Report:
     ens, _ = _ensemble_from_args(args)
+    from .factor_graph import step_size_methods
+
     box = (3 * ens.l - 1) // 2 if ens.l % 2 else None
     methods = step_size_methods(ens, density_box_L=box)
     rep = Report("fg-s")
@@ -302,6 +319,9 @@ def cmd_ldpc(args) -> Report:
     if args.omega is not None:
         rep.scalar("omega", args.omega)
     Ns = parse_N_list(args.N)
+    from .factor_graph import ldpc_expected_codewords, make_ensemble
+    from .types_core import Alphabet
+
     ens = make_ensemble(args.l, args.r, Alphabet((0.0, 1.0)), "parity")
     for N in Ns:
         ens.require_admissible(N)
@@ -316,8 +336,12 @@ def cmd_ldpc(args) -> Report:
 def cmd_clt_cov(args) -> Report:
     cfg = _model_config(args.config, "dense", "factor-graph",
                         error="clt-cov needs a dense or factor-graph config")
+    from .clt import dense_type_covariance, fg_type_covariances, overlap_covariance
+
     rep = Report("clt-cov")
     if cfg["model"] == "dense":
+        from .dense import solve_variational
+
         spec = build_dense(cfg)
         sol = solve_variational(spec, seed=args.seed)
         kind = args.kind or "type"
@@ -328,6 +352,8 @@ def cmd_clt_cov(args) -> Report:
         else:
             raise ValidationFailure(f"dense models have kinds: type, overlap; got {kind!r}")
     else:
+        from .factor_graph import solve_bethe
+
         ens = build_ensemble(cfg)
         sol = solve_bethe(ens, seed=args.seed)
         kind = args.kind or "variable"
@@ -356,6 +382,8 @@ def cmd_clt_cov(args) -> Report:
 
 
 def cmd_selftest(args) -> Report:
+    from . import acceptance
+
     names = args.only.split(",") if args.only else None
     if names:
         known = {name for name, _ in acceptance.CHECKS}

@@ -3,17 +3,26 @@
 A config names one model and its parameters; everything else (N sweeps,
 output format, seeds) comes from the command line.  Unknown keys are
 rejected up front so a typo cannot silently fall back to a default.
+
+Reading and validating a config needs no numpy: the builders import the
+model modules when they are called.
 """
+
+from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
+from typing import TYPE_CHECKING
 
-from .dense import DenseModelSpec, PolyOverlap, check_symbol_table, field_local, zero_local
 from .errors import ValidationFailure
-from .factor_graph import EnsembleSpec, make_ensemble
-from .replica_rs import RSParams
-from .types_core import Alphabet
+
+if TYPE_CHECKING:
+    from .dense import DenseModelSpec
+    from .factor_graph import EnsembleSpec
+    from .replica_rs import RSParams
+    from .types_core import Alphabet
 
 _NUMBER_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
@@ -163,15 +172,42 @@ CONFIG_SCHEMA = {
 
 
 def load_config(path: str) -> dict:
-    """Read and schema-validate a config file."""
+    """Read a config file, require finite numbers and schema-validate it."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationFailure(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ValidationFailure(f"config {path} is not valid JSON: {exc}") from exc
+    bad = _non_finite(raw, ())
+    if bad is not None:
+        where, value = bad
+        message = (f"{value!r} is not a finite number" if isinstance(value, float)
+                   else "integer out of float range")
+        raise ValidationFailure(_located(path, where, message))
     return validate_config(raw, source=path)
+
+
+def _non_finite(x, path: tuple):
+    """(path, value) of the first number in ``x`` that is not a finite float, or None.
+
+    Python's json reads NaN, Infinity and 1e400 as non-finite floats and
+    takes integers of any size, none of which a model can use.  This sits
+    outside the schema checker, which keeps JSON Schema's unbounded numbers.
+    """
+    if isinstance(x, (dict, list)):
+        for key, value in x.items() if isinstance(x, dict) else enumerate(x):
+            bad = _non_finite(value, path + (key,))
+            if bad is not None:
+                return bad
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            if not math.isfinite(x):
+                return path, x
+        except OverflowError:  # an int beyond the float range
+            return path, x
+    return None
 
 
 _TYPES = {
@@ -269,12 +305,19 @@ def validate_config(raw: dict, *, source: str = "<config>") -> dict:
     errors = list(_violations(raw, CONFIG_SCHEMA, ()))
     if errors:
         path, _, message = max(errors, key=lambda e: len(e[0]))
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
-        raise ValidationFailure(f"{source}: {where}: {message}" if where else f"{source}: {message}")
+        raise ValidationFailure(_located(source, path, message))
     return raw
 
 
+def _located(source: str, path: tuple, message: str) -> str:
+    """``source: key.path[i]: message``, without the path at the top level."""
+    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+    return f"{source}: {where}: {message}" if where else f"{source}: {message}"
+
+
 def parse_alphabet(values) -> Alphabet:
+    from .types_core import Alphabet
+
     try:
         return Alphabet(tuple(float(x) for x in values))
     except ValueError as exc:
@@ -282,6 +325,8 @@ def parse_alphabet(values) -> Alphabet:
 
 
 def build_dense(cfg: dict) -> DenseModelSpec:
+    from .dense import DenseModelSpec, PolyOverlap, check_symbol_table, field_local, zero_local
+
     alphabet = parse_alphabet(cfg["alphabet"])
     n = int(cfg["n"])
     check_symbol_table(len(alphabet), n)  # before f and g are sized by n
@@ -319,6 +364,8 @@ def build_dense(cfg: dict) -> DenseModelSpec:
 
 
 def build_ensemble(cfg: dict) -> EnsembleSpec:
+    from .factor_graph import make_ensemble
+
     factor = cfg["factor"]
     if isinstance(factor, dict):
         # integer values keep the exact-arithmetic path available
@@ -327,4 +374,6 @@ def build_ensemble(cfg: dict) -> EnsembleSpec:
 
 
 def build_rs(cfg: dict) -> RSParams:
+    from .replica_rs import RSParams
+
     return RSParams(int(cfg["n"]), cfg["q"], cfg["r"], cfg["P"], cfg["Q"], cfg["R"])

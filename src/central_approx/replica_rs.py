@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InstabilityError, ValidationFailure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RSParams",
@@ -29,29 +31,23 @@ __all__ = [
 ]
 
 
-def replica_pairs(n: int) -> list[tuple[int, int]]:
-    """Unordered replica pairs (a,b), a < b, in lexicographic order."""
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
 def build_pqr_matrix(n: int, P: float, Q: float, R: float) -> np.ndarray:
     """Pattern matrix on replica pairs: entry P, Q or R by shared index count.
 
-    Rows and columns are indexed by the pairs of replica_pairs(n).  The
-    entry is P when the two pairs coincide, Q when they share exactly one
-    replica and R when they are disjoint.  n = 2 is allowed and gives the
-    1x1 matrix [[P]]; the Q and R patterns first occur at n = 3 and n = 4.
+    Rows and columns are indexed by the unordered replica pairs (a,b),
+    a < b, in lexicographic order.  The entry is P when the two pairs
+    coincide, Q when they share exactly one replica and R when they are
+    disjoint.  n = 2 is allowed and gives the 1x1 matrix [[P]]; the Q and
+    R patterns first occur at n = 3 and n = 4.
     """
+    import numpy as np  # the only numpy use in this module
+
     if n < 2:
         raise ValueError(f"need at least two replicas, got n={n}")
-    pairs = replica_pairs(n)
-    m = len(pairs)
-    A = np.empty((m, m))
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            shared = len({a, b} & {c, d})
-            A[i, j] = (R, Q, P)[shared]
-    return A
+    a, b = np.triu_indices(n, 1)  # the pairs (a,b), a < b, in lexicographic order
+    # a < b and c < d, so each index of (a, b) matches at most one of (c, d)
+    shared = sum(x[:, None] == y[None, :] for x in (a, b) for y in (a, b))
+    return np.array((R, Q, P), dtype=float)[shared]
 
 
 def pqr_eigenvalues(n: int, P: float, Q: float, R: float) -> list[tuple[float, int]]:
@@ -154,6 +150,10 @@ class RSParams:
             raise ValidationFailure(
                 f"moments of +-1 variables need |q|,|r| <= 1, got q={self.q:g}, r={self.r:g}"
             )
+        for name in ("q", "r", "P", "Q", "R"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationFailure(f"RS parameters must be finite, got {name}={value:g}")
 
     def determinant(self) -> float:
         return rs_determinant(self.n, self.q, self.r, self.P, self.Q, self.R)

@@ -3,15 +3,18 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from central_approx import acceptance, factor_graph
-from central_approx.cli import fmt, main, parse_N_list
+from central_approx.cli import _json_value, fmt, main, parse_N_list
 from central_approx.config import load_config
 from central_approx.errors import ValidationFailure
 
@@ -54,20 +57,102 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_loads_neither_scipy_nor_jsonschema():
-    # scipy and jsonschema are test oracles only: neither loads on import,
-    # nor in a run that validates a config
-    code = ("import sys, central_approx.cli as cli; "
-            "assert not sys.argv[1:] or cli.main(sys.argv[1:]) == 0; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'}))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _src_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    for argv in ([], ["dense-compare", "--config", str(ROOT / "configs" / "cw.json"),
-                      "--N", "10"]):
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, timeout=60, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_CONFIGS = ROOT / "configs"
+_BAD_CONFIG = ROOT / "tests" / "missing.json"
+_DENSE = {"dense", "types_core", "numpy"}
+_FG = {"factor_graph", "types_core", "numpy"}
+
+
+# The package modules beyond cli, config and errors that a run loads, plus
+# numpy if it loads.  scipy and jsonschema are test oracles only and never
+# load, not even in a run that validates a config.
+@pytest.mark.parametrize("argv, code, loaded", [
+    pytest.param([], 0, set(), id="import"),
+    pytest.param(["--help"], 0, set(), id="help"),
+    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], 0, {"replica_rs"}, id="sk"),
+    pytest.param(["rs-det", "--config", str(_CONFIGS / "sk_pqr.json")], 0, {"replica_rs"},
+                 id="rs-det"),
+    pytest.param(["rs-correction", "--config", str(_CONFIGS / "sk_pqr.json"), "--N", "100"],
+                 0, {"replica_rs"}, id="rs-correction"),
+    pytest.param(["dense-compare", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
+                 0, _DENSE, id="dense-compare"),
+    pytest.param(["dense-exact", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
+                 0, _DENSE, id="dense-exact"),
+    pytest.param(["dense-asymptotic", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
+                 0, _DENSE, id="dense-asymptotic"),
+    pytest.param(["fg-s", "--l", "3", "--r", "6", "--factor", "parity"], 0, _FG, id="fg-s"),
+    pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"],
+                 0, _FG, id="fg-compare"),
+    pytest.param(["fg-exact", "--l", "3", "--r", "6", "--factor", "parity", "--N", "12"],
+                 0, _FG, id="fg-exact"),
+    pytest.param(["fg-asymptotic", "--l", "3", "--r", "6", "--factor", "parity", "--N", "12"],
+                 0, _FG, id="fg-asymptotic"),
+    pytest.param(["ldpc-codewords", "--l", "3", "--r", "6", "--N", "60"], 0, _FG, id="ldpc"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], 0,
+                 {"clt", "dense", "types_core", "numpy"}, id="clt-cov"),
+    pytest.param(["selftest", "--only", "sk-correction"], 0,
+                 {"acceptance", "clt", "dense", "factor_graph", "replica_rs", "types_core",
+                  "numpy"}, id="selftest"),
+    # input errors found before any model is built
+    pytest.param(["dense-compare", "--config", str(_BAD_CONFIG), "--N", "10"], 2, set(),
+                 id="unreadable-config"),
+    pytest.param(["dense-exact", "--config", str(_CONFIGS / "parity36.json"), "--N", "10"],
+                 2, set(), id="model-mismatch"),
+    pytest.param(["fg-compare", "--N", "10"], 2, set(), id="missing-flags"),
+    pytest.param(["rs-det", "--n", "4"], 2, set(), id="missing-rs-flags"),
+    pytest.param(["rs-det", "--n", "4", "--q", "0", "--r", "0", "--P", "nan", "--Q", "0",
+                  "--R", "0"], 2, {"replica_rs"}, id="non-finite-rs"),
+    pytest.param(["sk", "--beta", "0.5", "--N", "ten"], 2, {"replica_rs"}, id="bad-N-list"),
+    pytest.param(["ldpc-codewords", "--l", "3", "--r", "6", "--N", "0"], 2, set(),
+                 id="ldpc-bad-N"),
+    pytest.param(["sk", "--beta"], 2, set(), id="argparse-error"),
+])
+def test_command_loads_only_its_modules(argv, code, loaded):
+    script = (
+        "import json, sys, central_approx.cli as cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "names = {m.split('.')[1] for m in sys.modules if m.startswith('central_approx.')}\n"
+        "names |= {m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', 'jsonschema'}\n"
+        "print(json.dumps([code, sorted(names - {'cli', 'config', 'errors'})]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env=_src_env(), cwd=ROOT)
+    assert proc.stdout, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, sorted(loaded)], proc.stderr
+
+
+def test_package_import_is_lazy():
+    script = (
+        "import sys, central_approx as ca\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert set(ca.__all__) <= set(dir(ca))\n"
+        "from central_approx import make_ensemble, exact_expected_Z, fg_asymptotic_estimate\n"
+        "from central_approx.types_core import Alphabet\n"
+        "ens = make_ensemble(3, 6, Alphabet((0.0, 1.0)), 'parity')\n"
+        "print(exact_expected_Z(ens, 60), fg_asymptotic_estimate(ens, 60))\n"
+        "from central_approx import factor_graph\n"
+        "assert ca.make_ensemble is factor_graph.make_ensemble\n"
+        "try:\n"
+        "    ca.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    values, missing = proc.stdout.splitlines()
+    exact, asymptotic = values.split()
+    # the README's Python API example
+    assert exact.startswith("20.795063") and asymptotic.startswith("20.794415")
+    assert missing == "module 'central_approx' has no attribute 'no_such_name'"
 
 
 def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
@@ -91,6 +176,14 @@ def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
      ["dense-compare", "--N", "10"], "pair position 1 out of range"),
     ("parity36.json", {"l": 2, "r": 21, "factor": "uniform"}, ["fg-exact", "--N", "2"],
      "word table |X|^r = 2^21 exceeds the guard (1048576)"),
+    # json reads NaN, Infinity and integers of any size; none reaches a model
+    ("sk_pqr.json", {"P": math.nan}, ["rs-det"], ": P: nan is not a finite number"),
+    ("sk_pqr.json", {"P": 10**400}, ["rs-correction", "--N", "10"],
+     ": P: integer out of float range"),
+    ("cw.json", {"f": {"kind": "field", "h": -math.inf}}, ["dense-compare", "--N", "10"],
+     ": f.h: -inf is not a finite number"),
+    ("parity36.json", {"factor": {"values": [1, 10**400, 1, 1]}}, ["fg-exact", "--N", "2"],
+     ": factor.values[1]: integer out of float range"),
 ])
 def test_bad_config_exits_2(capsys, tmp_path, base, change, argv, message):
     bad = tmp_path / "bad.json"
@@ -147,6 +240,30 @@ def test_fmt_twelve_digits():
     assert fmt(3) == "3"
     assert fmt(True) == "true"
     assert fmt(float("-inf")) == "-inf"
+
+
+@pytest.mark.parametrize("value, text, json_value", [
+    (np.float64(0.1), "0.1", 0.1),
+    (np.float64(1 / 3), "0.333333333333", 0.333333333333),
+    (np.float32(0.1), "0.10000000149", 0.10000000149),
+    (np.float64("nan"), "nan", "nan"),
+    (np.float64("-inf"), "-inf", "-inf"),
+    (np.int64(-7), "-7", -7),
+    (np.bool_(True), "True", "True"),
+    (Fraction(1, 3), "1/3", "1/3"),
+    (Fraction(4, 2), "2", "2"),
+    (False, "false", False),
+    (3, "3", 3),
+    (None, "", None),
+    (math.nan, "nan", "nan"),
+    (math.inf, "inf", "inf"),
+    (-math.inf, "-inf", "-inf"),
+])
+def test_formatting_needs_no_numpy(value, text, json_value):
+    # the strings numpy-aware formatting gave; the CLI module imports no numpy
+    assert fmt(value) == text
+    got = _json_value(value)
+    assert got == json_value and type(got) is type(json_value)
 
 
 def test_sk_example(capsys):

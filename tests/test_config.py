@@ -120,6 +120,26 @@ def test_load_config_bad_json(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_needs_finite_numbers(tmp_path):
+    p = tmp_path / "c.json"
+    h_nan = dense_cfg(f={"kind": "field", "h": math.nan})
+    # JSON Schema puts no bound on a number: the schema checker takes nan
+    assert validate_config(h_nan) is h_nan
+    p.write_text(json.dumps(h_nan))
+    with pytest.raises(ValidationFailure, match=r"c\.json: f\.h: nan is not a finite number$"):
+        load_config(str(p))
+    p.write_text(json.dumps(dense_cfg(alphabet=[0, 1e400, 10**400])))
+    with pytest.raises(ValidationFailure, match=r"alphabet\[1\]: inf is not a finite number$"):
+        load_config(str(p))
+    p.write_text(json.dumps(dense_cfg(alphabet=[0, 10**400])))
+    with pytest.raises(ValidationFailure, match=r"alphabet\[1\]: integer out of float range$"):
+        load_config(str(p))
+    # Python's json refuses an integer of more than 4300 digits with a ValueError
+    p.write_text(json.dumps(dense_cfg()).replace('"n": 1', '"n": 1' + "0" * 5000))
+    with pytest.raises(ValidationFailure, match="not valid JSON"):
+        load_config(str(p))
+
+
 def test_load_config_round_trip(tmp_path):
     p = tmp_path / "cw.json"
     p.write_text(json.dumps(dense_cfg()))

@@ -40,6 +40,17 @@ def test_build_small_patterns():
         build_pqr_matrix(1, 1.0, 0.0, 0.0)
 
 
+def test_build_matches_the_pair_loop():
+    # the double loop over replica pairs the broadcast replaced
+    rng = np.random.default_rng(13)
+    for n in range(2, 9):
+        P, Q, R = rng.uniform(-1, 1, 3)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        want = np.array([[(R, Q, P)[len({a, b} & {c, d})] for c, d in pairs]
+                         for a, b in pairs])
+        assert np.array_equal(build_pqr_matrix(n, P, Q, R), want)
+
+
 def test_pattern_placement_n4():
     # (0,1) vs (2,3) are disjoint; (0,1) vs (0,2) share one index
     A = build_pqr_matrix(4, 5.0, 7.0, 11.0)
@@ -174,3 +185,13 @@ def test_rs_params_validation():
         RSParams(4, 1.2, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValidationFailure):
         RSParams(4, 0.0, -1.1, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rs_params_must_be_finite(index, value):
+    values = [0.0] * 5
+    values[index] = value
+    # an infinite moment q or r already fails |q|,|r| <= 1
+    with pytest.raises(ValidationFailure, match="must be finite|need [|]q[|],[|]r[|] <= 1"):
+        RSParams(4, *values)
