@@ -93,10 +93,12 @@ def check_matrix_identities() -> tuple[bool, str]:
         spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(-1.0, 1.0, K))),
                               zero_local(), PolyOverlap.zero(1))
         mats = assemble_matrices(spec, w)
-        H = mats.contrast
-        middle = np.linalg.inv(H.T @ mats.inv_measure_diag @ H)
-        worst_h = max(worst_h, np.max(np.abs(H @ middle @ H.T - mats.indicator_covariance)))
-        conj = mats.pair_products.T @ mats.indicator_covariance @ mats.pair_products
+        # zero-sum coordinates against the first symbol as reference cell
+        H = np.vstack([-np.ones(K - 1), np.eye(K - 1)])
+        S = np.diag(w) - np.outer(w, w)
+        middle = np.linalg.inv(H.T @ np.diag(1.0 / w) @ H)
+        worst_h = max(worst_h, np.max(np.abs(H @ middle @ H.T - S)))
+        conj = mats.pair_products.T @ S @ mats.pair_products
         worst_j = max(worst_j, np.max(np.abs(conj - mats.pair_covariance)))
     return max(worst_h, worst_j) <= 1e-10, f"max defects {worst_h:.2e} / {worst_j:.2e}"
 

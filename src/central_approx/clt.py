@@ -88,7 +88,8 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     coupling Hessian at the maximizing overlaps.
     """
     mats = assemble_matrices(spec, nu_star)
-    M = mats.indicator_covariance
+    w = mats.weights
+    M = np.diag(w) - np.outer(w, w)
     B = mats.pair_products @ mats.hessian @ mats.pair_products.T
     cov = _resolvent_covariance(M, B)
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))

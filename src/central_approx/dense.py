@@ -1,9 +1,9 @@
 """Densely coupled replicated models on a finite alphabet.
 
 A model instance is a replica count n, an alphabet X, a local term
-f : X^n -> R, and a smooth coupling g acting on the n(n+1)/2 replica-pair
-overlaps q_ab = (1/N) sum_i x_i^(a) x_i^(b), a <= b.  The expectation of
-interest is
+f : X^n -> R, and a polynomial coupling g (PolyOverlap) in the n(n+1)/2
+replica-pair overlaps q_ab = (1/N) sum_i x_i^(a) x_i^(b), a <= b.  The
+expectation of interest is
 
     E = sum over configurations exp{ sum_i f(x_i) + N g(q) }.
 
@@ -24,7 +24,10 @@ Pair coordinates are ordered (a, b) with a <= b, lexicographically:
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .types_core import (
     type_array_blocks,
 )
 
-FD_REL_STEP = 1e-5
 SYMBOL_TABLE_GUARD = 1 << 20
 
 
@@ -57,90 +59,42 @@ def distinct_pair_positions(n: int) -> list[int]:
     return [k for k, (a, b) in enumerate(pair_indices(n)) if a < b]
 
 
-# ------------------------------------------------------------ derivatives
+# ------------------------------------------------------------ coupling
 
-def fd_gradient(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient, step FD_REL_STEP * (1 + |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = FD_REL_STEP * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
+class PolyOverlap:
+    """Coupling g on the overlap vector (length n(n+1)/2): a polynomial in
+    the overlap coordinates, with analytic derivatives.
 
-
-def fd_hessian(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian, same step rule as fd_gradient."""
-    x = np.asarray(x, dtype=float)
-    p = x.size
-    h = FD_REL_STEP * (1.0 + np.abs(x))
-    hess = np.zeros((p, p))
-    f0 = fn(x)
-    for i in range(p):
-        xp = x.copy(); xp[i] += h[i]
-        xm = x.copy(); xm[i] -= h[i]
-        hess[i, i] = (fn(xp) - 2.0 * f0 + fn(xm)) / (h[i] * h[i])
-        for j in range(i + 1, p):
-            xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
-            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (
-                4.0 * h[i] * h[j]
-            )
-    return hess
-
-
-class OverlapFunction:
-    """Coupling g on the overlap vector (length n(n+1)/2).
-
-    Subclasses provide ``value``; derivative and batch evaluations fall
-    back to central finite differences and row loops unless overridden.
+    ``terms`` is a sequence of (coefficient, powers) where powers maps a
+    pair position (index into pair_indices(n)) to a nonnegative exponent.
     g must be invariant under simultaneous replica permutations; model
-    construction checks this by sampling.
+    construction checks this exactly on the canonical terms.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, terms):
         if n < 1:
             raise ValueError("need n >= 1")
         self.n = n
         self.n_pairs = n * (n + 1) // 2
-
-    def value(self, q) -> float:
-        raise NotImplementedError
-
-    def value_batch(self, Q: np.ndarray) -> np.ndarray:
-        return np.array([self.value(row) for row in np.asarray(Q, dtype=float)])
-
-    def gradient(self, q) -> np.ndarray:
-        return fd_gradient(self.value, np.asarray(q, dtype=float))
-
-    def gradient_batch(self, Q: np.ndarray) -> np.ndarray:
-        return np.array([self.gradient(row) for row in np.asarray(Q, dtype=float)])
-
-    def hessian(self, q) -> np.ndarray:
-        return fd_hessian(self.value, np.asarray(q, dtype=float))
-
-
-class PolyOverlap(OverlapFunction):
-    """Polynomial in the overlap coordinates, with analytic derivatives.
-
-    ``terms`` is a sequence of (coefficient, powers) where powers maps a
-    pair position (index into pair_indices(n)) to a nonnegative exponent.
-    """
-
-    def __init__(self, n: int, terms):
-        super().__init__(n)
         cleaned = []
         for coef, powers in terms:
             pw = {int(k): int(v) for k, v in dict(powers).items() if int(v) != 0}
             for k in pw:
                 if not 0 <= k < self.n_pairs:
                     raise ValueError(f"pair position {k} out of range")
-            cleaned.append((float(coef), tuple(sorted(pw.items()))))
+            coef = float(coef)
+            if not math.isfinite(coef):
+                raise ValueError(f"coefficient {coef} is not finite")
+            cleaned.append((coef, tuple(sorted(pw.items()))))
         self.terms = tuple(cleaned)
+
+    def canonical_terms(self) -> dict:
+        """Monomial -> exact coefficient: equal monomials merged, zero
+        coefficients dropped.  Two polynomials are equal iff these are."""
+        merged = defaultdict(Fraction)
+        for coef, powers in self.terms:
+            merged[powers] += Fraction(coef)
+        return {powers: coef for powers, coef in merged.items() if coef != 0}
 
     @classmethod
     def zero(cls, n: int) -> "PolyOverlap":
@@ -197,7 +151,6 @@ class PolyOverlap(OverlapFunction):
         q = np.asarray(q, dtype=float)
         h = np.zeros((self.n_pairs, self.n_pairs))
         for coef, powers in self.terms:
-            pw = dict(powers)
             for k, e in powers:
                 # second derivative in the same coordinate
                 if e >= 2:
@@ -217,35 +170,6 @@ class PolyOverlap(OverlapFunction):
                     h[k, k2] += t
                     h[k2, k] += t
         return h
-
-
-class CallableOverlap(OverlapFunction):
-    """Wrap a user callable; missing derivatives use finite differences."""
-
-    def __init__(self, n, fn, grad=None, hess=None, batch=None):
-        super().__init__(n)
-        self._fn = fn
-        self._grad = grad
-        self._hess = hess
-        self._batch = batch
-
-    def value(self, q) -> float:
-        return float(self._fn(np.asarray(q, dtype=float)))
-
-    def value_batch(self, Q):
-        if self._batch is not None:
-            return np.asarray(self._batch(np.asarray(Q, dtype=float)), dtype=float)
-        return super().value_batch(Q)
-
-    def gradient(self, q):
-        if self._grad is not None:
-            return np.asarray(self._grad(np.asarray(q, dtype=float)), dtype=float)
-        return super().gradient(q)
-
-    def hessian(self, q):
-        if self._hess is not None:
-            return np.asarray(self._hess(np.asarray(q, dtype=float)), dtype=float)
-        return super().hessian(q)
 
 
 # ------------------------------------------------------------- local terms
@@ -277,7 +201,7 @@ class DenseModelSpec:
     pair-product matrix (symbols x pairs) whose rows are x^(a) x^(b).
     """
 
-    def __init__(self, n: int, alphabet: Alphabet, f, g: OverlapFunction):
+    def __init__(self, n: int, alphabet: Alphabet, f, g: PolyOverlap):
         if n < 1:
             raise ValueError("need n >= 1")
         check_symbol_table(len(alphabet), n)
@@ -285,7 +209,6 @@ class DenseModelSpec:
             raise ValueError("overlap function built for a different replica count")
         self.n = int(n)
         self.alphabet = alphabet
-        self.f = f
         self.g = g
         self.symbols = tuple(itertools.product(alphabet.values, repeat=n))
         self.num_symbols = len(self.symbols)
@@ -300,17 +223,17 @@ class DenseModelSpec:
         self._check_g_symmetry()
 
     def _check_g_symmetry(self):
-        rng = np.random.default_rng(987654321)
+        """ValueError unless g's canonical terms are unchanged by each adjacent
+        replica transposition; these generate every replica permutation."""
         pos = {pair: k for k, pair in enumerate(self.pair_list)}
-        for _ in range(4):
-            q = rng.uniform(-0.9, 0.9, size=len(self.pair_list))
-            perm = rng.permutation(self.n)
-            qp = np.empty_like(q)
-            for k, (a, b) in enumerate(self.pair_list):
-                a2, b2 = sorted((perm[a], perm[b]))
-                qp[pos[(a2, b2)]] = q[k]
-            v1, v2 = self.g.value(q), self.g.value(qp)
-            if abs(v1 - v2) > 1e-10 * (1.0 + abs(v1)):
+        terms = self.g.canonical_terms()
+        for t in range(self.n - 1):
+            swap = {t: t + 1, t + 1: t}
+            image = [pos[tuple(sorted((swap.get(a, a), swap.get(b, b))))]
+                     for a, b in self.pair_list]
+            moved = {tuple(sorted((image[k], e) for k, e in powers)): coef
+                     for powers, coef in terms.items()}
+            if moved != terms:
                 raise ValueError(
                     "overlap coupling is not invariant under replica permutations"
                 )
@@ -426,43 +349,25 @@ def solve_variational(spec: DenseModelSpec, *, restarts: int = 32,
 
 @dataclass
 class DenseFluctuationMatrices:
-    """Moment and curvature matrices of the type sum at a measure.
+    """Overlap-space moments and curvature of the type sum at a measure.
 
     Shapes: K = number of product symbols, P = n(n+1)/2 pairs.
-      pair_products     (K, P)  symbol -> vector of x^(a) x^(b)
-      contrast          (K, K-1) embedding of zero-sum coordinates against
-                                 the first symbol as reference cell
-      inv_measure_diag  (K, K)  diag(1/nu)
-      measure_diag      (K, K)  diag(nu)
-      measure_outer     (K, K)  nu nu^T
-      pair_second_moment(P, P)  <(x^a x^b)(x^c x^d)>_nu
-      pair_mean_outer   (P, P)  <x^a x^b> <x^c x^d>
-      hessian           (P, P)  second derivatives of g at q(nu)
+      weights          (K,)    nu
+      overlaps         (P,)    q(nu)
+      pair_products    (K, P)  symbol -> vector of x^(a) x^(b)
+      pair_covariance  (P, P)  U' - U, covariance of the pair products under nu
+      hessian          (P, P)  second derivatives of g at q(nu)
     """
 
+    weights: np.ndarray
     overlaps: np.ndarray
     pair_products: np.ndarray
-    contrast: np.ndarray
-    inv_measure_diag: np.ndarray
-    measure_diag: np.ndarray
-    measure_outer: np.ndarray
-    pair_second_moment: np.ndarray
-    pair_mean_outer: np.ndarray
+    pair_covariance: np.ndarray
     hessian: np.ndarray
-
-    @property
-    def indicator_covariance(self) -> np.ndarray:
-        """diag(nu) - nu nu^T, the covariance of the one-hot symbol vector."""
-        return self.measure_diag - self.measure_outer
-
-    @property
-    def pair_covariance(self) -> np.ndarray:
-        """Covariance of the pair-product vector under nu."""
-        return self.pair_second_moment - self.pair_mean_outer
 
 
 def assemble_matrices(spec: DenseModelSpec, nu_star) -> DenseFluctuationMatrices:
-    """Build all fluctuation matrices at a strictly interior measure."""
+    """Build the fluctuation matrices at a strictly interior measure."""
     w = np.asarray(
         nu_star.weights if isinstance(nu_star, ProbMeasure) else nu_star, dtype=float
     )
@@ -474,19 +379,11 @@ def assemble_matrices(spec: DenseModelSpec, nu_star) -> DenseFluctuationMatrices
         )
     J = spec.pair_products
     q = w @ J
-    K = spec.num_symbols
-    contrast = np.zeros((K, K - 1))
-    contrast[0, :] = -1.0
-    contrast[1:, :] = np.eye(K - 1)
     return DenseFluctuationMatrices(
+        weights=w,
         overlaps=q,
         pair_products=J,
-        contrast=contrast,
-        inv_measure_diag=np.diag(1.0 / w),
-        measure_diag=np.diag(w),
-        measure_outer=np.outer(w, w),
-        pair_second_moment=J.T @ (J * w[:, None]),
-        pair_mean_outer=np.outer(q, q),
+        pair_covariance=J.T @ (J * w[:, None]) - np.outer(q, q),
         hessian=spec.g.hessian(q),
     )
 

@@ -112,6 +112,8 @@ def rs_correction_n0(N: int, q: float, r: float, P: float, Q: float, R: float) -
     a non-positive one means the RS fluctuations are unstable and the
     correction is undefined.
     """
+    if N < 1:
+        raise ValidationFailure(f"need N >= 1, got N={N}")
     arg1 = 1.0 - (1.0 - 4.0 * q + 3.0 * r) * (P - 4.0 * Q + 3.0 * R)
     arg2 = 1.0 - (1.0 - 2.0 * q + r) * (P - 2.0 * Q + R)
     if arg1 <= 0.0 or arg2 <= 0.0:
@@ -146,6 +148,8 @@ class RSParams:
     R: float
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValidationFailure(f"need at least two replicas, got n={self.n}")
         if abs(self.q) > 1.0 or abs(self.r) > 1.0:
             raise ValidationFailure(
                 f"moments of +-1 variables need |q|,|r| <= 1, got q={self.q:g}, r={self.r:g}"

@@ -133,13 +133,14 @@ def test_package_import_is_lazy():
     script = (
         "import sys, central_approx as ca\n"
         "assert 'numpy' not in sys.modules\n"
-        "assert set(ca.__all__) <= set(dir(ca))\n"
         "from central_approx import make_ensemble, exact_expected_Z, fg_asymptotic_estimate\n"
         "from central_approx.types_core import Alphabet\n"
         "ens = make_ensemble(3, 6, Alphabet((0.0, 1.0)), 'parity')\n"
         "print(exact_expected_Z(ens, 60), fg_asymptotic_estimate(ens, 60))\n"
         "from central_approx import factor_graph\n"
         "assert ca.make_ensemble is factor_graph.make_ensemble\n"
+        "for name in ca.__all__:\n"
+        "    getattr(ca, name)\n"
         "try:\n"
         "    ca.no_such_name\n"
         "except AttributeError as exc:\n"
@@ -405,6 +406,21 @@ def test_rs_correction(capsys):
     )
     assert code == 0
     assert "correction =" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rs-det", "--n", "1"], "need at least two replicas, got n=1"),
+    (["rs-det", "--n", "0"], "need at least two replicas, got n=0"),
+    (["rs-correction", "--n", "1", "--N", "10"], "need at least two replicas, got n=1"),
+    (["rs-correction", "--n", "0", "--N", "10"], "need at least two replicas, got n=0"),
+    (["rs-correction", "--n", "4", "--N", "0"], "need N >= 1, got N=0"),
+    (["rs-correction", "--n", "4", "--N", "-5"], "need N >= 1, got N=-5"),
+])
+def test_bad_rs_input_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--q", "0", "--r", "0", "--P", "0.1",
+                             "--Q", "0", "--R", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_ldpc_codewords(capsys):

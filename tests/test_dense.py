@@ -1,6 +1,7 @@
 """Dense models: exact sums, variational layer, Gaussian constant factor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from central_approx.errors import (
 )
 from central_approx.types_core import Alphabet, MaximizerRecord, ProbMeasure
 from central_approx.dense import (
-    CallableOverlap,
     DenseModelSpec,
     PolyOverlap,
     asymptotic_estimate,
@@ -23,8 +23,6 @@ from central_approx.dense import (
     central_approx_constant,
     distinct_pair_positions,
     exact_type_sum,
-    fd_gradient,
-    fd_hessian,
     field_local,
     pair_indices,
     solve_variational,
@@ -35,6 +33,41 @@ from central_approx.dense import _variational_objective
 
 BINARY = Alphabet((0.0, 1.0))
 SPINS = Alphabet((1.0, -1.0))
+FD_REL_STEP = 1e-5
+
+
+def fd_gradient(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradient, step FD_REL_STEP * (1 + |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        h = FD_REL_STEP * (1.0 + abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
+    return g
+
+
+def fd_hessian(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Hessian, same step rule as fd_gradient."""
+    x = np.asarray(x, dtype=float)
+    p = x.size
+    h = FD_REL_STEP * (1.0 + np.abs(x))
+    hess = np.zeros((p, p))
+    f0 = fn(x)
+    for i in range(p):
+        xp = x.copy(); xp[i] += h[i]
+        xm = x.copy(); xm[i] -= h[i]
+        hess[i, i] = (fn(xp) - 2.0 * f0 + fn(xm)) / (h[i] * h[i])
+        for j in range(i + 1, p):
+            xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
+            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
+            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
+            xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
+            hess[i, j] = hess[j, i] = (fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (
+                4.0 * h[i] * h[j]
+            )
+    return hess
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +98,12 @@ def test_poly_overlap_value_and_batch():
     assert np.allclose(g.value_batch(Q), [g.value(q), g.value(2 * q)])
 
 
+@pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan])
+def test_poly_overlap_rejects_non_finite_coefficient(coef):
+    with pytest.raises(ValueError, match="not finite"):
+        PolyOverlap(1, [(coef, {0: 2})])
+
+
 def test_analytic_derivatives_match_finite_differences():
     # derivative self-check at 100 random points, 1e-6 relative
     rng = np.random.default_rng(5)
@@ -80,21 +119,29 @@ def test_analytic_derivatives_match_finite_differences():
         assert np.all(np.abs(ah - fh) <= 1e-6 * (1 + np.abs(ah)))
 
 
-def test_callable_overlap_uses_fd_fallback():
-    g = CallableOverlap(2, lambda q: float(0.25 * q[1] ** 2))
-    ref = PolyOverlap(2, [(0.25, {1: 2})])
-    q = np.array([0.3, -0.5, 0.8])
-    assert np.allclose(g.gradient(q), ref.gradient(q), atol=1e-7)
-    assert np.allclose(g.hessian(q), ref.hessian(q), atol=1e-5)
-    # the row-loop batch default against the vectorised polynomial batch
-    Q = np.array([q, -0.5 * q])
-    assert np.allclose(g.gradient_batch(Q), ref.gradient_batch(Q), atol=1e-7)
+SK3 = list(PolyOverlap.pairwise_square(3, 0.5).terms)  # (coef, powers), coef 0.125
 
 
-def test_g_symmetry_check_rejects_asymmetric_coupling():
+@pytest.mark.parametrize("n, terms", [
     # acts on q_11 only: not invariant under swapping the two replicas
+    pytest.param(2, [(1.0, {0: 2})], id="q11-only"),
+    # q_01^2 + q_23^2 is kept by a subgroup of order 8 of S_4 only
+    pytest.param(4, [(1.0, {1: 2}), (1.0, {8: 2})], id="two-disjoint-pairs"),
+    # one coefficient off by 1e-13 relative, within a 1e-10 sampling tolerance
+    pytest.param(3, [(SK3[0][0] * (1 + 1e-13), SK3[0][1])] + SK3[1:], id="sk-skewed-1e-13"),
+])
+def test_g_symmetry_check_rejects_asymmetric_coupling(n, terms):
     with pytest.raises(ValueError, match="invariant"):
-        DenseModelSpec(2, SPINS, zero_local(), PolyOverlap(2, [(1.0, {0: 2})]))
+        DenseModelSpec(n, SPINS, zero_local(), PolyOverlap(n, terms))
+
+
+@pytest.mark.parametrize("terms", [
+    pytest.param(SK3[::-1], id="reversed"),
+    pytest.param([(SK3[0][0] / 2, SK3[0][1])] * 2 + SK3[1:], id="split-term"),
+    pytest.param(SK3 + [(0.0, {0: 1})], id="zero-coefficient"),
+])
+def test_g_symmetry_check_accepts_equal_canonical_terms(terms):
+    DenseModelSpec(3, SPINS, zero_local(), PolyOverlap(3, terms))
 
 
 # ----------------------------------------------------------- exact routes
@@ -186,10 +233,10 @@ def test_variational_symmetric_pair_instance():
 def test_assemble_matrices_contracts(cw_spec, cw_solution):
     mats = assemble_matrices(cw_spec, cw_solution.nu_star)
     w = cw_solution.nu_star.weights
-    assert np.allclose(mats.measure_diag, np.diag(w))
-    assert np.allclose(mats.inv_measure_diag @ mats.measure_diag, np.eye(2), atol=1e-13)
+    assert np.array_equal(mats.weights, w)
+    assert np.allclose(mats.overlaps, w @ mats.pair_products)
     # pair-product contraction identity: J^T (S' - S) J = U' - U
-    lhs = mats.pair_products.T @ mats.indicator_covariance @ mats.pair_products
+    lhs = mats.pair_products.T @ (np.diag(w) - np.outer(w, w)) @ mats.pair_products
     assert np.allclose(lhs, mats.pair_covariance, atol=1e-13)
 
 
@@ -199,17 +246,15 @@ def test_assemble_matrices_rejects_boundary(cw_spec):
 
 
 def test_contrast_identity_random_measures():
-    # H (H^T B H)^{-1} H^T = S' - S for interior measures
+    # H (H^T diag(1/w) H)^{-1} H^T = diag(w) - w w^T for interior measures, H
+    # the zero-sum coordinates against the first symbol as reference cell
     rng = np.random.default_rng(42)
     for _ in range(20):
         K = int(rng.integers(2, 17))
         w = 0.5 * rng.dirichlet(np.ones(K)) + 0.5 / K
-        spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(-1, 1, K))), zero_local(),
-                              PolyOverlap.zero(1))
-        mats = assemble_matrices(spec, w)
-        Hc = mats.contrast
-        middle = np.linalg.inv(Hc.T @ mats.inv_measure_diag @ Hc)
-        assert np.max(np.abs(Hc @ middle @ Hc.T - mats.indicator_covariance)) <= 1e-10
+        Hc = np.vstack([-np.ones(K - 1), np.eye(K - 1)])
+        middle = np.linalg.inv(Hc.T @ np.diag(1.0 / w) @ Hc)
+        assert np.max(np.abs(Hc @ middle @ Hc.T - (np.diag(w) - np.outer(w, w)))) <= 1e-10
 
 
 # ---------------------------------------------------- constant and ratios
@@ -219,6 +264,21 @@ def test_central_constant_cw(cw_spec, cw_solution):
     rho = cw_solution.nu_star[1]
     assert res.det_value == pytest.approx(1 - rho * (1 - rho), rel=1e-12)
     assert res.log_constant == pytest.approx(-0.5 * math.log(1 - rho * (1 - rho)), rel=1e-12)
+
+
+def test_central_constant_allocates_no_symbol_square():
+    # K = 2000 symbols: one K x K float array alone would take 32 MB
+    K = 2000
+    spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(0.0, 1.0, K))), field_local(0.3),
+                          PolyOverlap.quadratic(1, 1.0))
+    solution = solve_variational(spec, restarts=0)
+    tracemalloc.start()
+    try:
+        central_approx_constant(spec, solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_ratio_convergence_cw(cw_spec, cw_solution):

@@ -11,8 +11,9 @@ from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
     central_approx_constant,
+    distinct_pair_positions,
+    field_local,
     solve_variational,
-    zero_local,
 )
 from central_approx.errors import InstabilityError, ValidationFailure
 from central_approx.replica_rs import (
@@ -112,15 +113,31 @@ def test_determinant_oracle_fuzz_n4(q, r, P, Q, R):
     assert rs_determinant(4, q, r, P, Q, R) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,expected", [(2, 0.75), (3, 0.421875)])
-def test_determinant_matches_dense_route(n, expected):
-    # SK at beta=0.5 is the paramagnetic RS point q=r=0 with curvature
-    # P=beta^2: the dense route's determinant is the three-factor product
-    spec = DenseModelSpec(n, Alphabet((1.0, -1.0)), zero_local(),
-                          PolyOverlap.pairwise_square(n, 0.5))
-    dense_det = central_approx_constant(spec, solve_variational(spec)).det_value
-    closed = rs_determinant(n, 0.0, 0.0, 0.25, 0.0, 0.0)
-    assert closed == pytest.approx(expected, rel=1e-12)
+# (n, beta, h, expected det): SK with a field h on the spins
+_DENSE_ROUTE_CASES = [
+    (2, 0.5, 0.0, 0.75),
+    (3, 0.5, 0.0, 0.421875),
+    (2, 0.5, 0.3, 0.753179891146),
+    (3, 0.5, 0.3, 0.426372482191),
+    (2, 0.4, 0.6, 0.858177745332),
+    (3, 0.4, 0.6, 0.635706366816),
+]
+
+
+@pytest.mark.parametrize("n,beta,h,expected", _DENSE_ROUTE_CASES,
+                         ids=[f"{c[0]}-{c[3]}" if c[2] == 0.0 else f"{c[0]}-{c[1]}-{c[2]}"
+                              for c in _DENSE_ROUTE_CASES])
+def test_determinant_matches_dense_route(n, beta, h, expected):
+    # SK is the RS point with curvature P=beta^2, Q=R=0; at h=0 it is
+    # paramagnetic (q=0), otherwise q is the mean distinct-pair overlap at
+    # nu*.  n <= 3 has no disjoint pairs, so r does not enter
+    spec = DenseModelSpec(n, Alphabet((1.0, -1.0)), field_local(h),
+                          PolyOverlap.pairwise_square(n, beta))
+    solution = solve_variational(spec)
+    q = float(np.mean(spec.overlaps(solution.nu_star.weights)[distinct_pair_positions(n)]))
+    dense_det = central_approx_constant(spec, solution).det_value
+    closed = rs_determinant(n, q, 0.0, beta * beta, 0.0, 0.0)
+    assert closed == pytest.approx(expected, rel=1e-11)
     assert dense_det == pytest.approx(closed, rel=1e-12)
 
 
