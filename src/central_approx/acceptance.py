@@ -83,6 +83,16 @@ def check_dense_constant_convergence() -> tuple[bool, str]:
     return ok, f"|ratio-1| at 100/400/1600: {gaps[100]:.2e} {gaps[400]:.2e} {gaps[1600]:.2e}"
 
 
+def contrast_identity_defect(w: np.ndarray) -> float:
+    """Max entry of |H (H^T diag(1/w) H)^{-1} H^T - (diag(w) - w w^T)| for an
+    interior measure w, H the zero-sum coordinates against the first symbol
+    as reference cell."""
+    K = w.size
+    H = np.vstack([-np.ones(K - 1), np.eye(K - 1)])
+    middle = np.linalg.inv(H.T @ np.diag(1.0 / w) @ H)
+    return float(np.max(np.abs(H @ middle @ H.T - (np.diag(w) - np.outer(w, w)))))
+
+
 def check_matrix_identities() -> tuple[bool, str]:
     """Contrast-basis and pair-contraction identities at random measures."""
     rng = np.random.default_rng(7)
@@ -93,11 +103,8 @@ def check_matrix_identities() -> tuple[bool, str]:
         spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(-1.0, 1.0, K))),
                               zero_local(), PolyOverlap.zero(1))
         mats = assemble_matrices(spec, w)
-        # zero-sum coordinates against the first symbol as reference cell
-        H = np.vstack([-np.ones(K - 1), np.eye(K - 1)])
+        worst_h = max(worst_h, contrast_identity_defect(w))
         S = np.diag(w) - np.outer(w, w)
-        middle = np.linalg.inv(H.T @ np.diag(1.0 / w) @ H)
-        worst_h = max(worst_h, np.max(np.abs(H @ middle @ H.T - S)))
         conj = mats.pair_products.T @ S @ mats.pair_products
         worst_j = max(worst_j, np.max(np.abs(conj - mats.pair_covariance)))
     return max(worst_h, worst_j) <= 1e-10, f"max defects {worst_h:.2e} / {worst_j:.2e}"

@@ -88,7 +88,7 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     coupling Hessian at the maximizing overlaps.
     """
     mats = assemble_matrices(spec, nu_star)
-    w = mats.weights
+    w = np.asarray(nu_star.weights if isinstance(nu_star, ProbMeasure) else nu_star, dtype=float)
     M = np.diag(w) - np.outer(w, w)
     B = mats.pair_products @ mats.hessian @ mats.pair_products.T
     cov = _resolvent_covariance(M, B)

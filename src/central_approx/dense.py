@@ -88,14 +88,6 @@ class PolyOverlap:
             cleaned.append((coef, tuple(sorted(pw.items()))))
         self.terms = tuple(cleaned)
 
-    def canonical_terms(self) -> dict:
-        """Monomial -> exact coefficient: equal monomials merged, zero
-        coefficients dropped.  Two polynomials are equal iff these are."""
-        merged = defaultdict(Fraction)
-        for coef, powers in self.terms:
-            merged[powers] += Fraction(coef)
-        return {powers: coef for powers, coef in merged.items() if coef != 0}
-
     @classmethod
     def zero(cls, n: int) -> "PolyOverlap":
         return cls(n, [])
@@ -223,10 +215,15 @@ class DenseModelSpec:
         self._check_g_symmetry()
 
     def _check_g_symmetry(self):
-        """ValueError unless g's canonical terms are unchanged by each adjacent
-        replica transposition; these generate every replica permutation."""
+        """ValueError unless g's canonical terms (monomial -> exact coefficient,
+        equal monomials merged, zero coefficients dropped) are unchanged by
+        each adjacent replica transposition; these generate every replica
+        permutation."""
         pos = {pair: k for k, pair in enumerate(self.pair_list)}
-        terms = self.g.canonical_terms()
+        merged = defaultdict(Fraction)
+        for coef, powers in self.g.terms:
+            merged[powers] += Fraction(coef)
+        terms = {powers: coef for powers, coef in merged.items() if coef != 0}
         for t in range(self.n - 1):
             swap = {t: t + 1, t + 1: t}
             image = [pos[tuple(sorted((swap.get(a, a), swap.get(b, b))))]
@@ -352,14 +349,12 @@ class DenseFluctuationMatrices:
     """Overlap-space moments and curvature of the type sum at a measure.
 
     Shapes: K = number of product symbols, P = n(n+1)/2 pairs.
-      weights          (K,)    nu
       overlaps         (P,)    q(nu)
       pair_products    (K, P)  symbol -> vector of x^(a) x^(b)
       pair_covariance  (P, P)  U' - U, covariance of the pair products under nu
       hessian          (P, P)  second derivatives of g at q(nu)
     """
 
-    weights: np.ndarray
     overlaps: np.ndarray
     pair_products: np.ndarray
     pair_covariance: np.ndarray
@@ -380,7 +375,6 @@ def assemble_matrices(spec: DenseModelSpec, nu_star) -> DenseFluctuationMatrices
     J = spec.pair_products
     q = w @ J
     return DenseFluctuationMatrices(
-        weights=w,
         overlaps=q,
         pair_products=J,
         pair_covariance=J.T @ (J * w[:, None]) - np.outer(q, q),

@@ -117,10 +117,10 @@ def test_determinant_oracle_fuzz_n4(q, r, P, Q, R):
 _DENSE_ROUTE_CASES = [
     (2, 0.5, 0.0, 0.75),
     (3, 0.5, 0.0, 0.421875),
-    (2, 0.5, 0.3, 0.753179891146),
-    (3, 0.5, 0.3, 0.426372482191),
-    (2, 0.4, 0.6, 0.858177745332),
-    (3, 0.4, 0.6, 0.635706366816),
+    (2, 0.5, 0.3, 0.7531798911458929),
+    (3, 0.5, 0.3, 0.4263724821908863),
+    (2, 0.4, 0.6, 0.8581777453316448),
+    (3, 0.4, 0.6, 0.6357063668162276),
 ]
 
 
@@ -137,7 +137,7 @@ def test_determinant_matches_dense_route(n, beta, h, expected):
     q = float(np.mean(spec.overlaps(solution.nu_star.weights)[distinct_pair_positions(n)]))
     dense_det = central_approx_constant(spec, solution).det_value
     closed = rs_determinant(n, q, 0.0, beta * beta, 0.0, 0.0)
-    assert closed == pytest.approx(expected, rel=1e-11)
+    assert closed == pytest.approx(expected, rel=1e-12)
     assert dense_det == pytest.approx(closed, rel=1e-12)
 
 
