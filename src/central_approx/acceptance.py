@@ -18,8 +18,8 @@ from .dense import (
     DenseModelSpec,
     PolyOverlap,
     asymptotic_estimate,
-    assemble_matrices,
     central_approx_constant,
+    dense_fluctuation,
     distinct_pair_positions,
     exact_type_sum,
     solve_variational,
@@ -102,11 +102,11 @@ def check_matrix_identities() -> tuple[bool, str]:
         w = 0.5 * rng.dirichlet(np.ones(K)) + 0.5 / K
         spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(-1.0, 1.0, K))),
                               zero_local(), PolyOverlap.zero(1))
-        mats = assemble_matrices(spec, w)
+        pair_covariance, _ = dense_fluctuation(spec, w)
         worst_h = max(worst_h, contrast_identity_defect(w))
         S = np.diag(w) - np.outer(w, w)
-        conj = mats.pair_products.T @ S @ mats.pair_products
-        worst_j = max(worst_j, np.max(np.abs(conj - mats.pair_covariance)))
+        conj = spec.pair_products.T @ S @ spec.pair_products
+        worst_j = max(worst_j, np.max(np.abs(conj - pair_covariance)))
     return max(worst_h, worst_j) <= 1e-10, f"max defects {worst_h:.2e} / {worst_j:.2e}"
 
 

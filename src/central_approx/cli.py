@@ -336,33 +336,28 @@ def cmd_ldpc(args) -> Report:
 def cmd_clt_cov(args) -> Report:
     cfg = _model_config(args.config, "dense", "factor-graph",
                         error="clt-cov needs a dense or factor-graph config")
+    dense = cfg["model"] == "dense"
+    kinds = ("type", "overlap") if dense else ("factor", "variable")
+    kind = args.kind or ("type" if dense else "variable")
+    if kind not in kinds:
+        raise ValidationFailure(
+            f"{cfg['model']} models have kinds: {', '.join(kinds)}; got {kind!r}")
     from .clt import dense_type_covariance, fg_type_covariances, overlap_covariance
 
     rep = Report("clt-cov")
-    if cfg["model"] == "dense":
+    if dense:
         from .dense import solve_variational
 
         spec = build_dense(cfg)
         sol = solve_variational(spec, seed=args.seed)
-        kind = args.kind or "type"
-        if kind == "type":
-            cov = dense_type_covariance(spec, sol.nu_star)
-        elif kind == "overlap":
-            cov = overlap_covariance(spec, sol.nu_star)
-        else:
-            raise ValidationFailure(f"dense models have kinds: type, overlap; got {kind!r}")
+        covariance = dense_type_covariance if kind == "type" else overlap_covariance
+        cov = covariance(spec, sol.nu_star)
     else:
         from .factor_graph import solve_bethe
 
         ens = build_ensemble(cfg)
         sol = solve_bethe(ens, seed=args.seed)
-        kind = args.kind or "variable"
-        covs = fg_type_covariances(ens, sol.mu_star, sol.nu_star)
-        if kind not in covs:
-            raise ValidationFailure(
-                f"factor-graph models have kinds: {', '.join(covs)}; got {kind!r}"
-            )
-        cov = covs[kind]
+        cov = fg_type_covariances(ens, sol.mu_star, sol.nu_star)[kind]
     rep.scalar("kind", kind)
     rep.scalar("dim", cov.dim)
     rep.scalar("rank", cov.rank)

@@ -5,9 +5,14 @@ Gaussian whose covariance has the resolvent form M (I - B M)^{-1}: M is the
 bare multinomial covariance of the maximizing measure and B the coupling
 curvature seen through the relevant contraction.  The same shape appears
 for dense overlaps and for the two factor-graph type layers; only M, B and
-the basis change.  Degenerate directions (normalization, hard constraints)
-are kept in the matrix rather than projected out, so bases stay aligned
-with their labels; rank diagnostics travel with the result.
+the basis change.  The overlap and variable-type pairs are the ones the
+Gaussian constants read, from ``dense.dense_fluctuation`` (U' - U, D2g) and
+``factor_graph.fg_fluctuation`` (V' - V, C).  The factor covariance
+diag(mu*) - mu* mu*^T is the one |X|^r x |X|^r matrix, and only
+fg_type_covariances builds it.  Degenerate directions (normalization,
+hard constraints) are kept in the matrix rather than projected out, so
+bases stay aligned with their labels; rank diagnostics travel with the
+result.
 """
 
 from __future__ import annotations
@@ -16,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (
-    DenseModelSpec,
-    assemble_matrices,
-    pair_indices,
-    type_log_weights,
-)
+from .dense import DenseModelSpec, dense_fluctuation, pair_indices, type_log_weights
 from .errors import ATInstabilityError, NumericalFailure, SingularMatrixError
-from .types_core import ProbMeasure, logsumexp, solve, type_array_blocks
+from .types_core import logsumexp, solve, type_array_blocks
 
 __all__ = [
     "CovarianceResult",
@@ -87,10 +87,11 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     diagonal and outer-product moment matrices of nu* and D2g is the
     coupling Hessian at the maximizing overlaps.
     """
-    mats = assemble_matrices(spec, nu_star)
-    w = np.asarray(nu_star.weights if isinstance(nu_star, ProbMeasure) else nu_star, dtype=float)
+    _, hessian = dense_fluctuation(spec, nu_star)
+    w = np.asarray(nu_star, dtype=float)
+    J = spec.pair_products
     M = np.diag(w) - np.outer(w, w)
-    B = mats.pair_products @ mats.hessian @ mats.pair_products.T
+    B = J @ hessian @ J.T
     cov = _resolvent_covariance(M, B)
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))
 
@@ -110,8 +111,7 @@ def overlap_covariance(spec: DenseModelSpec, nu_star, m: int | None = None) -> C
         )
     if m > spec.n:
         raise ValueError(f"m={m} exceeds the model's replica count n={spec.n}")
-    mats = assemble_matrices(spec, nu_star)
-    cov = _resolvent_covariance(mats.pair_covariance, mats.hessian)
+    cov = _resolvent_covariance(*dense_fluctuation(spec, nu_star))
     return CovarianceResult.from_matrix(cov, tuple(pair_indices(spec.n)))
 
 
@@ -154,14 +154,14 @@ def fg_type_covariances(ensemble, mu_star, nu_star) -> dict[str, CovarianceResul
     sqrt(N)-scaled covariance is diag(nu*) - nu* nu*^T, which is r/l
     times what the formula gives).
     """
-    from .factor_graph import assemble_fg_matrices
+    from .factor_graph import fg_fluctuation
 
-    mats = assemble_fg_matrices(ensemble, mu_star, nu_star)
-    factor = _resolvent_covariance(
-        mats.factor_covariance_bare, mats.letter_freq @ mats.curvature @ mats.letter_freq.T
-    )
-    variable = _resolvent_covariance(mats.variable_covariance_bare, mats.curvature)
+    variable_bare, curvature = fg_fluctuation(ensemble, mu_star, nu_star)
+    mu = np.asarray(mu_star, dtype=float)
+    Kf = ensemble.letter_counts / ensemble.r
+    factor = _resolvent_covariance(np.diag(mu) - np.outer(mu, mu), Kf @ curvature @ Kf.T)
+    variable = _resolvent_covariance(variable_bare, curvature)
     return {
-        "factor": CovarianceResult.from_matrix(factor, mats.word_labels),
-        "variable": CovarianceResult.from_matrix(variable, mats.letter_labels),
+        "factor": CovarianceResult.from_matrix(factor, ensemble.word_labels),
+        "variable": CovarianceResult.from_matrix(variable, ensemble.alphabet.values),
     }

@@ -35,7 +35,6 @@ from .errors import BoundaryMaximizerError, GuardError
 from .types_core import (
     Alphabet,
     MaximizerRecord,
-    ProbMeasure,
     dirichlet_starts,
     entropy,
     log_gaussian_sum,
@@ -296,9 +295,7 @@ def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
     """
     if not (0.5 < alpha < 2.0 / 3.0):
         raise ValueError("alpha must lie in (1/2, 2/3)")
-    center = N * np.asarray(
-        nu_star.weights if isinstance(nu_star, ProbMeasure) else nu_star, dtype=float
-    )
+    center = N * np.asarray(nu_star, dtype=float)
     if center.size != spec.num_symbols:
         raise ValueError("nu_star has the wrong number of cells")
     radius = float(N) ** alpha
@@ -337,35 +334,17 @@ def solve_variational(spec: DenseModelSpec, *, restarts: int = 32,
         dirichlet_starts(spec.num_symbols, restarts, seed),
         lambda W: _stationary_map(spec, W),
         lambda W: [_variational_objective(spec, w) for w in W],
-        labels=spec.symbols,
         stop_on_step=True,
     )
 
 
 # -------------------------------------------------- fluctuation matrices
 
-@dataclass
-class DenseFluctuationMatrices:
-    """Overlap-space moments and curvature of the type sum at a measure.
-
-    Shapes: K = number of product symbols, P = n(n+1)/2 pairs.
-      overlaps         (P,)    q(nu)
-      pair_products    (K, P)  symbol -> vector of x^(a) x^(b)
-      pair_covariance  (P, P)  U' - U, covariance of the pair products under nu
-      hessian          (P, P)  second derivatives of g at q(nu)
-    """
-
-    overlaps: np.ndarray
-    pair_products: np.ndarray
-    pair_covariance: np.ndarray
-    hessian: np.ndarray
-
-
-def assemble_matrices(spec: DenseModelSpec, nu_star) -> DenseFluctuationMatrices:
-    """Build the fluctuation matrices at a strictly interior measure."""
-    w = np.asarray(
-        nu_star.weights if isinstance(nu_star, ProbMeasure) else nu_star, dtype=float
-    )
+def dense_fluctuation(spec: DenseModelSpec, nu_star) -> tuple[np.ndarray, np.ndarray]:
+    """(U' - U, D2g) at a strictly interior measure: the covariance of the
+    pair products under nu* and the Hessian of g at q(nu*), both P x P for
+    P = n(n+1)/2 pairs."""
+    w = np.asarray(nu_star, dtype=float)
     if w.size != spec.num_symbols:
         raise ValueError("measure has the wrong number of cells")
     if float(w.min()) <= 0.0:
@@ -374,12 +353,7 @@ def assemble_matrices(spec: DenseModelSpec, nu_star) -> DenseFluctuationMatrices
         )
     J = spec.pair_products
     q = w @ J
-    return DenseFluctuationMatrices(
-        overlaps=q,
-        pair_products=J,
-        pair_covariance=J.T @ (J * w[:, None]) - np.outer(q, q),
-        hessian=spec.g.hessian(q),
-    )
+    return J.T @ (J * w[:, None]) - np.outer(q, q), spec.g.hessian(q)
 
 
 @dataclass
@@ -397,12 +371,8 @@ def central_approx_constant(spec: DenseModelSpec,
     """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}, summed over the
     co-maximizers (log_gaussian_sum, which also raises at a boundary
     maximizer or a non-positive determinant)."""
-
-    def fluctuation(i):
-        mats = assemble_matrices(spec, solution.co_maximizers[i])
-        return mats.pair_covariance, mats.hessian
-
-    log_constant, dets = log_gaussian_sum(solution, fluctuation)
+    log_constant, dets = log_gaussian_sum(
+        solution, lambda i: dense_fluctuation(spec, solution.co_maximizers[i]))
     return CentralApproxResult(solution.F, log_constant, dets[0])
 
 

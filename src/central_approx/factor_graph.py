@@ -6,11 +6,12 @@ that permutation: the expected number of assignments with a given
 variable-type v and factor-type u is a ratio of multinomials, so E[Z] is
 an exact finite sum, and its sum over u at each v is one coefficient of a
 polynomial power.  The growth rate is the Bethe maximum, and the
-constant factor combines the variable-type Gaussian with an integer step
-size s: the consistency constraints confine the factor-type lattice to a
-sublattice, and s is its index, computed from the congruence system via
-Smith normal form and cross-checked against the prime-field rank and
-binary gcd special cases.
+constant factor combines the variable-type Gaussian, which reads only the
+|X| x |X| pair of fg_fluctuation, with an integer step size s: the
+consistency constraints confine the factor-type lattice to a sublattice,
+and s is its index, computed from the congruence system via Smith normal
+form and cross-checked against the prime-field rank and binary gcd
+special cases.
 
 Factor functions are arrays over all words in X^r, order significant.
 Words are enumerated lexicographically by symbol index; the support is
@@ -61,8 +62,7 @@ __all__ = [
     "exact_expected_Z_exact",
     "BetheSolution",
     "solve_bethe",
-    "FGMatrices",
-    "assemble_fg_matrices",
+    "fg_fluctuation",
     "smith_normal_form_divisors",
     "lattice_step_s",
     "step_size_methods",
@@ -80,6 +80,7 @@ PERMUTATION_MERGE_BLOCKS = 64
 EXACT_COUNT_MAX_STUBS = 60
 TYPE_PAIR_GUARD = 10**7
 WORD_TABLE_GUARD = 1 << 20
+MARGINAL_TOL = 1e-8
 
 BUILTIN_FACTORS = ("parity", "all-equal", "uniform", "table:<path>")
 
@@ -136,10 +137,6 @@ class EnsembleSpec:
     def word_labels(self) -> tuple:
         vals = self.alphabet.values
         return tuple(tuple(vals[i] for i in w) for w in self.words)
-
-    @property
-    def letter_labels(self) -> tuple:
-        return tuple(self.alphabet.values)
 
     def is_admissible(self, N: int) -> bool:
         return N >= 1 and (N * self.l) % self.r == 0
@@ -569,63 +566,36 @@ def solve_bethe(ensemble: EnsembleSpec, *, external_field=None, restarts: int = 
     )
     nus = np.array([m.weights for m in record.co_maximizers])
     mus = _bethe_mu(ensemble, nus, fld)
-    return BetheSolution(**vars(record), word_measures=[
-        ProbMeasure(mu, labels=ensemble.word_labels) for mu in mus])
+    return BetheSolution(**vars(record), word_measures=[ProbMeasure(mu) for mu in mus])
 
 
 # --------------------------------------------------------------------------
 # fluctuation matrices and the constant factor
 
 
-@dataclass
-class FGMatrices:
-    """Fluctuation-matrix inputs at the Bethe maximizer, on labeled bases."""
-
-    curvature: np.ndarray          # C, diagonal, letters
-    letter_freq: np.ndarray        # K, words x letters, N_z(x)/r
-    word_second_moment: np.ndarray  # T', diag(mu*)
-    word_mean_outer: np.ndarray     # T, mu* mu*^T
-    variable_second: np.ndarray     # V' = K^T T' K
-    variable_outer: np.ndarray      # V, nu* nu*^T
-    word_labels: tuple
-    letter_labels: tuple
-
-    @property
-    def factor_covariance_bare(self) -> np.ndarray:
-        return self.word_second_moment - self.word_mean_outer
-
-    @property
-    def variable_covariance_bare(self) -> np.ndarray:
-        return self.variable_second - self.variable_outer
-
-
-def assemble_fg_matrices(ensemble: EnsembleSpec, mu_star, nu_star,
-                         *, consistency_tol: float = 1e-8) -> FGMatrices:
-    mu = mu_star.weights if isinstance(mu_star, ProbMeasure) else np.asarray(mu_star, float)
-    nu = nu_star.weights if isinstance(nu_star, ProbMeasure) else np.asarray(nu_star, float)
+def fg_fluctuation(ensemble: EnsembleSpec, mu_star, nu_star) -> tuple[np.ndarray, np.ndarray]:
+    """(V' - V, C) at a marginal-consistent pair (mu*, nu*): the bare
+    variable-type covariance K^T diag(mu*) K - nu* nu*^T, with K the
+    per-word letter frequencies N_z(x)/r, and the diagonal variable-entropy
+    curvature r(l-1)/(l nu*), both |X| x |X|; nothing |X|^r x |X|^r is built.
+    BoundaryMaximizerError at a boundary nu*, ValidationFailure when the
+    marginal of mu* is more than MARGINAL_TOL from nu*."""
+    mu = np.asarray(mu_star, dtype=float)
+    nu = np.asarray(nu_star, dtype=float)
     if nu.min() <= 0.0:
         raise BoundaryMaximizerError(
             f"letter marginal touches zero (min {nu.min():.2e}); "
             "the constant factor needs an interior maximizer"
         )
     marg = _bethe_marginal(ensemble, mu)
-    if np.max(np.abs(marg - nu)) > consistency_tol:
+    if np.max(np.abs(marg - nu)) > MARGINAL_TOL:
         raise ValidationFailure(
             "mu and nu are not marginal-consistent "
             f"(max gap {np.max(np.abs(marg - nu)):.2e})"
         )
     Kf = ensemble.letter_counts / ensemble.r
-    Tp = np.diag(mu)
-    return FGMatrices(
-        curvature=np.diag(ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)),
-        letter_freq=Kf,
-        word_second_moment=Tp,
-        word_mean_outer=np.outer(mu, mu),
-        variable_second=Kf.T @ (mu[:, None] * Kf),
-        variable_outer=np.outer(nu, nu),
-        word_labels=ensemble.word_labels,
-        letter_labels=ensemble.letter_labels,
-    )
+    return (Kf.T @ (mu[:, None] * Kf) - np.outer(nu, nu),
+            np.diag(ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)))
 
 
 # --------------------------------------------------------------------------
@@ -814,13 +784,8 @@ def lattice_step_s(ensemble: EnsembleSpec, *, ref_word: int | None = None,
 def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> float:
     """log of the N-free constant: l^((K-1)/2) / s * the sum over the
     co-maximizers of det(I - C(V'-V))^(-1/2) (log_gaussian_sum)."""
-
-    def fluctuation(i):
-        mats = assemble_fg_matrices(ensemble, solution.word_measures[i],
-                                    solution.co_maximizers[i])
-        return mats.variable_covariance_bare, mats.curvature
-
-    log_sum, _ = log_gaussian_sum(solution, fluctuation)
+    log_sum, _ = log_gaussian_sum(solution, lambda i: fg_fluctuation(
+        ensemble, solution.word_measures[i], solution.co_maximizers[i]))
     K = len(ensemble.alphabet)
     return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(lattice_step_s(ensemble)) + log_sum
 

@@ -88,13 +88,13 @@ class Alphabet:
 class ProbMeasure:
     """Nonnegative weights over an indexed finite cell set, summing to one.
 
-    ``labels`` is optional bookkeeping (symbols, words, pair names); the
-    numerics only ever touch ``weights``.
+    ``np.asarray`` of a measure is its read-only weight array, and
+    ``np.array`` a writable copy.
     """
 
-    __slots__ = ("_weights", "labels")
+    __slots__ = ("_weights",)
 
-    def __init__(self, weights, labels=None):
+    def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
@@ -105,11 +105,11 @@ class ProbMeasure:
         s = float(w.sum())
         if abs(s - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"weights sum to {s!r}, not 1 within {PROB_SUM_TOL}")
-        if labels is not None and len(labels) != w.size:
-            raise ValueError("labels length does not match weights")
         self._weights = w.copy()
         self._weights.setflags(write=False)
-        self.labels = tuple(labels) if labels is not None else None
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._weights, dtype=dtype, copy=copy)
 
     @property
     def weights(self) -> np.ndarray:
@@ -259,7 +259,7 @@ def logsumexp(a) -> float:
 
 def entropy(measure) -> float:
     """Shannon entropy in nats, with the 0 * log 0 = 0 convention."""
-    w = measure.weights if isinstance(measure, ProbMeasure) else np.asarray(measure, dtype=float)
+    w = np.asarray(measure, dtype=float)
     pos = w[w > 0]
     return float(-(pos * np.log(pos)).sum())
 
@@ -277,7 +277,7 @@ def local_approx_log_multinomial(nu, v, N) -> float:
     coefficient 1/2 is validated against the exact binomial in the tests
     (both the central value and the e^{-2 d^2/N} Gaussian width).
     """
-    w = nu.weights if isinstance(nu, ProbMeasure) else np.asarray(nu, dtype=float)
+    w = np.asarray(nu, dtype=float)
     vv = np.asarray(v, dtype=float)
     if w.shape != vv.shape:
         raise ValueError("nu and v must have the same number of cells")
@@ -627,7 +627,7 @@ class MaximizerRecord:
         return len(self.co_maximizers) == 1
 
 
-def solve_multistart(starts: np.ndarray, fmap, objectives, *, labels=None,
+def solve_multistart(starts: np.ndarray, fmap, objectives, *,
                      stop_on_step: bool = False) -> MaximizerRecord:
     """Iterate x <- (1 - DAMPING) x + DAMPING fmap(x) from every start and keep
     the co-maximizers; ``objectives(X)`` gives one value per converged row.
@@ -658,7 +658,7 @@ def solve_multistart(starts: np.ndarray, fmap, objectives, *, labels=None,
     kept, boundary = select_maximizers(X, obj)
     best = kept[0]
     return MaximizerRecord(
-        co_maximizers=[ProbMeasure(X[i], labels=labels) for i in kept],
+        co_maximizers=[ProbMeasure(X[i]) for i in kept],
         F=float(obj[best]),
         residual=float(np.abs(fmap(X[best:best + 1]) - X[best]).max()),
         boundary=boundary,

@@ -104,6 +104,10 @@ _FG = {"factor_graph", "types_core", "numpy"}
     pytest.param(["dense-exact", "--config", str(_CONFIGS / "parity36.json"), "--N", "10"],
                  2, set(), id="model-mismatch"),
     pytest.param(["fg-compare", "--N", "10"], 2, set(), id="missing-flags"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json"), "--kind", "variable"], 2,
+                 set(), id="clt-cov-bad-kind-dense"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "typo"], 2,
+                 set(), id="clt-cov-bad-kind-fg"),
     pytest.param(["rs-det", "--n", "4"], 2, set(), id="missing-rs-flags"),
     pytest.param(["rs-det", "--n", "4", "--q", "0", "--r", "0", "--P", "nan", "--Q", "0",
                   "--R", "0"], 2, {"replica_rs"}, id="non-finite-rs"),

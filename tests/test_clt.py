@@ -13,7 +13,7 @@ from central_approx.clt import (
 from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
-    assemble_matrices,
+    dense_fluctuation,
     distinct_pair_positions,
     field_local,
     solve_variational,
@@ -62,8 +62,8 @@ def test_overlap_covariance_zero_coupling_is_bare():
     spec = DenseModelSpec(2, SPINS, field_local(0.2), PolyOverlap.zero(2))
     sol = solve_variational(spec)
     cov = overlap_covariance(spec, sol.nu_star)
-    mats = assemble_matrices(spec, sol.nu_star)
-    assert np.max(np.abs(cov.matrix - mats.pair_covariance)) <= 1e-13
+    pair_covariance, _ = dense_fluctuation(spec, sol.nu_star)
+    assert np.max(np.abs(cov.matrix - pair_covariance)) <= 1e-13
 
 
 def test_overlap_covariance_replica_count_handling():
@@ -79,10 +79,9 @@ def test_overlap_equals_conjugated_type_covariance():
     # covariance is the pair-product conjugation of the type covariance
     spec = DenseModelSpec(2, SPINS, field_local(0.3), PolyOverlap.quadratic(2, 0.4))
     sol = solve_variational(spec)
-    mats = assemble_matrices(spec, sol.nu_star)
     tc = dense_type_covariance(spec, sol.nu_star)
     oc = overlap_covariance(spec, sol.nu_star)
-    conj = mats.pair_products.T @ tc.matrix @ mats.pair_products
+    conj = spec.pair_products.T @ tc.matrix @ spec.pair_products
     assert np.max(np.abs(conj - oc.matrix)) <= 1e-9
 
 
@@ -94,6 +93,7 @@ def test_type_covariance_zero_coupling():
     w = sol.nu_star.weights
     cov = dense_type_covariance(spec, sol.nu_star)
     assert np.max(np.abs(cov.matrix - (np.diag(w) - np.outer(w, w)))) <= 1e-13
+    assert np.array_equal(dense_type_covariance(spec, w).matrix, cov.matrix)
 
 
 def test_type_covariance_rows_sum_to_zero():

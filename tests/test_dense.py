@@ -19,9 +19,9 @@ from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
     asymptotic_estimate,
-    assemble_matrices,
     brute_force_expectation,
     central_approx_constant,
+    dense_fluctuation,
     distinct_pair_positions,
     exact_type_sum,
     field_local,
@@ -232,17 +232,23 @@ def test_variational_symmetric_pair_instance():
 # ------------------------------------------------- fluctuation matrices
 
 def test_assemble_matrices_contracts(cw_spec, cw_solution):
-    mats = assemble_matrices(cw_spec, cw_solution.nu_star)
+    pair_covariance, hessian = dense_fluctuation(cw_spec, cw_solution.nu_star)
     w = cw_solution.nu_star.weights
-    assert np.allclose(mats.overlaps, w @ mats.pair_products)
+    J = cw_spec.pair_products
+    # a symmetric pair, the Hessian taken at the overlaps of nu*, and the
+    # same pair from the bare weight array
+    assert np.allclose(pair_covariance, pair_covariance.T, rtol=0, atol=1e-15)
+    assert np.array_equal(hessian, cw_spec.g.hessian(w @ J))
+    for got, want in zip(dense_fluctuation(cw_spec, w), (pair_covariance, hessian)):
+        assert np.array_equal(got, want)
     # pair-product contraction identity: J^T (S' - S) J = U' - U
-    lhs = mats.pair_products.T @ (np.diag(w) - np.outer(w, w)) @ mats.pair_products
-    assert np.allclose(lhs, mats.pair_covariance, atol=1e-13)
+    lhs = J.T @ (np.diag(w) - np.outer(w, w)) @ J
+    assert np.allclose(lhs, pair_covariance, atol=1e-13)
 
 
 def test_assemble_matrices_rejects_boundary(cw_spec):
     with pytest.raises(BoundaryMaximizerError):
-        assemble_matrices(cw_spec, np.array([1.0, 0.0]))
+        dense_fluctuation(cw_spec, np.array([1.0, 0.0]))
 
 
 def test_contrast_identity_random_measures():
@@ -348,6 +354,7 @@ def test_windowed_type_sum_covers_simplex_at_tiny_N(cw_spec, cw_solution):
     full = exact_type_sum(cw_spec, 1)
     win = windowed_type_sum(cw_spec, 1, 0.6, cw_solution.nu_star)
     assert win == pytest.approx(full, rel=1e-14)
+    assert windowed_type_sum(cw_spec, 1, 0.6, cw_solution.nu_star.weights) == win
 
 
 def test_windowed_alpha_range(cw_spec, cw_solution):

@@ -8,6 +8,7 @@ Bethe maximum.  Asymptotic claims are checked by ratios at growing N.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,13 +29,13 @@ from central_approx.errors import (
 from central_approx.factor_graph import (
     BetheSolution,
     brute_force_permutation_oracle,
-    assemble_fg_matrices,
     exact_expected_Z,
     exact_expected_Z_exact,
     expected_codewords_at_weight,
     expected_type_count_exact,
     fg_asymptotic_estimate,
     fg_constant_log,
+    fg_fluctuation,
     lattice_step_s,
     ldpc_expected_codewords,
     log_expected_type_count,
@@ -417,15 +418,20 @@ def test_bethe_maps_round_each_row_on_its_own():
 def test_assembled_matrices_shapes_and_identities():
     ens = make_ensemble(2, 3, BINARY, "uniform")
     sol = solve_bethe(ens)
-    mats = assemble_fg_matrices(ens, sol.mu_star, sol.nu_star)
-    assert np.allclose(mats.letter_freq.sum(axis=1), 1.0)
-    assert np.allclose(mats.variable_second, mats.variable_second.T)
-    assert np.linalg.matrix_rank(mats.variable_outer) == 1
+    variable_bare, curvature = fg_fluctuation(ens, sol.mu_star, sol.nu_star)
+    nu = sol.nu_star.weights
+    assert variable_bare.shape == curvature.shape == (2, 2)
+    assert np.allclose(variable_bare, variable_bare.T, rtol=0, atol=1e-15)
+    # letter frequencies sum to one per word, so the rows of V' - V sum to the
+    # marginal gap of (mu*, nu*), zero up to the solver residual
+    assert np.allclose(variable_bare.sum(axis=1), 0.0, rtol=0, atol=1e-10)
+    assert np.array_equal(curvature, np.diag(ens.r * (ens.l - 1) / (ens.l * nu)))
+    for got, want in zip(fg_fluctuation(ens, sol.mu_star.weights, nu), (variable_bare, curvature)):
+        assert np.array_equal(got, want)
     # product-measure maximizer: V' - V collapses to the multinomial
     # covariance of one word, scaled by 1/r
-    nu = sol.nu_star.weights
     expect = (np.diag(nu) - np.outer(nu, nu)) / ens.r
-    assert np.abs(mats.variable_covariance_bare - expect).max() < 1e-10
+    assert np.abs(variable_bare - expect).max() < 1e-10
 
 
 def test_assemble_rejects_inconsistent_pair():
@@ -433,14 +439,14 @@ def test_assemble_rejects_inconsistent_pair():
     sol = solve_bethe(ens)
     skew = np.array([0.7, 0.3])
     with pytest.raises(ValidationFailure):
-        assemble_fg_matrices(ens, sol.mu_star, skew)
+        fg_fluctuation(ens, sol.mu_star, skew)
 
 
 def test_assemble_rejects_boundary_marginal():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     mu = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(BoundaryMaximizerError):
-        assemble_fg_matrices(ens, mu, np.array([1.0, 0.0]))
+        fg_fluctuation(ens, mu, np.array([1.0, 0.0]))
 
 
 # ------------------------------------------------------- lattice step s
@@ -540,6 +546,20 @@ def test_parity_constant_against_exact_counts(l, r, constant, Ns, ratios):
         assert ratio == pytest.approx(expected, rel=1e-5)
         seen.append(ratio)
     assert seen[0] > seen[1] > seen[2] > 1.0
+
+
+def test_fg_constant_allocates_no_word_square():
+    # (2,12) parity: one 4096 x 4096 float array over the words would take 128 MB
+    ens = make_ensemble(2, 12, BINARY, "parity")
+    solution = solve_bethe(ens)
+    tracemalloc.start()
+    try:
+        value = fg_constant_log(ens, solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert value == 0.693147180559942
 
 
 def test_constant_invariant_under_relabeling():

@@ -76,6 +76,24 @@ def test_prob_measure_weights_read_only():
         m.weights[0] = 0.9
 
 
+def test_prob_measure_as_array():
+    m = ProbMeasure([0.25, 0.75])
+    assert np.asarray(m) is m.weights
+    assert np.asarray(m, dtype=float) is m.weights
+    copy = np.array(m)
+    assert copy.flags.writeable and np.array_equal(copy, m.weights)
+    copy[0] = 1.0
+    assert m[0] == 0.25
+    assert np.asarray(m, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.array(m, dtype=np.float32, copy=False)
+    # a measure and its weight array give equal results
+    assert entropy(m) == entropy(m.weights) == entropy([0.25, 0.75])
+    v = np.array([0.5, -0.5])
+    assert (local_approx_log_multinomial(m, v, 100)
+            == local_approx_log_multinomial(m.weights, v, 100))
+
+
 def test_type_vector_total_check():
     t = TypeVector([2, 3], total=5)
     assert t.total == 5
