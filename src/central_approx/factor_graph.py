@@ -25,6 +25,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -512,11 +513,12 @@ class BetheSolution(MaximizerRecord):
         return self.word_measures[0]
 
 
-def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray, fld: np.ndarray) -> np.ndarray:
-    """Maximizing word measure for a fixed letter marginal (one per row of nu);
-    summed letter by letter, not by a matrix product, so that a row rounds the
-    same whatever else shares its batch."""
-    loggain = (ensemble.l - 1) / ensemble.l * np.log(np.clip(nu, 1e-300, None)) + fld / ensemble.l
+def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray) -> np.ndarray:
+    """Maximizing word measure for a fixed letter marginal (one per row of nu),
+    mu(x) ∝ f(x) prod_z nu(z)^((l-1) N_z(x)/l); summed letter by letter, not
+    by a matrix product, so that a row rounds the same whatever else shares
+    its batch."""
+    loggain = (ensemble.l - 1) / ensemble.l * np.log(np.clip(nu, 1e-300, None))
     with np.errstate(divide="ignore"):
         logf = np.log(ensemble.f_values)
     expo = logf + sum(loggain[..., z, None] * counts
@@ -531,41 +533,35 @@ def _bethe_marginal(ensemble: EnsembleSpec, mu: np.ndarray) -> np.ndarray:
                     axis=-1) / ensemble.r
 
 
-def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray,
-                     fld: np.ndarray) -> float:
+def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray) -> float:
     lr = ensemble.l / ensemble.r
     on = mu > 0
     flog = float(mu[on] @ np.log(ensemble.f_values[on]))
-    return float(lr * (entropy(mu) + flog) - (ensemble.l - 1) * entropy(nu) + fld @ nu)
+    return float(lr * (entropy(mu) + flog) - (ensemble.l - 1) * entropy(nu))
 
 
-def solve_bethe(ensemble: EnsembleSpec, *, external_field=None, restarts: int = 32,
-                seed: int = 0) -> BetheSolution:
+def solve_bethe(ensemble: EnsembleSpec, *, restarts: int = 32, seed: int = 0) -> BetheSolution:
     """Damped fixed-point iteration for the Bethe maximum, multi-started.
 
     Iterates nu <- marginal(mu(nu)) where mu(nu) is the entropy-maximizing
     word measure with letter gain nu^((l-1)/l); stationary points of the
     iteration are exactly the stationary points of the constrained
-    maximization.  An optional external field (one value per letter) adds
-    sum_z field(z) nu(z) to the objective, which tilts mu by field/l per
-    letter occurrence.
+    maximization.  A field theta on letter z is the factor table tilted to
+    f(x) e^(theta N_z(x)/l).
     """
     K = len(ensemble.alphabet)
-    fld = np.zeros(K) if external_field is None else np.asarray(external_field, float)
-    if fld.shape != (K,) or not np.all(np.isfinite(fld)):
-        raise ValidationFailure("external field needs one finite value per letter")
 
     def objectives(nus):
-        return [_bethe_objective(ensemble, nu, mu, fld)
-                for nu, mu in zip(nus, _bethe_mu(ensemble, nus, fld))]
+        return [_bethe_objective(ensemble, nu, mu)
+                for nu, mu in zip(nus, _bethe_mu(ensemble, nus))]
 
     record = solve_multistart(
         dirichlet_starts(K, restarts, seed),
-        lambda nus: _bethe_marginal(ensemble, _bethe_mu(ensemble, nus, fld)),
+        lambda nus: _bethe_marginal(ensemble, _bethe_mu(ensemble, nus)),
         objectives,
     )
     nus = np.array([m.weights for m in record.co_maximizers])
-    mus = _bethe_mu(ensemble, nus, fld)
+    mus = _bethe_mu(ensemble, nus)
     return BetheSolution(**vars(record), word_measures=[ProbMeasure(mu) for mu in mus])
 
 
@@ -582,7 +578,9 @@ def fg_fluctuation(ensemble: EnsembleSpec, mu_star, nu_star) -> tuple[np.ndarray
     marginal of mu* is more than MARGINAL_TOL from nu*."""
     mu = np.asarray(mu_star, dtype=float)
     nu = np.asarray(nu_star, dtype=float)
-    if nu.min() <= 0.0:
+    with np.errstate(divide="ignore", over="ignore"):
+        curvature = ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)
+    if not (nu.min() > 0.0 and np.isfinite(curvature).all()):  # a subnormal nu overflows it
         raise BoundaryMaximizerError(
             f"letter marginal touches zero (min {nu.min():.2e}); "
             "the constant factor needs an interior maximizer"
@@ -594,8 +592,7 @@ def fg_fluctuation(ensemble: EnsembleSpec, mu_star, nu_star) -> tuple[np.ndarray
             f"(max gap {np.max(np.abs(marg - nu)):.2e})"
         )
     Kf = ensemble.letter_counts / ensemble.r
-    return (Kf.T @ (mu[:, None] * Kf) - np.outer(nu, nu),
-            np.diag(ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)))
+    return Kf.T @ (mu[:, None] * Kf) - np.outer(nu, nu), np.diag(curvature)
 
 
 # --------------------------------------------------------------------------
@@ -821,49 +818,37 @@ def expected_codewords_at_weight(l: int, r: int, N: int, w: int, *, guard: int =
     return _type_sum(ens, N, True, guard, allow_large, only=(N - w, w))
 
 
-def _tilted_solution(ensemble: EnsembleSpec, omega: float) -> tuple:
-    """Field theta with marginal nu_theta(1) = omega: a bracket grown from
-    [-1, 1], narrowed by regula falsi with the Illinois step (halve the
-    kept end's value when the same end is kept twice)."""
+def _weight_tilt(ensemble: EnsembleSpec, omega: float) -> tuple[float, np.ndarray]:
+    """(lam, mu): the maximizer of H(mu) + <log f>_mu over word measures on a
+    binary alphabet with letter marginal (1 - omega, omega) is
+    mu(x) ∝ f(x) e^(lam N_1(x)).  Its mean N_1/r rises with lam, so one
+    bisection over the support finds lam to machine precision; omega must
+    lie strictly inside the range of N_1/r there."""
+    on = ensemble.support
+    logf, ones = np.log(ensemble.f_values[on]), ensemble.letter_counts[on, 1]
 
-    def marginal_one(theta: float) -> float:
-        sol = solve_bethe(ensemble, external_field=np.array([0.0, theta]), restarts=4)
-        return sol.nu_star[1], sol
+    def measure(lam: float) -> np.ndarray:
+        expo = logf + lam * ones
+        e = np.exp(expo - expo.max())
+        return e / e.sum()
+
+    def mean(lam: float) -> float:
+        return float(measure(lam) @ ones) / ensemble.r
 
     lo, hi = -1.0, 1.0
-    flo, fhi = marginal_one(lo)[0], marginal_one(hi)[0]
-    for _ in range(80):
-        if flo > omega:
-            lo *= 2.0
-            flo = marginal_one(lo)[0]
-        elif fhi < omega:
-            hi *= 2.0
-            fhi = marginal_one(hi)[0]
+    while mean(lo) > omega:
+        lo *= 2.0
+    while mean(hi) < omega:
+        hi *= 2.0
+    while hi - lo > 4.0 * math.ulp(max(1.0, -lo, hi)):
+        mid = 0.5 * (lo + hi)
+        if mean(mid) < omega:
+            lo = mid
         else:
-            break
-    if not flo <= omega <= fhi:
-        raise NonConvergenceError(
-            f"could not bracket the weight fraction {omega:g}", residual=None
-        )
-    glo, ghi = flo - omega, fhi - omega
-    moved = 0  # -1 after moving lo, +1 after moving hi
-    for _ in range(200):
-        mid = hi - ghi * (hi - lo) / (ghi - glo) if ghi > glo else lo
-        if not lo < mid < hi:  # no secant, or it landed on an end: bisect
-            mid = 0.5 * (lo + hi)
-        fm, sol = marginal_one(mid)
-        gm = fm - omega
-        if abs(gm) <= 1e-13 or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            break
-        if gm < 0:
-            if moved < 0:
-                ghi *= 0.5
-            lo, glo, moved = mid, gm, -1
-        else:
-            if moved > 0:
-                glo *= 0.5
-            hi, ghi, moved = mid, gm, 1
-    return mid, sol
+            hi = mid
+    mu = np.zeros(len(ensemble.f_values))
+    mu[on] = measure(hi)
+    return hi, mu
 
 
 def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) -> LdpcResult:
@@ -871,12 +856,14 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
 
     With omega = None, counts all codewords: growth rate F from the Bethe
     maximum and the constant from the fluctuation determinant and step
-    size.  With a weight fraction omega, tilts the ensemble by a field
-    theta chosen so the letter marginal hits omega, and reports the
-    Legendre-corrected growth rate A(theta) - theta*omega.  The constant
-    reported for fixed omega is the tilted ensemble's total-count
-    constant; the additional weight-localization normalization of a local
-    limit argument is not included.
+    size.  A weight fraction omega fixes the letter marginal
+    nu = (1 - omega, omega), so no Bethe iteration runs: the growth rate is
+    the Bethe objective at (mu, nu) with mu from _weight_tilt, and
+    theta = l lam - (l-1) log(omega/(1-omega)) is the field on letter 1
+    that makes nu stationary.  The constant is the theta-tilted ensemble's
+    total-count constant at (mu, nu), ATInstabilityError where its
+    determinant is not positive (omega <= 0.15 on (3,6)); the
+    weight-localization normalization of a local limit is not included.
 
     omega = 0 is handled exactly: the all-zeros word is always the unique
     weight-0 codeword.  Weights outside the support range have expected
@@ -903,7 +890,11 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
             f"weight fraction {omega:g} sits on the support boundary; "
             "use expected_codewords_at_weight for exact counts there"
         )
-    theta, sol = _tilted_solution(ens, omega)
-    growth = sol.F - theta * omega
-    const = fg_constant_log(ens, sol)
+    lam, mu = _weight_tilt(ens, omega)
+    nu = np.array([1.0 - omega, omega])
+    growth = _bethe_objective(ens, nu, mu)
+    theta = l * lam - (l - 1) * math.log(omega / (1.0 - omega))
+    # the one pair, interior since 0 < omega < 1: all that fg_constant_log reads
+    const = fg_constant_log(ens, SimpleNamespace(
+        co_maximizers=[nu], word_measures=[mu], boundary=False))
     return LdpcResult(N, omega, N * growth + const, growth, const, theta)

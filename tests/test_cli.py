@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,16 @@ _FG = {"factor_graph", "types_core", "numpy"}
     pytest.param(["sk", "--beta", "0.5", "--N", "ten"], 2, {"replica_rs"}, id="bad-N-list"),
     pytest.param(["ldpc-codewords", "--l", "3", "--r", "6", "--N", "0"], 2, set(),
                  id="ldpc-bad-N"),
+    pytest.param(["dense-asymptotic", "--config", str(_CONFIGS / "cw.json"), "--N", "10",
+                  "--seed", "-1"], 2, set(), id="negative-seed-dense-asymptotic"),
+    pytest.param(["dense-compare", "--config", str(_CONFIGS / "cw.json"), "--N", "10",
+                  "--seed", "-1"], 2, set(), id="negative-seed-dense-compare"),
+    pytest.param(["fg-asymptotic", "--config", str(_CONFIGS / "parity36.json"), "--N", "12",
+                  "--seed", "-1"], 2, set(), id="negative-seed-fg-asymptotic"),
+    pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12",
+                  "--seed", "-1"], 2, set(), id="negative-seed-fg-compare"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json"), "--seed", "-1"], 2, set(),
+                 id="negative-seed-clt-cov"),
     pytest.param(["sk", "--beta"], 2, set(), id="argparse-error"),
 ])
 def test_command_loads_only_its_modules(argv, code, loaded):
@@ -189,6 +200,16 @@ def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
      ": f.h: -inf is not a finite number"),
     ("parity36.json", {"factor": {"values": [1, 10**400, 1, 1]}}, ["fg-exact", "--N", "2"],
      ": factor.values[1]: integer out of float range"),
+    # numpy's seeding would reject a negative seed only after the model is built
+    ("cw.json", {}, ["dense-asymptotic", "--N", "10", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    ("cw.json", {}, ["dense-compare", "--N", "10", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    ("parity36.json", {}, ["fg-asymptotic", "--N", "12", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    ("parity36.json", {}, ["fg-compare", "--N", "12", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    ("cw.json", {}, ["clt-cov", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ])
 def test_bad_config_exits_2(capsys, tmp_path, base, change, argv, message):
     bad = tmp_path / "bad.json"
@@ -436,7 +457,7 @@ def test_ldpc_codewords(capsys):
     doc = json.loads(out)
     row = doc["rows"][0]
     growth = row[doc["columns"].index("growth_rate")]
-    assert growth == pytest.approx(0.26621528497429187, rel=1e-10)
+    assert growth == pytest.approx(0.26621528497226573, rel=1e-10)
 
 
 def test_ldpc_omega_rows_solve_the_tilt_once(capsys, monkeypatch):
@@ -454,10 +475,27 @@ def test_ldpc_omega_rows_solve_the_tilt_once(capsys, monkeypatch):
     rows = [line for line in out.splitlines() if not line.startswith("#")]
     assert rows == [
         "N,log_expected_count,growth_rate,log_constant,theta",
-        "60,16.0846075242,0.266215284974,0.111690425777,-0.791633073266",
-        "120,32.0575246227,0.266215284974,0.111690425777,-0.791633073266",
+        "60,16.0846075241,0.266215284972,0.111690425777,-0.791633073277",
+        "120,32.0575246224,0.266215284972,0.111690425777,-0.791633073277",
     ]
-    assert len(calls) <= 15
+    assert calls == []  # the weight fraction fixes the letter marginal: no Bethe solve
+
+
+def test_ldpc_low_weight_exits_3_at_once(capsys):
+    # at omega <= 0.15 on (3,6), det(I - C(V'-V)) <= 0: the tilted-total
+    # constant does not exist there
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
+                             "--N", "60", "--omega", "0.1")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: fluctuation determinant ")
+    assert err.count("\n") == 1
+    code, out, err = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
+                             "--N", "60", "--omega", "5e-324")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: letter marginal touches zero ")
+    assert err.count("\n") == 1
 
 
 def test_ldpc_infeasible_weight_is_minus_inf(capsys):

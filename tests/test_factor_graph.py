@@ -44,7 +44,7 @@ from central_approx.factor_graph import (
     solve_bethe,
     step_size_methods,
 )
-from central_approx.factor_graph import _bethe_marginal, _bethe_mu, _bethe_objective
+from central_approx.factor_graph import _bethe_marginal, _bethe_mu, _bethe_objective, _weight_tilt
 from central_approx import types_core
 from central_approx.types_core import Alphabet, ProbMeasure, dirichlet_starts
 
@@ -388,27 +388,25 @@ def test_bethe_multistart_reaches_the_best_fixed_point(d, values):
     sol = solve_bethe(ens)
     assert sol.residual <= 1e-10
     nu = sol.nu_star.weights
-    fld = np.zeros(2)
-    assert sol.F == pytest.approx(
-        _bethe_objective(ens, nu, _bethe_mu(ens, nu, fld), fld), abs=1e-12)
+    assert sol.F == pytest.approx(_bethe_objective(ens, nu, _bethe_mu(ens, nu)), abs=1e-12)
     assert sol.F >= solve_bethe(ens, restarts=0).F - 1e-12
 
 
 def test_bethe_maps_round_each_row_on_its_own():
     # a row's word measure and marginal are bitwise the same in a batch of 33
     # starts as alone, so the solution cannot depend on how many starts share
-    # a batch; a (3,6) table with seeded odd-word values (random.Random(50))
+    # a batch; a (3,6) table with seeded odd-word values (random.Random(50)),
+    # tilted by -0.3 per odd letter
     rng = random.Random(50)
-    table = [1.0 if sum(w) % 2 == 0 else rng.uniform(0.25, 0.45)
+    table = [(1.0 if sum(w) % 2 == 0 else rng.uniform(0.25, 0.45)) * math.exp(-0.3 * sum(w))
              for w in itertools.product((0, 1), repeat=6)]
     ens = make_ensemble(3, 6, BINARY, table)
-    fld = np.array([0.0, -0.3])
     nus = dirichlet_starts(2, 32, 50)
-    mus = _bethe_mu(ens, nus, fld)
+    mus = _bethe_mu(ens, nus)
     marginals = _bethe_marginal(ens, mus)
     for i, nu in enumerate(nus):
-        assert np.array_equal(_bethe_mu(ens, nus[i:i + 1], fld)[0], mus[i])
-        assert np.array_equal(_bethe_mu(ens, nu, fld), mus[i])
+        assert np.array_equal(_bethe_mu(ens, nus[i:i + 1])[0], mus[i])
+        assert np.array_equal(_bethe_mu(ens, nu), mus[i])
         assert np.array_equal(_bethe_marginal(ens, mus[i:i + 1])[0], marginals[i])
         assert np.array_equal(_bethe_marginal(ens, mus[i]), marginals[i])
 
@@ -447,6 +445,9 @@ def test_assemble_rejects_boundary_marginal():
     mu = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(BoundaryMaximizerError):
         fg_fluctuation(ens, mu, np.array([1.0, 0.0]))
+    # a subnormal marginal is zero to the curvature r(l-1)/(l nu), which overflows
+    with pytest.raises(BoundaryMaximizerError):
+        fg_fluctuation(ens, mu, np.array([1.0, 5e-324]))
 
 
 # ------------------------------------------------------- lattice step s
@@ -613,7 +614,7 @@ def test_fg_instability_raised():
     half = np.array([0.5, 0.5])
     saddle = BetheSolution(
         co_maximizers=[ProbMeasure(half)], F=0.0, residual=0.0, boundary=False,
-        diagnostics={}, word_measures=[ProbMeasure(_bethe_mu(ens, half, np.zeros(2)))])
+        diagnostics={}, word_measures=[ProbMeasure(_bethe_mu(ens, half))])
     with pytest.raises(ATInstabilityError):
         fg_constant_log(ens, saddle)
     with pytest.raises(InstabilityError):
@@ -645,8 +646,8 @@ def test_ldpc_half_weight_is_untilted():
 
 def test_ldpc_weight_enumerator_point():
     res = ldpc_expected_codewords(3, 6, 100, omega=0.3)
-    assert res.growth_rate == pytest.approx(0.26621528497429187, abs=1e-9)
-    assert res.theta == pytest.approx(-0.7916330732659844, abs=1e-6)
+    assert res.growth_rate == pytest.approx(0.26621528497226573, abs=1e-9)
+    assert res.theta == pytest.approx(-0.7916330732768049, abs=1e-6)
     # the exact finite-N counts close in on the growth rate from below
     gaps = []
     for N in (40, 200):
@@ -658,11 +659,50 @@ def test_ldpc_weight_enumerator_point():
     assert 0 < gaps[1] < 0.015
 
 
+def _tilted_parity(l, r, theta):
+    # the (l,r) parity table tilted to 1[even] e^(theta N_1/l): a field theta
+    # on letter 1 of the Bethe objective
+    return make_ensemble(l, r, BINARY, [(1.0 - sum(w) % 2) * math.exp(theta * sum(w) / l)
+                                        for w in itertools.product((0, 1), repeat=r)])
+
+
 def test_ldpc_tilt_hits_the_weight_fraction():
-    res = ldpc_expected_codewords(3, 6, 60, omega=0.3)
     ens = make_ensemble(3, 6, BINARY, "parity")
-    sol = solve_bethe(ens, external_field=np.array([0.0, res.theta]), restarts=4)
-    assert abs(sol.nu_star[1] - 0.3) <= 1e-13
+    _, mu = _weight_tilt(ens, 0.3)
+    assert abs(_bethe_marginal(ens, mu)[1] - 0.3) <= 1e-13
+    # the Bethe iteration on the tilted table lands on the same marginal,
+    # up to its own fixed-point error at FIXED_POINT_TOL (3.2e-12 measured)
+    res = ldpc_expected_codewords(3, 6, 60, omega=0.3)
+    sol = solve_bethe(_tilted_parity(3, 6, res.theta))
+    assert abs(sol.nu_star[1] - 0.3) <= 1e-11
+
+
+def test_ldpc_weight_point_matches_the_oracle():
+    # 50-digit mpmath values at (3,6), omega = 0.3: lam solves
+    # sum_{k even} C(6,k) k e^(lam k) / sum_{k even} C(6,k) e^(lam k) = 6 omega
+    # by findroot, growth = (l/r)(log Z - lam r omega) - (l-1) H(nu),
+    # theta = l lam - (l-1) log(omega/(1-omega)), and the constant is
+    # (1/2) log l - log s - (1/2) log det(I - C(V'-V)) with s = 3
+    res = ldpc_expected_codewords(3, 6, 60, omega=0.3)
+    assert res.growth_rate == pytest.approx(0.26621528497226572601, rel=1e-13)
+    assert res.theta == pytest.approx(-0.79163307327680487455, rel=1e-13)
+    assert res.log_constant == pytest.approx(0.11169042577664948133, abs=1e-13)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from([(3, 6), (4, 8)]), st.floats(0.16, 0.49))
+def test_ldpc_weight_point_is_the_tilted_bethe_point(degrees, omega):
+    # below omega of about 0.27 on (3,6) and 0.29 on (4,8) the interior point
+    # is only a local maximum of the tilted objective (the all-zeros boundary
+    # is higher), so the solve
+    # runs the single uniform start, which the damped iteration carries to
+    # the interior fixed point; near omega = 0.16 the determinant is small
+    # and the iteration slow, so its marginal is off by up to 6e-11 there
+    l, r = degrees
+    res = ldpc_expected_codewords(l, r, 2 * r, omega)
+    sol = solve_bethe(_tilted_parity(l, r, res.theta), restarts=0)
+    assert abs(sol.nu_star[1] - omega) <= 1e-10
+    assert sol.F - res.theta * omega == pytest.approx(res.growth_rate, abs=1e-11)
 
 
 def test_ldpc_full_weight_even_r():
