@@ -580,7 +580,7 @@ def fg_fluctuation(ensemble: EnsembleSpec, mu_star, nu_star) -> tuple[np.ndarray
     nu = np.asarray(nu_star, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         curvature = ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)
-    if not (nu.min() > 0.0 and np.isfinite(curvature).all()):  # a subnormal nu overflows it
+    if not (nu.min() > 0.0 and np.isfinite(curvature).all()):  # 1/nu overflows at a subnormal nu
         raise BoundaryMaximizerError(
             f"letter marginal touches zero (min {nu.min():.2e}); "
             "the constant factor needs an interior maximizer"
