@@ -9,7 +9,9 @@ the basis change.  The overlap and variable-type pairs are the ones the
 Gaussian constants read, from ``dense.dense_fluctuation`` (U' - U, D2g) and
 ``factor_graph.fg_fluctuation`` (V' - V, C).  The factor covariance
 diag(mu*) - mu* mu*^T is the one |X|^r x |X|^r matrix, and only
-fg_type_covariances builds it.  Degenerate directions (normalization,
+fg_type_covariances builds it.  Every covariance starts from one of those
+pairs, so it refuses a boundary maximizer by the constants' rule
+(types_core.require_interior).  Degenerate directions (normalization,
 hard constraints) are kept in the matrix rather than projected out, so
 bases stay aligned with their labels; rank diagnostics travel with the
 result.
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 ORACLE_TYPE_GUARD = 10**6
+# relative to the largest |entry| (at least 1): the asymmetry a covariance may
+# carry, and the eigenvalue below which it counts as zero (below minus it, as
+# not positive semidefinite)
+SYM_TOL = 1e-10
+PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,23 +53,22 @@ class CovarianceResult:
     min_eigenvalue: float
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, labels: tuple, *,
-                    sym_tol: float = 1e-10, psd_tol: float = 1e-9) -> "CovarianceResult":
+    def from_matrix(cls, matrix: np.ndarray, labels: tuple) -> "CovarianceResult":
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (len(labels), len(labels)):
             raise ValueError(f"matrix shape {matrix.shape} does not fit {len(labels)} labels")
         scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 0.0)
         skew = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-        if skew > sym_tol * scale:
+        if skew > SYM_TOL * scale:
             raise NumericalFailure(f"covariance asymmetry {skew:.3e} exceeds tolerance")
         sym = 0.5 * (matrix + matrix.T)
         eigs = np.linalg.eigvalsh(sym) if sym.size else np.empty(0)
         min_eig = float(eigs[0]) if eigs.size else 0.0
-        if min_eig < -psd_tol * scale:
+        if min_eig < -PSD_TOL * scale:
             raise NumericalFailure(
                 f"covariance has eigenvalue {min_eig:.3e}, below the PSD tolerance"
             )
-        rank = int(np.sum(eigs > psd_tol * scale)) if eigs.size else 0
+        rank = int(np.sum(eigs > PSD_TOL * scale)) if eigs.size else 0
         sym.setflags(write=False)
         return cls(matrix=sym, labels=tuple(labels), rank=rank, min_eigenvalue=min_eig)
 
@@ -96,21 +102,10 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))
 
 
-def overlap_covariance(spec: DenseModelSpec, nu_star, m: int | None = None) -> CovarianceResult:
-    """Covariance of sqrt(N)(q - q*) on the pair basis (a,b), a <= b.
-
-    Returns (U' - U)(I - D2g (U' - U))^{-1}.  Only the annealed case
-    m = spec.n is supported; the quenched marginal covariance for m < n
-    replicas is not implemented.
+def overlap_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
+    """Covariance of sqrt(N)(q - q*) on the pair basis (a,b), a <= b, over all
+    n replicas: (U' - U)(I - D2g (U' - U))^{-1}.
     """
-    if m is None:
-        m = spec.n
-    if m < spec.n:
-        raise NotImplementedError(
-            "quenched overlap covariance for m < n replicas is not implemented"
-        )
-    if m > spec.n:
-        raise ValueError(f"m={m} exceeds the model's replica count n={spec.n}")
     cov = _resolvent_covariance(*dense_fluctuation(spec, nu_star))
     return CovarianceResult.from_matrix(cov, tuple(pair_indices(spec.n)))
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundaryMaximizerError, GuardError
+from .errors import GuardError
 from .types_core import (
     Alphabet,
     MaximizerRecord,
@@ -41,6 +41,7 @@ from .types_core import (
     log_multinomial_rows,
     logsumexp,
     power_terms,
+    require_interior,
     solve_multistart,
     type_array_blocks,
 )
@@ -327,30 +328,26 @@ def solve_variational(spec: DenseModelSpec, *, restarts: int = 32,
     """Maximizing measure(s) of H(nu) + <f>_nu + g(q(nu)) over the simplex.
 
     Damped fixed-point iteration of the stationary map from the starts of
-    dirichlet_starts; a start stops once its damped step moves no weight by
-    more than FIXED_POINT_TOL.
+    dirichlet_starts; a start stops once no weight moves by more than
+    FIXED_POINT_TOL under the stationary map (solve_multistart).
     """
     return solve_multistart(
         dirichlet_starts(spec.num_symbols, restarts, seed),
         lambda W: _stationary_map(spec, W),
         lambda W: [_variational_objective(spec, w) for w in W],
-        stop_on_step=True,
     )
 
 
 # -------------------------------------------------- fluctuation matrices
 
 def dense_fluctuation(spec: DenseModelSpec, nu_star) -> tuple[np.ndarray, np.ndarray]:
-    """(U' - U, D2g) at a strictly interior measure: the covariance of the
-    pair products under nu* and the Hessian of g at q(nu*), both P x P for
-    P = n(n+1)/2 pairs."""
+    """(U' - U, D2g) at an interior measure (require_interior): the covariance
+    of the pair products under nu* and the Hessian of g at q(nu*), both P x P
+    for P = n(n+1)/2 pairs."""
     w = np.asarray(nu_star, dtype=float)
     if w.size != spec.num_symbols:
         raise ValueError("measure has the wrong number of cells")
-    if float(w.min()) <= 0.0:
-        raise BoundaryMaximizerError(
-            "fluctuation matrices require a strictly interior measure"
-        )
+    require_interior(w)
     J = spec.pair_products
     q = w @ J
     return J.T @ (J * w[:, None]) - np.outer(q, q), spec.g.hessian(q)
@@ -369,10 +366,10 @@ class CentralApproxResult:
 def central_approx_constant(spec: DenseModelSpec,
                             solution: MaximizerRecord) -> CentralApproxResult:
     """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}, summed over the
-    co-maximizers (log_gaussian_sum, which also raises at a boundary
-    maximizer or a non-positive determinant)."""
+    co-maximizers (log_gaussian_sum); raises at a boundary maximizer or a
+    non-positive determinant."""
     log_constant, dets = log_gaussian_sum(
-        solution, lambda i: dense_fluctuation(spec, solution.co_maximizers[i]))
+        dense_fluctuation(spec, nu) for nu in solution.co_maximizers)
     return CentralApproxResult(solution.F, log_constant, dets[0])
 
 

@@ -14,10 +14,6 @@ class ValidationFailure(CentralApproxError):
     """Bad input: malformed config, violated precondition, failed guard."""
 
 
-class ConfigError(ValidationFailure):
-    """Run configuration rejected before any compute."""
-
-
 class GuardError(ValidationFailure):
     """A size guard would be exceeded and no override was given."""
 

@@ -29,12 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    BoundaryMaximizerError,
-    GuardError,
-    NonConvergenceError,
-    ValidationFailure,
-)
+from .errors import GuardError, NonConvergenceError, ValidationFailure
 from .types_core import (
     Alphabet,
     MaximizerRecord,
@@ -48,6 +43,7 @@ from .types_core import (
     logsumexp,
     multinomial_exact,
     power_terms,
+    require_interior,
     solve_multistart,
 )
 
@@ -574,17 +570,13 @@ def fg_fluctuation(ensemble: EnsembleSpec, mu_star, nu_star) -> tuple[np.ndarray
     variable-type covariance K^T diag(mu*) K - nu* nu*^T, with K the
     per-word letter frequencies N_z(x)/r, and the diagonal variable-entropy
     curvature r(l-1)/(l nu*), both |X| x |X|; nothing |X|^r x |X|^r is built.
-    BoundaryMaximizerError at a boundary nu*, ValidationFailure when the
-    marginal of mu* is more than MARGINAL_TOL from nu*."""
+    BoundaryMaximizerError at a boundary nu* (require_interior),
+    ValidationFailure when the marginal of mu* is more than MARGINAL_TOL
+    from nu*."""
     mu = np.asarray(mu_star, dtype=float)
     nu = np.asarray(nu_star, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        curvature = ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)
-    if not (nu.min() > 0.0 and np.isfinite(curvature).all()):  # 1/nu overflows at a subnormal nu
-        raise BoundaryMaximizerError(
-            f"letter marginal touches zero (min {nu.min():.2e}); "
-            "the constant factor needs an interior maximizer"
-        )
+    require_interior(nu)
+    curvature = ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)
     marg = _bethe_marginal(ensemble, mu)
     if np.max(np.abs(marg - nu)) > MARGINAL_TOL:
         raise ValidationFailure(
@@ -781,8 +773,8 @@ def lattice_step_s(ensemble: EnsembleSpec, *, ref_word: int | None = None,
 def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> float:
     """log of the N-free constant: l^((K-1)/2) / s * the sum over the
     co-maximizers of det(I - C(V'-V))^(-1/2) (log_gaussian_sum)."""
-    log_sum, _ = log_gaussian_sum(solution, lambda i: fg_fluctuation(
-        ensemble, solution.word_measures[i], solution.co_maximizers[i]))
+    log_sum, _ = log_gaussian_sum(fg_fluctuation(ensemble, mu, nu) for mu, nu
+                                  in zip(solution.word_measures, solution.co_maximizers))
     K = len(ensemble.alphabet)
     return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(lattice_step_s(ensemble)) + log_sum
 
@@ -894,7 +886,6 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
     nu = np.array([1.0 - omega, omega])
     growth = _bethe_objective(ens, nu, mu)
     theta = l * lam - (l - 1) * math.log(omega / (1.0 - omega))
-    # the one pair, interior since 0 < omega < 1: all that fg_constant_log reads
-    const = fg_constant_log(ens, SimpleNamespace(
-        co_maximizers=[nu], word_measures=[mu], boundary=False))
+    # the one pair, all that fg_constant_log reads
+    const = fg_constant_log(ens, SimpleNamespace(co_maximizers=[nu], word_measures=[mu]))
     return LdpcResult(N, omega, N * growth + const, growth, const, theta)

@@ -15,8 +15,9 @@ machinery that the dense and factor-graph sides share:
   ``solve``, with an explicit singularity signal, plus ``logsumexp`` and
   log-factorials of integer counts (no scipy on the runtime path);
 * the multi-start solve shared by the variational and Bethe solvers (batched
-  fixed-point loop, co-maximizer selection, one result record), and the
-  Gaussian constant summed over the co-maximizers.
+  fixed-point loop with one stop rule, co-maximizer selection, one result
+  record), the one boundary rule for a maximizer (``require_interior``),
+  and the Gaussian constant summed over the co-maximizers.
 """
 
 from __future__ import annotations
@@ -573,28 +574,9 @@ def dirichlet_starts(K: int, restarts: int, seed: int) -> np.ndarray:
     return np.array(rows)
 
 
-def multistart_fixed_point(starts: np.ndarray, update, *, tol: float, max_iter: int):
-    """Iterate ``X, delta = update(X)`` on all rows, freezing each at delta <= tol.
-    Returns the final points, each row's update count (``max_iter`` if it
-    never stopped) and the converged mask."""
-    X = np.array(starts, dtype=float)
-    iterations = np.full(len(X), max_iter)
-    converged = np.zeros(len(X), dtype=bool)
-    rows = np.arange(len(X))
-    for it in range(max_iter):
-        X[rows], delta = update(X[rows])
-        done = delta <= tol
-        iterations[rows[done]], converged[rows[done]] = it + 1, True
-        rows = rows[~done]
-        if not rows.size:
-            break
-    return X, iterations, converged
-
-
-def select_maximizers(points: np.ndarray, objectives):
+def select_maximizers(points: np.ndarray, objectives) -> list[int]:
     """Indices of the distinct co-maximizers, best first (ties in start order):
-    within OBJECTIVE_GAP of the best and more than DEDUP_TOL apart.  Also
-    returns whether any has a weight below BOUNDARY_TOL."""
+    within OBJECTIVE_GAP of the best and more than DEDUP_TOL apart."""
     obj = np.asarray(objectives, dtype=float)
     order = np.argsort(-obj, kind="stable")
     kept: list[int] = []
@@ -603,7 +585,19 @@ def select_maximizers(points: np.ndarray, objectives):
             break
         if all(float(np.abs(points[i] - points[j]).max()) > DEDUP_TOL for j in kept):
             kept.append(int(i))
-    return kept, any(float(points[i].min()) < BOUNDARY_TOL for i in kept)
+    return kept
+
+
+def require_interior(weights) -> None:
+    """The one boundary rule: BoundaryMaximizerError when a weight lies below
+    BOUNDARY_TOL, where the Gaussian expansion around a maximizer (its
+    constant and its covariances) does not hold."""
+    margin = float(np.min(weights))
+    if margin < BOUNDARY_TOL:
+        raise BoundaryMaximizerError(
+            f"maximizer touches the simplex boundary (min weight {margin:.2e}); "
+            "the Gaussian expansion needs an interior maximizer"
+        )
 
 
 @dataclass
@@ -615,7 +609,6 @@ class MaximizerRecord:
     co_maximizers: list[ProbMeasure]
     F: float
     residual: float
-    boundary: bool
     diagnostics: dict
 
     @property
@@ -626,28 +619,37 @@ class MaximizerRecord:
     def unique(self) -> bool:
         return len(self.co_maximizers) == 1
 
+    @property
+    def boundary(self) -> bool:
+        """Whether a co-maximizer breaks require_interior's rule."""
+        return min(m.min_weight() for m in self.co_maximizers) < BOUNDARY_TOL
 
-def solve_multistart(starts: np.ndarray, fmap, objectives, *,
-                     stop_on_step: bool = False) -> MaximizerRecord:
+
+def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     """Iterate x <- (1 - DAMPING) x + DAMPING fmap(x) from every start and keep
     the co-maximizers; ``objectives(X)`` gives one value per converged row.
 
-    A start stops once its residual |fmap(x) - x| is at most FIXED_POINT_TOL
-    (the Bethe test), or with ``stop_on_step`` once its damped step is (the
-    variational test); both tests are kept so that neither solver's
-    iteration counts change.  ``iterations_best`` counts the updates that
-    led to the point the test passed on.  The residual is |fmap(x) - x| at
-    the best point.  NonConvergenceError, carrying the smallest residual,
-    when no start stops within MAX_ITER.
+    All starts are rows of one array.  Each iteration takes every running
+    start's residual |fmap(x) - x| and applies the damped update; a start
+    whose residual was at most FIXED_POINT_TOL stops there, one update past
+    the point tested, and ``iterations_best`` counts the updates before that
+    point.  The record's residual is |fmap(x) - x| at the best returned
+    point.  NonConvergenceError, carrying the smallest residual, when no
+    start stops within MAX_ITER.
     """
-    def update(X):
-        target = fmap(X)
-        X_new = (1.0 - DAMPING) * X + DAMPING * target
-        delta = np.abs(X_new - X) if stop_on_step else np.abs(target - X)
-        return X_new, delta.max(axis=1)
-
-    X, iterations, ok = multistart_fixed_point(starts, update, tol=FIXED_POINT_TOL,
-                                               max_iter=MAX_ITER)
+    X = np.array(starts, dtype=float)
+    iterations = np.full(len(X), MAX_ITER)
+    rows = np.arange(len(X))
+    for it in range(MAX_ITER):
+        current = X[rows]
+        target = fmap(current)
+        X[rows] = (1.0 - DAMPING) * current + DAMPING * target
+        done = np.abs(target - current).max(axis=1) <= FIXED_POINT_TOL
+        iterations[rows[done]] = it
+        rows = rows[~done]
+        if not rows.size:
+            break
+    ok = iterations < MAX_ITER
     if not ok.any():
         raise NonConvergenceError(
             f"no restart converged within {MAX_ITER} iterations",
@@ -655,39 +657,30 @@ def solve_multistart(starts: np.ndarray, fmap, objectives, *,
         )
     X, iterations = X[ok], iterations[ok]
     obj = objectives(X)
-    kept, boundary = select_maximizers(X, obj)
+    kept = select_maximizers(X, obj)
     best = kept[0]
     return MaximizerRecord(
         co_maximizers=[ProbMeasure(X[i]) for i in kept],
         F=float(obj[best]),
         residual=float(np.abs(fmap(X[best:best + 1]) - X[best]).max()),
-        boundary=boundary,
         diagnostics={
             "restarts": len(starts),
             "converged": len(X),
-            "iterations_best": int(iterations[best]) - (0 if stop_on_step else 1),
+            "iterations_best": int(iterations[best]),
         },
     )
 
 
-def log_gaussian_sum(solution: MaximizerRecord, fluctuation) -> tuple[float, list[float]]:
-    """log sum_m det(I - B_m M_m)^(-1/2) over the co-maximizers of ``solution``.
+def log_gaussian_sum(fluctuations) -> tuple[float, list[float]]:
+    """log sum_m det(I - B_m M_m)^(-1/2) over (M_m, B_m) pairs, the covariance
+    and the curvature at each co-maximizer, best first.
 
-    ``fluctuation(i)`` returns (M_i, B_i), the covariance and the curvature
-    at co-maximizer i.  Returns the log sum and the determinants, best
-    first.  Raises BoundaryMaximizerError when the solution has a boundary
-    maximizer and ATInstabilityError when a determinant is singular or
-    non-positive.
+    Returns the log sum and the determinants, best first.  Raises
+    ATInstabilityError when a determinant is singular or non-positive; the
+    builders of the pairs apply require_interior.
     """
-    if solution.boundary:
-        margin = min(m.min_weight() for m in solution.co_maximizers)
-        raise BoundaryMaximizerError(
-            f"maximizer touches the simplex boundary (min weight {margin:.2e}); "
-            "the Gaussian constant needs interior maximizers"
-        )
     dets = []
-    for i in range(len(solution.co_maximizers)):
-        cov, curvature = fluctuation(i)
+    for cov, curvature in fluctuations:
         try:
             d = det(np.eye(len(curvature)) - curvature @ cov)
         except SingularMatrixError as exc:

@@ -494,7 +494,35 @@ def test_ldpc_low_weight_exits_3_at_once(capsys):
     code, out, err = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
                              "--N", "60", "--omega", "5e-324")
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure: letter marginal touches zero ")
+    assert err.startswith("numerical failure: maximizer touches the simplex boundary "
+                          "(min weight 4.94e-324)")
+    assert err.count("\n") == 1
+
+
+BOUNDARY_CONFIGS = {
+    # nu(1) = e^-30 / (1 + e^-30) ~ 9.4e-14, which the solver resolves only to
+    # about FIXED_POINT_TOL: no trustworthy covariance exists there
+    "dense-h30": {"model": "dense", "n": 1, "alphabet": [0, 1],
+                  "f": {"kind": "field", "h": -30},
+                  "g": {"kind": "quadratic", "lam": 0.5}},
+    # the Bethe maximizer of the binary (3,4) all-equal graph concentrates on
+    # one letter
+    "all-equal34": {"model": "factor-graph", "l": 3, "r": 4, "alphabet": [0, 1],
+                    "factor": "all-equal"},
+}
+
+
+@pytest.mark.parametrize("config,kind", [
+    ("dense-h30", "type"), ("dense-h30", "overlap"),
+    ("all-equal34", "variable"), ("all-equal34", "factor"),
+])
+def test_clt_cov_boundary_maximizer_exits_3(capsys, tmp_path, config, kind):
+    # the covariances follow the constants' boundary rule
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"schema_version": 1, **BOUNDARY_CONFIGS[config]}))
+    code, out, err = run_cli(capsys, "clt-cov", "--config", str(path), "--kind", kind)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: maximizer touches the simplex boundary ")
     assert err.count("\n") == 1
 
 

@@ -66,14 +66,6 @@ def test_overlap_covariance_zero_coupling_is_bare():
     assert np.max(np.abs(cov.matrix - pair_covariance)) <= 1e-13
 
 
-def test_overlap_covariance_replica_count_handling():
-    spec = DenseModelSpec(3, SPINS, zero_local(), PolyOverlap.pairwise_square(3, 0.3))
-    with pytest.raises(NotImplementedError):
-        overlap_covariance(spec, uniform_measure(8), m=2)
-    with pytest.raises(ValueError):
-        overlap_covariance(spec, uniform_measure(8), m=4)
-
-
 def test_overlap_equals_conjugated_type_covariance():
     # both Gaussians come from the same fluctuation field, so the overlap
     # covariance is the pair-product conjugation of the type covariance

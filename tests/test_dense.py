@@ -14,7 +14,7 @@ from central_approx.errors import (
     BoundaryMaximizerError,
     GuardError,
 )
-from central_approx.types_core import Alphabet, MaximizerRecord, ProbMeasure
+from central_approx.types_core import FIXED_POINT_TOL, Alphabet, MaximizerRecord, ProbMeasure
 from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
@@ -229,6 +229,18 @@ def test_variational_symmetric_pair_instance():
     assert sol.unique
 
 
+@pytest.mark.parametrize("n,g", [
+    (1, PolyOverlap.quadratic(1, 1.0)),  # the cw fixture, configs/cw.json
+    (2, PolyOverlap.pairwise_square(2, 0.5)),  # SK at beta 0.5, n = 2 and 3
+    (3, PolyOverlap.pairwise_square(3, 0.5)),
+], ids=["cw", "sk2", "sk3"])
+def test_variational_meets_the_stop_tolerance(n, g):
+    # a start stops on its residual, and the returned point is one damped
+    # update past the test
+    sol = solve_variational(DenseModelSpec(n, SPINS if n > 1 else BINARY, zero_local(), g))
+    assert sol.residual <= FIXED_POINT_TOL
+
+
 # ------------------------------------------------- fluctuation matrices
 
 def test_assemble_matrices_contracts(cw_spec, cw_solution):
@@ -247,8 +259,10 @@ def test_assemble_matrices_contracts(cw_spec, cw_solution):
 
 
 def test_assemble_matrices_rejects_boundary(cw_spec):
-    with pytest.raises(BoundaryMaximizerError):
-        dense_fluctuation(cw_spec, np.array([1.0, 0.0]))
+    # every weight below BOUNDARY_TOL (1e-10), not only an exact zero
+    for weight in (0.0, 1e-11):
+        with pytest.raises(BoundaryMaximizerError, match="touches the simplex boundary"):
+            dense_fluctuation(cw_spec, np.array([1.0 - weight, weight]))
 
 
 def test_contrast_identity_random_measures():
@@ -326,8 +340,7 @@ def test_at_instability_raised():
     # constant computation with the unstable point directly
     spec = DenseModelSpec(1, BINARY, zero_local(), PolyOverlap.quadratic(1, 6.0))
     half = ProbMeasure(np.array([0.5, 0.5]))
-    fake = MaximizerRecord(co_maximizers=[half], F=0.0, residual=0.0,
-                           boundary=False, diagnostics={})
+    fake = MaximizerRecord(co_maximizers=[half], F=0.0, residual=0.0, diagnostics={})
     with pytest.raises(ATInstabilityError):
         central_approx_constant(spec, fake)
 

@@ -441,13 +441,14 @@ def test_assemble_rejects_inconsistent_pair():
 
 
 def test_assemble_rejects_boundary_marginal():
+    # every weight below BOUNDARY_TOL (1e-10); at a subnormal one the curvature
+    # r(l-1)/(l nu) would overflow
     ens = make_ensemble(2, 2, BINARY, "uniform")
-    mu = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(BoundaryMaximizerError):
-        fg_fluctuation(ens, mu, np.array([1.0, 0.0]))
-    # a subnormal marginal is zero to the curvature r(l-1)/(l nu), which overflows
-    with pytest.raises(BoundaryMaximizerError):
-        fg_fluctuation(ens, mu, np.array([1.0, 5e-324]))
+    for weight in (0.0, 5e-324, 1e-11):
+        nu = np.array([1.0 - weight, weight])
+        mu = np.array([nu[0], 0.0, 0.0, weight])
+        with pytest.raises(BoundaryMaximizerError, match="touches the simplex boundary"):
+            fg_fluctuation(ens, mu, nu)
 
 
 # ------------------------------------------------------- lattice step s
@@ -492,6 +493,14 @@ S_BATTERY = [
     (3, 2, TERNARY, "uniform", 9),
     (2, 3, BINARY, "all-equal", 2),
     (3, 3, BINARY, "all-equal", 1),
+    (2, 2, BINARY, "parity", 1),
+    (3, 2, BINARY, "parity", 3),
+    (4, 2, BINARY, "parity", 2),
+    (5, 2, BINARY, "parity", 5),
+    (4, 6, BINARY, "parity", 2),
+    (5, 6, BINARY, "parity", 5),
+    (2, 3, TERNARY, "all-equal", 4),
+    (3, 3, TERNARY, "all-equal", 1),
 ]
 
 
@@ -613,8 +622,8 @@ def test_fg_instability_raised():
     ens = make_ensemble(4, 2, BINARY, [4, 1, 1, 4])
     half = np.array([0.5, 0.5])
     saddle = BetheSolution(
-        co_maximizers=[ProbMeasure(half)], F=0.0, residual=0.0, boundary=False,
-        diagnostics={}, word_measures=[ProbMeasure(_bethe_mu(ens, half))])
+        co_maximizers=[ProbMeasure(half)], F=0.0, residual=0.0, diagnostics={},
+        word_measures=[ProbMeasure(_bethe_mu(ens, half))])
     with pytest.raises(ATInstabilityError):
         fg_constant_log(ens, saddle)
     with pytest.raises(InstabilityError):

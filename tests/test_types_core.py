@@ -10,10 +10,18 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
-from central_approx.errors import GuardError, SingularMatrixError
+from central_approx import types_core
+from central_approx.errors import (
+    BoundaryMaximizerError,
+    GuardError,
+    NonConvergenceError,
+    SingularMatrixError,
+)
 from central_approx.types_core import (
     PIVOT_RTOL,
+    BOUNDARY_TOL,
     Alphabet,
+    MaximizerRecord,
     ProbMeasure,
     TypeVector,
     det,
@@ -24,10 +32,11 @@ from central_approx.types_core import (
     log_multinomial_rows,
     logsumexp,
     multinomial_exact,
-    multistart_fixed_point,
     num_types,
     power_terms,
+    require_interior,
     select_maximizers,
+    solve_multistart,
     solve,
     type_array_blocks,
 )
@@ -476,21 +485,58 @@ def test_det_product_identity_sylvester():
 
 # ---------------------------------------------- multi-start fixed point
 
-def test_multistart_freezes_each_row_at_its_own_stop():
-    # x <- x/2 moves a row by x/2: a start at 2^j stops after j updates
-    def halve(X):
-        return X / 2, np.abs(X / 2).max(axis=1)
+def _pull_to_nearest(targets, sizes):
+    """A map that sends each row to the nearest of ``targets`` (by first weight)
+    and records how many rows each call saw."""
+    def fmap(X):
+        sizes.append(len(X))
+        return targets[np.abs(X[:, :1] - targets[:, 0]).argmin(axis=1)]
+    return fmap
 
-    X, iterations, converged = multistart_fixed_point(
-        np.array([[2.0], [8.0], [64.0]]), halve, tol=1.0, max_iter=4)
-    assert iterations.tolist() == [1, 3, 4]
-    assert converged.tolist() == [True, True, False]
-    assert X[:, 0].tolist() == [1.0, 1.0, 4.0]
+
+def test_multistart_freezes_each_row_at_its_own_stop(monkeypatch):
+    # a start 2^-j from its target halves that distance per update, so with
+    # FIXED_POINT_TOL 1e-12 (between 2^-40 and 2^-39) it stops after j - 40
+    targets = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
+    offsets = 2.0 ** -np.array([40, 38, 30])
+    starts = targets + offsets[:, None] * np.array([1.0, -1.0])
+    for sign, best, updates in ((1.0, 2, 10), (-1.0, 0, 0)):
+        sizes = []
+        sol = solve_multistart(starts, _pull_to_nearest(targets, sizes),
+                               lambda X: sign * X[:, 0])
+        # each row leaves the batch after its own stop; the last call is the residual
+        assert sizes == [3, 2, 2] + [1] * 8 + [1]
+        assert sol.diagnostics == {"restarts": 3, "converged": 3, "iterations_best": updates}
+        # one update past the test: 2^-41 from the target, far beyond OBJECTIVE_GAP
+        # from the other two
+        assert [m.weights.tolist() for m in sol.co_maximizers] == [
+            (targets[best] + 2.0**-41 * np.array([1.0, -1.0])).tolist()]
+        assert sol.residual == 2.0**-41
+    monkeypatch.setattr(types_core, "MAX_ITER", 3)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_multistart(starts[2:], _pull_to_nearest(targets, []), lambda X: X[:, 0])
+    assert info.value.residual == 2.0**-33
 
 
 def test_selection_dedups_within_the_objective_gap():
     points = np.array([[0.5, 0.5], [0.2, 0.8], [0.5 + 1e-12, 0.5 - 1e-12], [0.0, 1.0]])
-    # OBJECTIVE_GAP 1e-9, DEDUP_TOL 1e-8, BOUNDARY_TOL 1e-10
-    assert select_maximizers(points, [1.0, 1.0, 1.0, 0.5]) == ([0, 1], False)
-    # ties keep start order; a boundary co-maximizer sets the flag
-    assert select_maximizers(points, [1.0, 1.0 + 1e-10, 1.0, 1.0]) == ([1, 0, 3], True)
+    # OBJECTIVE_GAP 1e-9, DEDUP_TOL 1e-8
+    assert select_maximizers(points, [1.0, 1.0, 1.0, 0.5]) == [0, 1]
+    # ties keep start order
+    assert select_maximizers(points, [1.0, 1.0 + 1e-10, 1.0, 1.0]) == [1, 0, 3]
+
+
+@pytest.mark.parametrize("weight", [0.0, 5e-324, 1e-11, 0.99 * BOUNDARY_TOL])
+def test_boundary_rule(weight):
+    # one comparison behind both the record's flag and the builders' check
+    inside = [ProbMeasure([0.5, 0.5]), ProbMeasure([BOUNDARY_TOL, 1.0 - BOUNDARY_TOL])]
+    touching = ProbMeasure([weight, 1.0 - weight])
+    record = MaximizerRecord(co_maximizers=inside, F=0.0, residual=0.0, diagnostics={})
+    assert not record.boundary
+    for m in inside:
+        require_interior(m)
+    record.co_maximizers.append(touching)
+    assert record.boundary
+    with pytest.raises(BoundaryMaximizerError, match=r"^maximizer touches the simplex "
+                       r"boundary \(min weight [0-9.e+-]+\); the Gaussian expansion"):
+        require_interior(touching)
