@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -72,8 +73,8 @@ __all__ = [
 
 PERMUTATION_GUARD_STUBS = 8
 PERMUTATION_MAX_STUBS = 12
-PERMUTATION_BLOCK = 256
-PERMUTATION_MERGE_BLOCKS = 64
+SOCKET_MAP_BLOCK = 256
+SOCKET_MAP_MERGE_BLOCKS = 64
 EXACT_COUNT_MAX_STUBS = 60
 TYPE_PAIR_GUARD = 10**7
 WORD_TABLE_GUARD = 1 << 20
@@ -334,18 +335,26 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
                                    allow_large: bool = False) -> PermutationOracleResult:
     """Average over all (Nl)! stub permutations, exactly.
 
-    For each permutation and each of the |X|^N assignments, reads off the
-    variable- and factor-type and tallies them; E[N(v,u)] is the tally
-    divided by (Nl)!, and E[Z] follows by weighting each pair with the
-    factor values.  Permutations are tallied PERMUTATION_BLOCK at a time:
-    each (assignment, permutation) row packs its variable-type index and its
+    A permutation reaches the tally only through its socket map, the
+    variable that owns the stub sent to each factor socket.  Permuting a
+    variable's own l stubs among themselves leaves that map unchanged, so
+    each of the (Nl)!/(l!)^N distinct maps comes from exactly (l!)^N
+    permutations, and the average over maps is the average over
+    permutations.  The oracle walks the maps (_socket_maps), not the
+    permutations.  For each map and each of the |X|^N assignments, it reads
+    off the variable- and factor-type and tallies them; E[N(v,u)] is the
+    tally divided by the number of maps, and E[Z] follows by weighting each
+    pair with the factor values.  Maps are tallied SOCKET_MAP_BLOCK at a
+    time: each (assignment, map) row packs its variable-type index and its
     sorted factor words into one int64 key, base W = |X|^r, and np.unique
-    counts the keys.  Block tallies are merged every PERMUTATION_MERGE_BLOCKS
-    blocks, so memory stays flat however many permutations run.  Feasible
-    only for a handful of stubs; the guard caps N*l at 8 by default and at
-    12 with allow_large, and refuses key spaces past int64.
+    counts the keys.  Block tallies are merged every SOCKET_MAP_MERGE_BLOCKS
+    blocks, so memory stays flat however many maps run.  Feasible only for a
+    handful of stubs; the guard caps N*l at 8 by default and at 12 with
+    allow_large, and refuses key spaces past int64.  ``permutations`` is
+    the (Nl)! that the average stands for.
     """
-    stubs = N * ensemble.l
+    l = ensemble.l
+    stubs = N * l
     M = ensemble.num_factors(N)
     limit = PERMUTATION_MAX_STUBS if allow_large else guard
     if stubs > limit:
@@ -367,31 +376,29 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
     radix = K ** np.arange(r - 1, -1, -1)
     place = W ** np.arange(M - 1, -1, -1)
     v_base = v_idx.reshape(-1, 1) * W**M
-    var_of_stub = np.arange(stubs) // ensemble.l
 
-    perms = itertools.permutations(range(stubs))
+    maps = _socket_maps(N, l)
     tallies = []
     while True:
         block = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(perms, PERMUTATION_BLOCK)), np.int64
+            itertools.chain.from_iterable(itertools.islice(maps, SOCKET_MAP_BLOCK)), np.int64
         )
         if not block.size:
             break
-        vars_at = var_of_stub[block.reshape(-1, stubs)]
-        words = assigns[:, vars_at].reshape(len(assigns), -1, M, r) @ radix
+        words = assigns[:, block.reshape(-1, stubs)].reshape(len(assigns), -1, M, r) @ radix
         words.sort(axis=2)
         tallies.append(np.unique(v_base + words @ place, return_counts=True))
-        if len(tallies) == PERMUTATION_MERGE_BLOCKS:
+        if len(tallies) == SOCKET_MAP_MERGE_BLOCKS:
             tallies = [_merge_tallies(tallies)]
     keys, counts = _merge_tallies(tallies)
 
     v_at, packed = np.divmod(keys, W**M)
     u = np.zeros((len(keys), W), dtype=np.int64)
     np.add.at(u, (np.arange(len(keys))[:, None], packed[:, None] // place % W), 1)
-    nperm = math.factorial(stubs)
+    nmaps = math.factorial(stubs) // math.factorial(l) ** N
     v_list = v_types.tolist()
     type_counts = {
-        (tuple(v_list[i]), tuple(u_row)): Fraction(count, nperm)
+        (tuple(v_list[i]), tuple(u_row)): Fraction(count, nmaps)
         for i, u_row, count in zip(v_at.tolist(), u.tolist(), counts.tolist())
     }
 
@@ -404,7 +411,28 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
     else:
         ez = math.fsum(terms)
         logez = math.log(ez) if ez > 0 else -math.inf
-    return PermutationOracleResult(ez, logez, type_counts, nperm)
+    return PermutationOracleResult(ez, logez, type_counts, math.factorial(stubs))
+
+
+def _socket_maps(N: int, l: int) -> Iterator[tuple[int, ...]]:
+    """Each sequence of N*l socket owners in which every variable 0..N-1
+    appears l times, once, in lexicographic order: the distinct values of
+    (arange(N*l) // l)[perm] over the stub permutations perm.  Successive
+    maps come from the next-permutation step on a multiset (Knuth's
+    Algorithm L), which never repeats a map."""
+    owners = [v for v in range(N) for _ in range(l)]
+    while True:
+        yield tuple(owners)
+        i = len(owners) - 2
+        while i >= 0 and owners[i] >= owners[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(owners) - 1
+        while owners[j] <= owners[i]:
+            j -= 1
+        owners[i], owners[j] = owners[j], owners[i]
+        owners[i + 1:] = owners[:i:-1]
 
 
 def _merge_tallies(tallies: list) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ scalar factors and gives the n -> 0 finite-size correction in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -40,14 +41,24 @@ def build_pqr_matrix(n: int, P: float, Q: float, R: float) -> np.ndarray:
     disjoint.  n = 2 is allowed and gives the 1x1 matrix [[P]]; the Q and
     R patterns first occur at n = 3 and n = 4.
     """
-    import numpy as np  # the only numpy use in this module
+    import numpy as np  # numpy is loaded only where a pair matrix is built
 
     if n < 2:
         raise ValueError(f"need at least two replicas, got n={n}")
+    return np.array((R, Q, P), dtype=float)[_shared_index_counts(n)]
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_index_counts(n: int) -> np.ndarray:
+    """How many replica indices each two pairs share (0, 1 or 2), read-only,
+    built once per n."""
+    import numpy as np
+
     a, b = np.triu_indices(n, 1)  # the pairs (a,b), a < b, in lexicographic order
     # a < b and c < d, so each index of (a, b) matches at most one of (c, d)
     shared = sum(x[:, None] == y[None, :] for x in (a, b) for y in (a, b))
-    return np.array((R, Q, P), dtype=float)[shared]
+    shared.flags.writeable = False
+    return shared
 
 
 def pqr_eigenvalues(n: int, P: float, Q: float, R: float) -> list[tuple[float, int]]:

@@ -496,57 +496,77 @@ def power_terms(exponents, weights, M: int, *, guard: int,
 # than PIVOT_RTOL times the matrix scale is treated as singular.
 
 def _lu(a: np.ndarray):
-    """Factors P a = L U of a square finite matrix, in one array (L strictly
-    below the diagonal, unit diagonal implied), the row order ``perm`` (row k
-    of P a is row perm[k] of a) and the number of row swaps; None for the
-    empty matrix.  Each step takes the first largest |entry| of the column
-    as pivot, swaps it up, scales the column and updates the trailing block."""
+    """Factors P a = L U of each square finite matrix of a stack (..., n, n),
+    all at once; a single matrix is a stack of one.  Returns the factors in
+    one array of a's shape (L strictly below the diagonal, unit diagonal
+    implied), the row orders ``perm`` (row k of P a is row perm[k] of a) and
+    the numbers of row swaps, one per matrix; None when n = 0.  Each step
+    takes the first largest |entry| of the column as pivot, swaps it up,
+    scales the column and updates the trailing block, for every matrix of
+    the stack in the same numpy operations."""
     lu = np.array(a, dtype=float)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-        raise ValueError("expected a square matrix")
+    if lu.ndim < 2 or lu.shape[-1] != lu.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
     if not np.all(np.isfinite(lu)):
         raise ValueError("matrix entries must be finite")
-    n = lu.shape[0]
+    shape, n = lu.shape[:-2], lu.shape[-1]
     if n == 0:
         return None
-    scale = float(np.abs(lu).max())
-    perm, swaps = np.arange(n), 0
+    lu = lu.reshape(-1, n, n)
+    scale = np.abs(lu).max(axis=(1, 2))
+    members = np.arange(len(lu))
+    perm = np.tile(np.arange(n), (len(lu), 1))
+    swaps = np.zeros(len(lu), dtype=np.int64)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
-        if lu[k, k] != 0.0:  # an exact zero column is left as is, and reported below
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or float(pivots.min()) < PIVOT_RTOL * scale:
+        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+        swapped = p != k
+        if swapped.any():
+            lu[members, k], lu[members, p] = lu[members, p], lu[members, k]
+            perm[members, k], perm[members, p] = perm[members, p], perm[members, k]
+            swaps += swapped
+        # an exact zero column is left as is (divided by 1), and reported below
+        pivot = lu[:, k, k]
+        lu[:, k + 1:, k] /= np.where(pivot != 0.0, pivot, 1.0)[:, None]
+        lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, k, None, k + 1:]
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+    singular = (scale == 0.0) | (pivots.min(axis=1) < PIVOT_RTOL * scale)
+    if singular.any():
+        i = int(np.argmax(singular))
+        member = f"stack member {list(map(int, np.unravel_index(i, shape)))}: " if shape else ""
         raise SingularMatrixError(
-            f"singular to working precision (min pivot {pivots.min():.3e}, "
-            f"scale {scale:.3e})"
+            f"{member}singular to working precision (min pivot {pivots[i].min():.3e}, "
+            f"scale {scale[i]:.3e})"
         )
-    return lu, perm, swaps
+    return lu.reshape(shape + (n, n)), perm.reshape(shape + (n,)), swaps.reshape(shape)
 
 
-def det(a) -> float:
-    """Determinant via LU with partial pivoting.
+def det(a) -> float | np.ndarray:
+    """Determinant via LU with partial pivoting: a float for one matrix, an
+    array of the leading shape for a stack (..., n, n).
 
-    Raises SingularMatrixError when a pivot falls below PIVOT_RTOL * scale.
-    The empty matrix has determinant 1.
+    Raises SingularMatrixError when a pivot of any matrix falls below
+    PIVOT_RTOL * its scale.  The empty matrix has determinant 1.  Each
+    determinant is the sign times math.exp of the summed log |pivots|, so a
+    matrix gets the same bits alone or in a stack.
     """
     factors = _lu(a)
     if factors is None:
-        return 1.0
+        shape = np.shape(a)[:-2]
+        return np.ones(shape) if shape else 1.0
     lu, _, swaps = factors
-    pivots = np.diag(lu)
-    sign = (-1.0) ** swaps * float(np.prod(np.sign(pivots)))
-    return sign * math.exp(float(np.log(np.abs(pivots)).sum()))
+    pivots = np.diagonal(lu, axis1=-2, axis2=-1)
+    signs = (-1.0) ** swaps * np.prod(np.sign(pivots), axis=-1)
+    logs = np.log(np.abs(pivots)).sum(axis=-1)
+    dets = [s * math.exp(x) for s, x in zip(signs.ravel().tolist(), logs.ravel().tolist())]
+    return np.reshape(dets, swaps.shape) if swaps.ndim else dets[0]
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a x = b (b a vector or a matrix of columns) through the same
-    guarded LU: forward substitution with L, then back substitution with U."""
+    """Solve a x = b (b a vector or a matrix of columns) for one matrix a,
+    through the same guarded LU: forward substitution with L, then back
+    substitution with U."""
+    if np.ndim(a) != 2:
+        raise ValueError("expected a square matrix")
     factors = _lu(a)
     b = np.asarray(b, dtype=float)
     if factors is None:
@@ -632,10 +652,12 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     All starts are rows of one array.  Each iteration takes every running
     start's residual |fmap(x) - x| and applies the damped update; a start
     whose residual was at most FIXED_POINT_TOL stops there, one update past
-    the point tested, and ``iterations_best`` counts the updates before that
-    point.  The record's residual is |fmap(x) - x| at the best returned
-    point.  NonConvergenceError, carrying the smallest residual, when no
-    start stops within MAX_ITER.
+    the point tested.  ``iterations_best`` counts the updates before that
+    point for the lowest-index converged start within DEDUP_TOL of the best
+    point, so a last-ulp objective tie between starts that reached the same
+    point does not choose the count.  The record's residual is
+    |fmap(x) - x| at the best returned point.  NonConvergenceError,
+    carrying the smallest residual, when no start stops within MAX_ITER.
     """
     X = np.array(starts, dtype=float)
     iterations = np.full(len(X), MAX_ITER)
@@ -659,6 +681,7 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     obj = objectives(X)
     kept = select_maximizers(X, obj)
     best = kept[0]
+    first = int(np.argmax(np.abs(X - X[best]).max(axis=1) <= DEDUP_TOL))
     return MaximizerRecord(
         co_maximizers=[ProbMeasure(X[i]) for i in kept],
         F=float(obj[best]),
@@ -666,7 +689,7 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
         diagnostics={
             "restarts": len(starts),
             "converged": len(X),
-            "iterations_best": int(iterations[best]),
+            "iterations_best": int(iterations[first]),
         },
     )
 

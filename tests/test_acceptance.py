@@ -19,12 +19,12 @@ from central_approx import acceptance
 # (check name, runtime cap in seconds)
 CRITERIA = [
     ("sk-correction", 1.0),
-    ("rs-determinant", 10.0),
+    ("rs-determinant", 1.0),
     ("dense-constant-convergence", 30.0),
     ("matrix-identities", 5.0),
-    ("sylvester-determinants", 5.0),
+    ("sylvester-determinants", 1.0),
     ("local-multinomial-decay", 1.0),
-    ("configuration-model-exactness", 5.0),
+    ("configuration-model-exactness", 1.0),
     ("fg-constant-convergence", 120.0),
     ("step-size-agreement", 30.0),
     ("fluctuation-covariances", 60.0),
@@ -51,11 +51,11 @@ def test_selftest_cli():
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     proc = subprocess.run(
-        cmd + ["selftest"], capture_output=True, text=True, timeout=360, env=env,
+        cmd + ["selftest"], capture_output=True, text=True, timeout=30, env=env,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert elapsed < 360.0
+    assert elapsed < 30.0
     out = proc.stdout
     for name, _ in CRITERIA:
         assert f"{name} " in out or f"{name}\t" in out or name in out

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from central_approx import types_core
+from central_approx import factor_graph, types_core
 from central_approx.errors import (
     ATInstabilityError,
     BoundaryMaximizerError,
@@ -44,8 +44,13 @@ from central_approx.factor_graph import (
     solve_bethe,
     step_size_methods,
 )
-from central_approx.factor_graph import _bethe_marginal, _bethe_mu, _bethe_objective, _weight_tilt
-from central_approx import types_core
+from central_approx.factor_graph import (
+    _bethe_marginal,
+    _bethe_mu,
+    _bethe_objective,
+    _socket_maps,
+    _weight_tilt,
+)
 from central_approx.types_core import Alphabet, ProbMeasure, dirichlet_starts
 
 BINARY = Alphabet((0.0, 1.0))
@@ -253,16 +258,30 @@ def test_permutation_oracle_guard():
 def test_permutation_oracle_key_guard(monkeypatch):
     # 64 letters, (6,2) at N=2: 12 stubs are admitted with allow_large, but
     # the packed key needs (64^2)^6 = 2^72 values per variable type; the
-    # guard refuses before any permutation is drawn
+    # guard refuses before any socket map is drawn
     ens = make_ensemble(6, 2, Alphabet(range(64)), "uniform")
     assert ens.is_admissible(2) and ens.num_factors(2) == 6
 
     def no_enumeration(*args):
-        raise AssertionError("the permutation loop started")
+        raise AssertionError("the socket-map walk started")
 
-    monkeypatch.setattr(itertools, "permutations", no_enumeration)
+    monkeypatch.setattr(factor_graph, "_socket_maps", no_enumeration)
     with pytest.raises(GuardError, match="int64"):
         brute_force_permutation_oracle(ens, 2, allow_large=True)
+
+
+@pytest.mark.parametrize("N,l", [(1, 1), (4, 1), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2),
+                                 (2, 4), (3, 3)])
+def test_socket_maps_are_the_distinct_permutation_maps(N, l):
+    # the walk the oracle replaced: every stub permutation, read through the
+    # variable that owns each stub
+    var_of_stub = np.arange(N * l) // l
+    walked = {tuple(var_of_stub[list(p)].tolist())
+              for p in itertools.permutations(range(N * l))}
+    maps = list(_socket_maps(N, l))
+    assert len(maps) == len(set(maps)) == math.factorial(N * l) // math.factorial(l) ** N
+    assert set(maps) == walked
+    assert maps == sorted(maps)
 
 
 def test_exact_rational_needs_exact_table():

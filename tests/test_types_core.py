@@ -467,6 +467,38 @@ def test_solve_checks_its_inputs():
     assert solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_stacked_det_matches_each_matrix_bit_for_bit(n, size, seed):
+    # scales spread over six decades and both signs, so pivoting and the
+    # log-sum differ from member to member
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((size, n, n)) * 10.0 ** rng.uniform(-3, 3, (size, 1, 1))
+    dets = det(stack)
+    assert isinstance(dets, np.ndarray) and dets.shape == (size,)
+    alone = [det(m) for m in stack]
+    assert all(type(d) is float for d in alone)
+    assert np.array_equal(dets.view(np.int64), np.array(alone).view(np.int64))
+    assert np.array_equal(det(stack.reshape(1, size, n, n)), dets[None])
+
+
+def test_stacked_det_checks_every_matrix():
+    singular = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    with pytest.raises(SingularMatrixError, match=r"^stack member \[1\]: singular"):
+        det(np.stack([np.eye(3), singular, 2.0 * np.eye(3)]))
+    with pytest.raises(SingularMatrixError, match=r"^stack member \[0, 1\]: singular"):
+        det(np.stack([np.eye(3), singular])[None])
+    non_finite = np.stack([np.eye(2)] * 2)
+    non_finite[1, 0, 1] = np.inf
+    for bad in (np.ones((4, 2, 3)), np.ones(3), non_finite):
+        with pytest.raises(ValueError):
+            det(bad)
+    assert np.array_equal(det(np.zeros((5, 0, 0))), np.ones(5))
+    assert det(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        solve(np.stack([np.eye(2)] * 2), np.ones(2))
+
+
 def test_det_product_identity_sylvester():
     # det(I_n + A B) = det(I_m + B A) for rectangular A (n x m), B (m x n)
     rng = np.random.default_rng(2024)
@@ -516,6 +548,19 @@ def test_multistart_freezes_each_row_at_its_own_stop(monkeypatch):
     with pytest.raises(NonConvergenceError) as info:
         solve_multistart(starts[2:], _pull_to_nearest(targets, []), lambda X: X[:, 0])
     assert info.value.residual == 2.0**-33
+
+
+def test_iterations_best_is_the_first_start_at_the_best_point():
+    # both starts end 2^-41 from the one target, after 10 and 2 updates; the
+    # later one wins the objective by one ulp, and the count stays the first's
+    target = np.array([[0.5, 0.5]])
+    starts = target + 2.0 ** -np.array([[30], [38]]) * np.array([1.0, -1.0])
+    objectives = np.array([0.5, np.nextafter(0.5, 1.0)])
+    sol = solve_multistart(starts, lambda X: np.repeat(target, len(X), axis=0),
+                           lambda X: objectives)
+    assert sol.F == objectives[1]
+    assert sol.nu_star.weights.tolist() == (target[0] + 2.0**-41 * np.array([1.0, -1.0])).tolist()
+    assert sol.diagnostics == {"restarts": 2, "converged": 2, "iterations_best": 10}
 
 
 def test_selection_dedups_within_the_objective_gap():
