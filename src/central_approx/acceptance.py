@@ -8,6 +8,7 @@ wall time.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -56,10 +57,10 @@ def check_sk_correction() -> tuple[bool, str]:
 
 def check_rs_determinant() -> tuple[bool, str]:
     """Eigenvalue product vs the explicitly built pair matrices."""
-    rng = np.random.default_rng(20240816)
+    rng = random.Random(20240816)
     worst = 0.0
     for n in (4, 5, 6, 7):
-        draws = rng.uniform(-0.3, 0.3, size=(100, 5)).tolist()  # 100 of (q, r, P, Q, R)
+        draws = [[rng.uniform(-0.3, 0.3) for _ in range(5)] for _ in range(100)]  # (q, r, P, Q, R)
         closed = np.array([rs_determinant(n, *draw) for draw in draws])
         A_g = np.array([build_pqr_matrix(n, P, Q, R) for _, _, P, Q, R in draws])
         A_u = np.array([build_pqr_matrix(n, 1.0 - q * q, q * (1.0 - q), r - q * q)
@@ -96,11 +97,12 @@ def contrast_identity_defect(w: np.ndarray) -> float:
 
 def check_matrix_identities() -> tuple[bool, str]:
     """Contrast-basis and pair-contraction identities at random measures."""
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     worst_h = worst_j = 0.0
     for _ in range(50):
-        K = int(rng.integers(2, 17))
-        w = 0.5 * rng.dirichlet(np.ones(K)) + 0.5 / K
+        K = rng.randint(2, 16)
+        draws = np.array([rng.expovariate(1.0) for _ in range(K)])  # normalized: Dirichlet(1)
+        w = 0.5 * draws / draws.sum() + 0.5 / K
         spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(-1.0, 1.0, K))),
                               zero_local(), PolyOverlap.zero(1))
         pair_covariance, _ = dense_fluctuation(spec, w)
@@ -113,13 +115,13 @@ def check_matrix_identities() -> tuple[bool, str]:
 
 def check_sylvester() -> tuple[bool, str]:
     """det(I - AB) = det(I - BA) across rectangular shapes."""
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     pairs_by_shape: dict[tuple[int, int], list] = {}
     for _ in range(1000):
-        a, b = rng.integers(1, 7, size=2)
-        A = rng.uniform(-0.7, 0.7, size=(a, b))
-        B = rng.uniform(-0.7, 0.7, size=(b, a))
-        pairs_by_shape.setdefault((int(a), int(b)), []).append((A, B))
+        a, b = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[rng.uniform(-0.7, 0.7) for _ in range(b)] for _ in range(a)]
+        B = [[rng.uniform(-0.7, 0.7) for _ in range(a)] for _ in range(b)]
+        pairs_by_shape.setdefault((a, b), []).append((A, B))
     worst = 0.0
     for (a, b), pairs in pairs_by_shape.items():  # one stacked det per side and shape
         A, B = (np.array(side) for side in zip(*pairs))

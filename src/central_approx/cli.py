@@ -528,7 +528,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's seeding rejects it only after a model is built
+        if args.seed < 0:  # dirichlet_starts rejects it too, but only once a model is built
             raise ValidationFailure(f"--seed must be >= 0, got {args.seed}")
         report = args.run(args)
     except ValidationFailure as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InstabilityError, ValidationFailure
@@ -147,28 +147,31 @@ def sk_paramagnetic_correction(beta: float, N: int) -> float:
     return rs_correction_n0(N, 0.0, 0.0, beta * beta, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class RSParams:
-    """RS inputs: replica count, the two moments, and the curvature pattern."""
+class RSParams(namedtuple("RSParams", "n q r P Q R")):
+    """RS inputs: replica count, the two moments, and the curvature pattern.
 
-    n: int
-    q: float
-    r: float
-    P: float
-    Q: float
-    R: float
+    Immutable.  A named tuple, not a dataclass, so that the numpy-free
+    commands (`sk`, `rs-det`, `rs-correction`) do not import dataclasses and
+    inspect; ``_make`` and ``_replace`` go through the same checks.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationFailure(f"need at least two replicas, got n={self.n}")
-        if abs(self.q) > 1.0 or abs(self.r) > 1.0:
+    __slots__ = ()
+
+    def __new__(cls, n: int, q: float, r: float, P: float, Q: float, R: float):
+        if n < 2:
+            raise ValidationFailure(f"need at least two replicas, got n={n}")
+        if abs(q) > 1.0 or abs(r) > 1.0:
             raise ValidationFailure(
-                f"moments of +-1 variables need |q|,|r| <= 1, got q={self.q:g}, r={self.r:g}"
+                f"moments of +-1 variables need |q|,|r| <= 1, got q={q:g}, r={r:g}"
             )
-        for name in ("q", "r", "P", "Q", "R"):
-            value = getattr(self, name)
+        for name, value in zip("qrPQR", (q, r, P, Q, R)):
             if not math.isfinite(value):
                 raise ValidationFailure(f"RS parameters must be finite, got {name}={value:g}")
+        return super().__new__(cls, n, q, r, P, Q, R)
+
+    @classmethod
+    def _make(cls, iterable) -> RSParams:
+        return cls(*iterable)
 
     def determinant(self) -> float:
         return rs_determinant(self.n, self.q, self.r, self.P, self.Q, self.R)

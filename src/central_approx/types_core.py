@@ -23,6 +23,7 @@ machinery that the dense and factor-graph sides share:
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -588,15 +589,24 @@ def solve(a, b) -> np.ndarray:
 # so each iteration is a handful of numpy operations for all starts at once.
 
 def dirichlet_starts(K: int, restarts: int, seed: int) -> np.ndarray:
-    """Uniform start, then restart k drawn from Dirichlet(1) with seed (seed, k)."""
+    """Uniform start, then restart k: K Exp(1) draws from the stdlib generator
+    random.Random((seed << 32) | k), normalized, a Dirichlet(1) point that
+    depends on (seed, k) alone."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rows = [np.full(K, 1.0 / K)]
-    rows += [np.random.default_rng((seed, k)).dirichlet(np.ones(K)) for k in range(restarts)]
+    for k in range(restarts):
+        rng = random.Random((seed << 32) | k)
+        draws = np.array([rng.expovariate(1.0) for _ in range(K)])
+        rows.append(draws / draws.sum())
     return np.array(rows)
 
 
 def select_maximizers(points: np.ndarray, objectives) -> list[int]:
     """Indices of the distinct co-maximizers, best first (ties in start order):
-    within OBJECTIVE_GAP of the best and more than DEDUP_TOL apart."""
+    within OBJECTIVE_GAP of the best and more than DEDUP_TOL apart.  Each is
+    given as the lowest-index point within DEDUP_TOL of it, so a last-ulp
+    objective tie between starts that reached one point does not pick it."""
     obj = np.asarray(objectives, dtype=float)
     order = np.argsort(-obj, kind="stable")
     kept: list[int] = []
@@ -605,7 +615,7 @@ def select_maximizers(points: np.ndarray, objectives) -> list[int]:
             break
         if all(float(np.abs(points[i] - points[j]).max()) > DEDUP_TOL for j in kept):
             kept.append(int(i))
-    return kept
+    return [int(np.argmax(np.abs(points - points[i]).max(axis=1) <= DEDUP_TOL)) for i in kept]
 
 
 def require_interior(weights) -> None:
@@ -652,12 +662,11 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     All starts are rows of one array.  Each iteration takes every running
     start's residual |fmap(x) - x| and applies the damped update; a start
     whose residual was at most FIXED_POINT_TOL stops there, one update past
-    the point tested.  ``iterations_best`` counts the updates before that
-    point for the lowest-index converged start within DEDUP_TOL of the best
-    point, so a last-ulp objective tie between starts that reached the same
-    point does not choose the count.  The record's residual is
-    |fmap(x) - x| at the best returned point.  NonConvergenceError,
-    carrying the smallest residual, when no start stops within MAX_ITER.
+    the point tested.  Each co-maximizer is the lowest-index converged start
+    within DEDUP_TOL of it (select_maximizers); F, the residual
+    |fmap(x) - x| and ``iterations_best`` (the updates before the stop) are
+    those of the best one.  NonConvergenceError, carrying the smallest
+    residual, when no start stops within MAX_ITER.
     """
     X = np.array(starts, dtype=float)
     iterations = np.full(len(X), MAX_ITER)
@@ -681,7 +690,6 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     obj = objectives(X)
     kept = select_maximizers(X, obj)
     best = kept[0]
-    first = int(np.argmax(np.abs(X - X[best]).max(axis=1) <= DEDUP_TOL))
     return MaximizerRecord(
         co_maximizers=[ProbMeasure(X[i]) for i in kept],
         F=float(obj[best]),
@@ -689,7 +697,7 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
         diagnostics={
             "restarts": len(starts),
             "converged": len(X),
-            "iterations_best": int(iterations[first]),
+            "iterations_best": int(iterations[best]),
         },
     )
 

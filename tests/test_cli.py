@@ -144,6 +144,40 @@ def test_command_loads_only_its_modules(argv, code, loaded):
     assert json.loads(proc.stdout.splitlines()[-1]) == [code, sorted(loaded)], proc.stderr
 
 
+_NUMPY_FREE = {"numpy", "numpy.random", "dataclasses", "inspect"}
+
+
+# numpy.random costs a process about 6 MB and 15 ms; the solvers' restarts and
+# the selftest draws come from the stdlib generator.  The numpy-free commands
+# also skip dataclasses (and inspect, which it imports).
+@pytest.mark.parametrize("argv, absent", [
+    pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"],
+                 {"numpy.random"}, id="fg-compare"),
+    pytest.param(["dense-compare", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
+                 {"numpy.random"}, id="dense-compare"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], {"numpy.random"},
+                 id="clt-cov-dense"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "factor"],
+                 {"numpy.random"}, id="clt-cov-fg"),
+    pytest.param(["selftest"], {"numpy.random"}, id="selftest"),
+    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], _NUMPY_FREE, id="sk"),
+    pytest.param(["rs-det", "--config", str(_CONFIGS / "sk_pqr.json")], _NUMPY_FREE,
+                 id="rs-det"),
+    pytest.param(["rs-correction", "--config", str(_CONFIGS / "sk_pqr.json"), "--N", "100"],
+                 _NUMPY_FREE, id="rs-correction"),
+])
+def test_command_leaves_heavy_modules_unloaded(argv, absent):
+    script = (
+        "import json, sys, central_approx.cli as cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(json.dumps([code, sorted(set(sys.modules).intersection({sorted(absent)!r}))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env=_src_env(), cwd=ROOT)
+    assert proc.stdout, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []], proc.stderr
+
+
 def test_package_import_is_lazy():
     script = (
         "import sys, central_approx as ca\n"

@@ -204,6 +204,20 @@ def test_rs_params_validation():
         RSParams(4, 0.0, -1.1, 0.0, 0.0, 0.0)
 
 
+def test_rs_params_are_frozen_and_checked_on_every_copy():
+    p = RSParams(4, 0.2, 0.1, 0.3, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        p.q = 0.5
+    same = RSParams(4, 0.2, 0.1, 0.3, 0.0, 0.0)
+    assert p == same and hash(p) == hash(same)
+    assert repr(p) == "RSParams(n=4, q=0.2, r=0.1, P=0.3, Q=0.0, R=0.0)"
+    assert p._replace(q=0.5).determinant() == rs_determinant(4, 0.5, 0.1, 0.3, 0.0, 0.0)
+    with pytest.raises(ValidationFailure):
+        p._replace(q=1.5)
+    with pytest.raises(ValidationFailure):
+        RSParams._make([1, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("index", range(5))
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_rs_params_must_be_finite(index, value):

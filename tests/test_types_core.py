@@ -1,6 +1,8 @@
-"""Types, multinomials, the local Gaussian approximation, and the LU kernel."""
+"""Types, multinomials, the local Gaussian approximation, the LU kernel, and
+the multi-start solve."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from central_approx import types_core
+from central_approx.config import build_dense, load_config
+from central_approx.dense import solve_variational
 from central_approx.errors import (
     BoundaryMaximizerError,
     GuardError,
@@ -25,6 +29,7 @@ from central_approx.types_core import (
     ProbMeasure,
     TypeVector,
     det,
+    dirichlet_starts,
     entropy,
     enumerate_types,
     local_approx_log_multinomial,
@@ -41,6 +46,9 @@ from central_approx.types_core import (
     type_array_blocks,
 )
 from central_approx.types_core import _expanded_power, _lu, _packed_power, _packing
+from central_approx.factor_graph import make_ensemble, solve_bethe
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------- alphabets
@@ -570,16 +578,54 @@ def test_multistart_freezes_each_row_at_its_own_stop(monkeypatch):
 
 
 def test_iterations_best_is_the_first_start_at_the_best_point():
-    # both starts end 2^-41 from the one target, after 10 and 2 updates; the
-    # later one wins the objective by one ulp, and the count stays the first's
+    # start 0 ends 2^-41 on one side of the target after 10 updates, start 1
+    # 3 * 2^-43 on the other after none; start 1 wins the objective by one
+    # ulp, and the point, F, residual and count all stay start 0's
     target = np.array([[0.5, 0.5]])
-    starts = target + 2.0 ** -np.array([[30], [38]]) * np.array([1.0, -1.0])
+    starts = target + np.array([[2.0**-30], [-3 * 2.0**-42]]) * np.array([1.0, -1.0])
     objectives = np.array([0.5, np.nextafter(0.5, 1.0)])
     sol = solve_multistart(starts, lambda X: np.repeat(target, len(X), axis=0),
                            lambda X: objectives)
-    assert sol.F == objectives[1]
-    assert sol.nu_star.weights.tolist() == (target[0] + 2.0**-41 * np.array([1.0, -1.0])).tolist()
+    assert [m.weights.tolist() for m in sol.co_maximizers] == [
+        (target[0] + 2.0**-41 * np.array([1.0, -1.0])).tolist()]
+    assert sol.F == objectives[0]
+    assert sol.residual == 2.0**-41
     assert sol.diagnostics == {"restarts": 2, "converged": 2, "iterations_best": 10}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 20), st.integers(0, 2**40))
+def test_dirichlet_starts_are_simplex_points_fixed_by_seed_and_index(K, restarts, seed):
+    starts = dirichlet_starts(K, restarts, seed)
+    assert starts.shape == (restarts + 1, K)
+    assert (starts >= 0).all()
+    assert np.abs(starts.sum(axis=1) - 1.0).max() <= 1e-12
+    assert starts[0].tolist() == [1.0 / K] * K
+    # restart k depends on (seed, k) alone, not on how many restarts follow it
+    for fewer in range(restarts):
+        assert np.array_equal(dirichlet_starts(K, fewer, seed), starts[:fewer + 1])
+    assert np.array_equal(dirichlet_starts(K, restarts, seed), starts)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        dirichlet_starts(K, restarts, -1 - seed)
+
+
+@pytest.mark.parametrize("solver", ["bethe-parity36", "variational-sk2"])
+def test_solvers_return_the_uniform_start_at_every_seed(solver):
+    # the uniform start reaches the best point, so the seed of the other 32
+    # moves nothing: records bit-identical at seeds 0, 11 and 41
+    if solver == "bethe-parity36":
+        ens = make_ensemble(3, 6, Alphabet((0.0, 1.0)), "parity")
+        records = [solve_bethe(ens, seed=seed) for seed in (0, 11, 41)]
+    else:
+        spec = build_dense(load_config(str(ROOT / "perfbench" / "inputs" / "sk2.json")))
+        records = [solve_variational(spec, seed=seed) for seed in (0, 11, 41)]
+
+    def fields(record):
+        return {name: [m.weights.tolist() for m in value] if isinstance(value, list) else value
+                for name, value in vars(record).items()}
+
+    assert fields(records[0]) == fields(records[1]) == fields(records[2])
+    assert records[0].diagnostics["iterations_best"] == 0
 
 
 def test_selection_dedups_within_the_objective_gap():
