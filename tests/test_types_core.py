@@ -21,6 +21,7 @@ from central_approx.errors import (
     NonConvergenceError,
     SingularMatrixError,
 )
+from central_approx.factor_graph import make_ensemble, solve_bethe
 from central_approx.types_core import (
     PIVOT_RTOL,
     BOUNDARY_TOL,
@@ -46,7 +47,6 @@ from central_approx.types_core import (
     type_array_blocks,
 )
 from central_approx.types_core import _expanded_power, _lu, _packed_power, _packing
-from central_approx.factor_graph import make_ensemble, solve_bethe
 
 ROOT = Path(__file__).resolve().parents[1]
 
