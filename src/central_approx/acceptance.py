@@ -195,8 +195,7 @@ def check_step_size_agreement() -> tuple[bool, str]:
     ]
     for l, r, alphabet, factor, s in battery:
         ens = make_ensemble(l, r, alphabet, factor)
-        box = (3 * l - 1) // 2 if l % 2 else None
-        methods = step_size_methods(ens, density_box_L=box)
+        methods = step_size_methods(ens)
         for name, value in methods.items():
             if name == "box_density":
                 if value != Fraction(1, s):

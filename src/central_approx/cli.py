@@ -160,14 +160,13 @@ def _rs_params(args):
 
 # ------------------------------------------------------------- subcommands
 
-def _sum_kwargs(guards: dict, key: str, allow_large: bool = False) -> dict:
-    """Keywords of an exact sum: the guard under ``key`` and allow_large."""
-    kw = {}
-    if key in guards:
-        kw["guard"] = guards[key]
-    if guards.get("allow_large") or allow_large:
-        kw["allow_large"] = True
-    return kw
+def _sum_kwargs(guards: dict, key: str, lift: bool = False) -> dict:
+    """Keywords of an exact sum: ``guard=None`` when the config's
+    ``allow_large`` or ``lift`` (the --allow-large flag) lifts the guard,
+    else the config's guard under ``key`` if it sets one."""
+    if guards.get("allow_large") or lift:
+        return {"guard": None}
+    return {"guard": guards[key]} if key in guards else {}
 
 
 def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) -> Report:
@@ -304,8 +303,7 @@ def cmd_fg_s(args) -> Report:
     ens, _ = _ensemble_from_args(args)
     from .factor_graph import step_size_methods
 
-    box = (3 * ens.l - 1) // 2 if ens.l % 2 else None
-    methods = step_size_methods(ens, density_box_L=box)
+    methods = step_size_methods(ens)
     rep = Report("fg-s")
     rep.scalar("s", methods["snf"])
     rep.table(["method", "value"], [(k, str(v)) for k, v in methods.items()])

@@ -111,17 +111,17 @@ def overlap_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
 
 
 def empirical_type_covariance_oracle(spec: DenseModelSpec, N: int, *,
-                                     guard: int = ORACLE_TYPE_GUARD,
-                                     allow_large: bool = False) -> CovarianceResult:
+                                     guard: int | None = ORACLE_TYPE_GUARD) -> CovarianceResult:
     """Exact covariance of sqrt(N)(v/N - nu*) at finite N, by full summation.
 
     Weights every type v by multinomial(v) * exp{sum_x v(x) f(x) + N g(q(v))}
     and computes the centered covariance of the scaled fluctuation.  The
     centering removes the maximizer, so nu* never enters: shifting by any
     constant leaves a covariance unchanged.  Validation plumbing for
-    dense_type_covariance; cost grows like the number of types.
+    dense_type_covariance; cost grows like the number of types, which
+    ``guard`` bounds (``guard=None`` lifts it).
     """
-    blocks = list(type_array_blocks(N, len(spec.symbols), guard=guard, allow_large=allow_large))
+    blocks = list(type_array_blocks(N, len(spec.symbols), guard=guard))
     V = np.concatenate(blocks, axis=0)
     logw = type_log_weights(spec, N, V)
     w = np.exp(logw - logsumexp(logw))

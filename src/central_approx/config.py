@@ -102,15 +102,18 @@ _DENSE_G = {
     ]
 }
 
-_GUARDS = {
-    "type": "object",
-    "properties": {
-        "type_sum": {"type": "integer", "minimum": 1},
-        "type_pairs": {"type": "integer", "minimum": 1},
-        "allow_large": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
+
+def _guards(key: str) -> dict:
+    """A model's guards block: its own size guard ``key`` and allow_large."""
+    return {
+        "type": "object",
+        "properties": {
+            key: {"type": "integer", "minimum": 1},
+            "allow_large": {"type": "boolean"},
+        },
+        "additionalProperties": False,
+    }
+
 
 CONFIG_SCHEMA = {
     "oneOf": [
@@ -123,7 +126,7 @@ CONFIG_SCHEMA = {
                 "alphabet": _NUMBER_LIST,
                 "f": _DENSE_F,
                 "g": _DENSE_G,
-                "guards": _GUARDS,
+                "guards": _guards("type_sum"),
             },
             "required": ["schema_version", "model", "n", "alphabet", "g"],
             "additionalProperties": False,
@@ -147,7 +150,7 @@ CONFIG_SCHEMA = {
                         },
                     ]
                 },
-                "guards": _GUARDS,
+                "guards": _guards("type_pairs"),
             },
             "required": ["schema_version", "model", "l", "r", "alphabet", "factor"],
             "additionalProperties": False,

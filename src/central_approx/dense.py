@@ -47,6 +47,10 @@ from .types_core import (
 )
 
 SYMBOL_TABLE_GUARD = 1 << 20
+# default size guard of the three exact routes below: configurations, or the
+# smaller of packed words and types, or types in the window's enumeration
+EXACT_GUARD = 10**8
+BRUTE_FORCE_BATCH = 1 << 15
 
 
 def pair_indices(n: int) -> list[tuple[int, int]]:
@@ -242,20 +246,21 @@ class DenseModelSpec:
 
 # ----------------------------------------------------------- exact routes
 
-def brute_force_expectation(spec: DenseModelSpec, N: int, *, guard: int = 10**8,
-                            batch: int = 1 << 15) -> float:
-    """log of the configuration sum, enumerated literally.
+def brute_force_expectation(spec: DenseModelSpec, N: int, *,
+                            guard: int | None = EXACT_GUARD) -> float:
+    """log of the configuration sum, enumerated literally, BRUTE_FORCE_BATCH
+    configurations at a time.
 
-    Guarded to |X|^(n N) <= guard configurations.
+    Guarded to |X|^(n N) <= guard configurations; ``guard=None`` lifts it.
     """
     K = spec.num_symbols
     total = K**N
-    if total > guard:
+    if guard is not None and total > guard:
         raise GuardError(f"brute force would enumerate {total} configurations (guard {guard})")
     powers = K ** np.arange(N - 1, -1, -1, dtype=np.int64)
     pieces = []
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
+    for start in range(0, total, BRUTE_FORCE_BATCH):
+        idx = np.arange(start, min(start + BRUTE_FORCE_BATCH, total), dtype=np.int64)
         digits = (idx[:, None] // powers) % K
         fsum = spec.f_values[digits].sum(axis=1)
         q = spec.pair_products[digits].mean(axis=1)
@@ -273,26 +278,26 @@ def type_log_weights(spec: DenseModelSpec, N: int, V: np.ndarray) -> np.ndarray:
     return lw
 
 
-def exact_type_sum(spec: DenseModelSpec, N: int, *, guard: int = 10**8,
-                   allow_large: bool = False) -> float:
+def exact_type_sum(spec: DenseModelSpec, N: int, *,
+                   guard: int | None = EXACT_GUARD) -> float:
     """log of the configuration sum: sum over the pair-product sums r of
     [y^r] (sum_x e^{f(x)} y^{J(x)})^N * e^{N g(r/N)}, the power from
-    types_core.power_terms and guarded by it.  Equal to brute_force_expectation
-    wherever both are feasible."""
+    types_core.power_terms and guarded by it (``guard=None`` lifts it).
+    Equal to brute_force_expectation wherever both are feasible."""
     if N < 1:
         raise ValueError("need N >= 1")
     pieces = [logsumexp(coef + N * spec.g.value_batch(rows / N))
-              for rows, coef in power_terms(spec.pair_products, spec.f_values, N,
-                                            guard=guard, allow_large=allow_large)]
+              for rows, coef in power_terms(spec.pair_products, spec.f_values, N, guard=guard)]
     return logsumexp(pieces)
 
 
 def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
-                      *, guard: int = 10**8, allow_large: bool = False) -> float:
+                      *, guard: int | None = EXACT_GUARD) -> float:
     """Type sum restricted to the window ||v - N nu*||_2 <= N^alpha.
 
     alpha must lie strictly between 1/2 (below the fluctuation scale) and
     2/3 (where cubic corrections enter).  Returns -inf for an empty window.
+    Enumerates every type, guarded as type_array_blocks.
     """
     if not (0.5 < alpha < 2.0 / 3.0):
         raise ValueError("alpha must lie in (1/2, 2/3)")
@@ -301,7 +306,7 @@ def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
         raise ValueError("nu_star has the wrong number of cells")
     radius = float(N) ** alpha
     pieces = []
-    for V in type_array_blocks(N, spec.num_symbols, guard=guard, allow_large=allow_large):
+    for V in type_array_blocks(N, spec.num_symbols, guard=guard):
         dist2 = ((V - center) ** 2).sum(axis=1)
         mask = dist2 <= radius * radius
         if mask.any():

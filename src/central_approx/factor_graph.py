@@ -42,7 +42,7 @@ from .types_core import (
     log_multinomial,
     log_multinomial_rows,
     logsumexp,
-    multinomial_exact,
+    multinomial,
     power_terms,
     require_interior,
     solve_multistart,
@@ -159,19 +159,14 @@ class EnsembleSpec:
 def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
     """Read a factor value table: one line per word, word then value.
 
-    Tokens are whitespace-separated; the first r name alphabet symbols,
-    the last is the value.  Values parse as exact rationals when they can
+    Tokens are whitespace-separated; the first r are alphabet symbols, read
+    as floats and matched by value ("0", "0.0" and "0e0" all name 0), the
+    last is the value.  Values parse as exact rationals when they can
     ("2", "1/3", "0.25"), keeping the big-rational paths available.
     Blank lines and #-comments are skipped.  Every word must appear
     exactly once.
     """
-    symbol_of = {}
-    for value in alphabet.values:
-        symbol_of[f"{value:g}"] = value
-        if value == int(value):
-            symbol_of[str(int(value))] = value
     K = len(alphabet)
-    index = {w: i for i, w in enumerate(itertools.product(alphabet.values, repeat=r))}
     vals: list = [None] * (K**r)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -187,12 +182,12 @@ def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
             raise ValidationFailure(
                 f"{path}:{lineno}: expected {r} symbols and a value, got {len(tokens)} tokens"
             )
-        try:
-            word = tuple(symbol_of[t] for t in tokens[:r])
-        except KeyError as exc:
-            raise ValidationFailure(
-                f"{path}:{lineno}: unknown symbol {exc.args[0]!r}"
-            ) from None
+        pos = 0  # the word's place in lexicographic order over symbol indices
+        for token in tokens[:r]:
+            try:
+                pos = pos * K + alphabet.index(float(token))
+            except ValueError:
+                raise ValidationFailure(f"{path}:{lineno}: unknown symbol {token!r}") from None
         try:
             val = Fraction(tokens[r])
         except (ValueError, ZeroDivisionError):
@@ -202,7 +197,6 @@ def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
                 raise ValidationFailure(
                     f"{path}:{lineno}: bad value {tokens[r]!r}"
                 ) from None
-        pos = index[word]
         if vals[pos] is not None:
             raise ValidationFailure(f"{path}:{lineno}: word listed twice")
         vals[pos] = val
@@ -310,7 +304,7 @@ def expected_type_count_exact(ensemble: EnsembleSpec, v, u, N: int) -> Fraction:
         )
     v, u = check_consistency(ensemble, v, u, N)
     l = ensemble.l
-    num = multinomial_exact(v) * multinomial_exact(u)
+    num = multinomial(v.tolist()) * multinomial(u.tolist())
     for c in v:
         num *= math.factorial(int(c) * l)
     return Fraction(num, math.factorial(N * l))
@@ -331,8 +325,8 @@ class PermutationOracleResult:
 
 
 def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
-                                   guard: int = PERMUTATION_GUARD_STUBS,
-                                   allow_large: bool = False) -> PermutationOracleResult:
+                                   guard: int | None = PERMUTATION_GUARD_STUBS
+                                   ) -> PermutationOracleResult:
     """Average over all (Nl)! stub permutations, exactly.
 
     A permutation reaches the tally only through its socket map, the
@@ -349,14 +343,15 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
     sorted factor words into one int64 key, base W = |X|^r, and np.unique
     counts the keys.  Block tallies are merged every SOCKET_MAP_MERGE_BLOCKS
     blocks, so memory stays flat however many maps run.  Feasible only for a
-    handful of stubs; the guard caps N*l at 8 by default and at 12 with
-    allow_large, and refuses key spaces past int64.  ``permutations`` is
-    the (Nl)! that the average stands for.
+    handful of stubs: ``guard`` caps N*l, at 8 by default, and no guard
+    (``None`` included) lifts the cap past PERMUTATION_MAX_STUBS = 12.  Key
+    spaces past int64 are refused too.  ``permutations`` is the (Nl)! that
+    the average stands for.
     """
     l = ensemble.l
     stubs = N * l
     M = ensemble.num_factors(N)
-    limit = PERMUTATION_MAX_STUBS if allow_large else guard
+    limit = PERMUTATION_MAX_STUBS if guard is None else min(guard, PERMUTATION_MAX_STUBS)
     if stubs > limit:
         raise GuardError(
             f"permutation oracle needs (N*l)! enumeration; N*l={stubs} exceeds {limit}"
@@ -457,8 +452,8 @@ def _log_fraction(x: Fraction) -> float:
 # counts of w (letter 0 implied).  types_core.power_terms builds the power.
 
 
-def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
-              allow_large: bool, only: tuple | None = None) -> Fraction | float:
+def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int | None,
+              only: tuple | None = None) -> Fraction | float:
     """E[Z] summed over every variable type or just `only`; its log unless exact.
     Exact arithmetic runs on the table scaled to integers by its LCD D."""
     l = ensemble.l
@@ -471,8 +466,7 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
     else:
         weights = np.log(ensemble.f_values[S])
     Vs, coefs = [], []
-    for rows, coef in power_terms(ensemble.letter_counts[S, 1:], weights, M,
-                                  guard=guard, allow_large=allow_large):
+    for rows, coef in power_terms(ensemble.letter_counts[S, 1:], weights, M, guard=guard):
         keep = ~np.any(rows % l, axis=1)
         if only is not None:
             keep &= np.all(rows == l * np.asarray(only[1:]), axis=1)
@@ -491,8 +485,8 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int,
     return logsumexp(terms - math.lgamma(N * l + 1))
 
 
-def exact_expected_Z(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_GUARD,
-                     allow_large: bool = False) -> float:
+def exact_expected_Z(ensemble: EnsembleSpec, N: int, *,
+                     guard: int | None = TYPE_PAIR_GUARD) -> float:
     """log E[Z] by one generating-function contraction over variable types.
 
     At each variable type, the sum over factor types is one coefficient of
@@ -500,15 +494,15 @@ def exact_expected_Z(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_G
     expanded over the factor types (types_core.power_terms).  Rational
     tables are summed exactly, float tables in the log domain.  GuardError
     when both the packed array (64-bit words) and the type count exceed
-    `guard`, unless allow_large.
+    `guard`; `guard=None` lifts it.
     """
     if ensemble.f_exact is not None:
-        return _log_fraction(_type_sum(ensemble, N, True, guard, allow_large))
-    return _type_sum(ensemble, N, False, guard, allow_large)
+        return _log_fraction(_type_sum(ensemble, N, True, guard))
+    return _type_sum(ensemble, N, False, guard)
 
 
-def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_PAIR_GUARD,
-                           allow_large: bool = False) -> Fraction:
+def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *,
+                           guard: int | None = TYPE_PAIR_GUARD) -> Fraction:
     """E[Z] as an exact rational, for any alphabet; needs an exact factor table.
 
     Same contraction as exact_expected_Z, in integer arithmetic on the
@@ -518,7 +512,7 @@ def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *, guard: int = TYPE_
         raise ValidationFailure(
             "exact arithmetic needs an exact factor table (integer or rational values)"
         )
-    return _type_sum(ensemble, N, True, guard, allow_large)
+    return _type_sum(ensemble, N, True, guard)
 
 
 # --------------------------------------------------------------------------
@@ -744,16 +738,16 @@ def _is_prime(p: int) -> bool:
 
 
 def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
-                      ref_symbol: int | None = None,
-                      density_box_L: int | None = None) -> dict:
+                      ref_symbol: int | None = None) -> dict:
     """All available routes to the step size s, for cross-validation.
 
     Always: "snf" (Smith normal form of the congruence matrix) and
     "residue_count" (exact count of solutions modulo l).  When l is prime:
     "prime_rank" = l^rank over the field.  For two-letter alphabets:
-    "binary_gcd" = l / gcd(differences, l).  With density_box_L set, adds
-    "box_density", the exact fraction of solutions in an integer box;
-    when 2L+1 is a multiple of l this equals 1/s exactly.
+    "binary_gcd" = l / gcd(differences, l).  When l is odd:
+    "box_density", the exact fraction of solutions in the integer box
+    [-L, L]^n with L = (3l - 1)/2; its width 2L + 1 = 3l covers every
+    residue class evenly, so it equals 1/s exactly.
     """
     A = _step_matrix(ensemble, ref_word, ref_symbol)
     l = ensemble.l
@@ -771,8 +765,8 @@ def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
         for x in A[0] if A.size else []:
             g = math.gcd(g, int(x))
         out["binary_gcd"] = l // g
-    if density_box_L is not None:
-        L = density_box_L
+    if l % 2:
+        L = (3 * l - 1) // 2
         in_box = [0] * l  # points of [-L, L] in each residue class
         for e in range(-L, L + 1):
             in_box[e % l] += 1
@@ -828,14 +822,14 @@ class LdpcResult:
     theta: float = 0.0
 
 
-def expected_codewords_at_weight(l: int, r: int, N: int, w: int, *, guard: int = TYPE_PAIR_GUARD,
-                                 allow_large: bool = False) -> Fraction:
+def expected_codewords_at_weight(l: int, r: int, N: int, w: int, *,
+                                 guard: int | None = TYPE_PAIR_GUARD) -> Fraction:
     """Exact expected number of weight-w codewords of the (l,r) ensemble, guarded as E[Z]."""
     ens = make_ensemble(l, r, Alphabet((0.0, 1.0)), "parity")
     ens.require_admissible(N)
     if not 0 <= w <= N:
         raise ValidationFailure(f"weight {w} outside 0..{N}")
-    return _type_sum(ens, N, True, guard, allow_large, only=(N - w, w))
+    return _type_sum(ens, N, True, guard, only=(N - w, w))
 
 
 def _weight_tilt(ensemble: EnsembleSpec, omega: float) -> tuple[float, np.ndarray]:

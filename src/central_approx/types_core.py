@@ -40,8 +40,8 @@ from .errors import (
 # Tolerances and guards used by the constructors below.  Kept module level
 # so tests can reference the same numbers.
 PROB_SUM_TOL = 1e-12
-EXACT_MULTINOMIAL_MAX_TOTAL = 2000
 TYPE_ENUM_GUARD = 10**8
+TYPE_BLOCK_ROWS = 1 << 20
 PIVOT_RTOL = 1e-14
 
 # Settings of the multi-start solve, shared by both solvers.
@@ -203,21 +203,6 @@ def multinomial(counts) -> int:
     return coef
 
 
-def multinomial_exact(counts) -> int:
-    """Exact multinomial coefficient as a big integer.
-
-    Guarded to totals <= EXACT_MULTINOMIAL_MAX_TOTAL; beyond that use the
-    log-gamma path.
-    """
-    c = _counts_of(counts)
-    total = int(c.sum())
-    if total > EXACT_MULTINOMIAL_MAX_TOTAL:
-        raise GuardError(
-            f"exact multinomial guarded to total <= {EXACT_MULTINOMIAL_MAX_TOTAL}, got {total}"
-        )
-    return multinomial(c.tolist())
-
-
 def log_multinomial(counts) -> float:
     """log of the multinomial coefficient, via log-gamma."""
     c = _counts_of(counts)
@@ -330,29 +315,22 @@ def _compositions(total: int, cells: int) -> np.ndarray:
     return np.vstack(parts)
 
 
-def type_array_blocks(
-    N: int,
-    cells: int,
-    *,
-    max_rows: int = 1 << 20,
-    guard: int = TYPE_ENUM_GUARD,
-    allow_large: bool = False,
-) -> Iterator[np.ndarray]:
-    """Yield all types of total N over ``cells`` cells as int64 array blocks.
+def type_array_blocks(N: int, cells: int, *,
+                      guard: int | None = TYPE_ENUM_GUARD) -> Iterator[np.ndarray]:
+    """Yield all types of total N over ``cells`` cells as int64 array blocks,
+    split on the leading counts until a block has at most TYPE_BLOCK_ROWS
+    rows or three cells.
 
     Blocks arrive in global lexicographic order and concatenate to the full
-    enumeration.  Raises GuardError when the total count exceeds ``guard``
-    unless ``allow_large`` is set.
+    enumeration.  Raises GuardError when the total count exceeds ``guard``;
+    ``guard=None`` lifts it.
     """
     count = num_types(N, cells)
-    if count > guard and not allow_large:
-        raise GuardError(
-            f"type enumeration would produce {count} types (guard {guard}); "
-            "pass allow_large=True to override"
-        )
+    if guard is not None and count > guard:
+        raise GuardError(f"type enumeration would produce {count} types (guard {guard})")
 
     def rec(prefix: list[int], total: int, c: int) -> Iterator[np.ndarray]:
-        if c <= 3 or num_types(total, c) <= max_rows:
+        if c <= 3 or num_types(total, c) <= TYPE_BLOCK_ROWS:
             arr = _compositions(total, c)
             if prefix:
                 pre = np.tile(np.array(prefix, dtype=np.int64), (arr.shape[0], 1))
@@ -365,15 +343,11 @@ def type_array_blocks(
     yield from rec([], N, cells)
 
 
-def enumerate_types(
-    N: int,
-    cells: int,
-    *,
-    guard: int = TYPE_ENUM_GUARD,
-    allow_large: bool = False,
-) -> Iterator[TypeVector]:
-    """Deterministic lexicographic stream of all TypeVectors of total N."""
-    for block in type_array_blocks(N, cells, guard=guard, allow_large=allow_large):
+def enumerate_types(N: int, cells: int, *,
+                    guard: int | None = TYPE_ENUM_GUARD) -> Iterator[TypeVector]:
+    """Deterministic lexicographic stream of all TypeVectors of total N,
+    guarded as type_array_blocks."""
+    for block in type_array_blocks(N, cells, guard=guard):
         for row in block:
             yield TypeVector(row, total=N)
 
@@ -444,7 +418,7 @@ def _expanded_power(E: np.ndarray, weights, M: int) -> Iterator[tuple]:
     """Blocks of exponent rows and coefficients of the M-th power by the
     multinomial theorem: one term u @ E per type u of type_array_blocks(M, T).
     Exact coefficients are computed when read (_TypeCoefficients)."""
-    for U in type_array_blocks(M, len(E), allow_large=True):
+    for U in type_array_blocks(M, len(E), guard=None):
         if isinstance(weights, np.ndarray):
             coefs = log_multinomial_rows(U) + U @ weights
         else:
@@ -452,8 +426,7 @@ def _expanded_power(E: np.ndarray, weights, M: int) -> Iterator[tuple]:
         yield U @ E, coefs
 
 
-def power_terms(exponents, weights, M: int, *, guard: int,
-                allow_large: bool = False) -> Iterator[tuple]:
+def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tuple]:
     """Terms of (sum_t w_t y^{E_t})^M, E_t the rows of ``exponents``, in blocks of
     (exponent rows, coefficients): exact integers for Python-int weights, logs
     for a float array of log weights.  Rows may repeat; a caller sums over them.
@@ -466,7 +439,7 @@ def power_terms(exponents, weights, M: int, *, guard: int,
     fits prod(span_d M + 1) slots.  The expansion (_expanded_power) goes
     block by block, in bounded memory.  The side needing fewer numbers is
     built (packed 64-bit words, or types; the expansion on a tie); GuardError
-    when both exceed ``guard``, unless ``allow_large``.
+    when both exceed ``guard``, none when ``guard`` is None.
     """
     exact = not isinstance(weights, np.ndarray)
     E, group = np.unique(np.asarray(exponents), axis=0, return_inverse=True)
@@ -482,10 +455,9 @@ def power_terms(exponents, weights, M: int, *, guard: int,
         E = E.astype(np.int64)
         packing = _packing(E, merged, M)
         packed = math.prod(packing[2].tolist()) * max(1, -(-packing[3] // 8))
-    if min(packed, expanded) > guard and not allow_large:
+    if guard is not None and min(packed, expanded) > guard:
         words = f"{packed} packed coefficient words or " if packed < math.inf else ""
-        raise GuardError(f"exact sum needs {words}{expanded} types (guard {guard}); "
-                         "pass allow_large=True to override")
+        raise GuardError(f"exact sum needs {words}{expanded} types (guard {guard})")
     if packed < expanded:
         yield _packed_power(E, merged, M, packing)
     else:

@@ -244,6 +244,11 @@ def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
     ("parity36.json", {}, ["fg-compare", "--N", "12", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     ("cw.json", {}, ["clt-cov", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    # a guard key of the other model is refused, not ignored
+    ("cw.json", {"guards": {"type_pairs": 1}}, ["dense-exact", "--N", "10"],
+     ": guards: Additional properties are not allowed ('type_pairs' was unexpected)"),
+    ("parity36.json", {"guards": {"type_sum": 1}}, ["fg-exact", "--N", "12"],
+     ": guards: Additional properties are not allowed ('type_sum' was unexpected)"),
 ])
 def test_bad_config_exits_2(capsys, tmp_path, base, change, argv, message):
     bad = tmp_path / "bad.json"

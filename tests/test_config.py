@@ -213,9 +213,9 @@ SEED_CONFIGS = [json.loads(p.read_text()) for p in sorted(ROOT.glob("configs/*.j
 # plus one config per branch of the nested oneOfs that the files do not reach
 SEED_CONFIGS += [
     dense_cfg(f={"kind": "field", "h": 0.3}, g={"kind": "quadratic", "lam": 0.5, "pairs": "all"},
-              guards={"type_sum": 10, "type_pairs": 5, "allow_large": False}),
+              guards={"type_sum": 10, "allow_large": False}),
     dense_cfg(n=2, f={"kind": "table", "values": [0.1, 0.2, 0.3, 0.4]}, g={"kind": "zero"}),
-    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guards={"type_sum": 100}),
+    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guards={"type_pairs": 100}),
     RS_CFG,
 ]
 
@@ -328,7 +328,13 @@ def test_json_schema_number_semantics():
     (dense_cfg(alphabet=[]), "alphabet: [] should be non-empty"),
     (fg_cfg(factor={"values": [1], "x": 1}),
      "factor: Additional properties are not allowed ('x' was unexpected)"),
-    (fg_cfg(guards={"type_sum": 0}), "guards.type_sum: 0 is less than the minimum of 1"),
+    (dense_cfg(guards={"type_sum": 0}), "guards.type_sum: 0 is less than the minimum of 1"),
+    (fg_cfg(guards={"type_pairs": 0}), "guards.type_pairs: 0 is less than the minimum of 1"),
+    # each model takes only its own guard key
+    (fg_cfg(guards={"type_sum": 1}),
+     "guards: Additional properties are not allowed ('type_sum' was unexpected)"),
+    (dense_cfg(guards={"type_pairs": 1}),
+     "guards: Additional properties are not allowed ('type_pairs' was unexpected)"),
 ])
 def test_error_names_the_deepest_violation(cfg, message):
     # from the oneOf branch the declared model (or kind) selects

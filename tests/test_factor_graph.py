@@ -38,6 +38,7 @@ from central_approx.factor_graph import (
     fg_fluctuation,
     lattice_step_s,
     ldpc_expected_codewords,
+    load_factor_table,
     log_expected_type_count,
     make_ensemble,
     smith_normal_form_divisors,
@@ -87,6 +88,28 @@ def test_factor_table_validation():
         make_ensemble(2, 2, BINARY, [0, 0, 0, 0])
     with pytest.raises(ValidationFailure):
         make_ensemble(2, 2, BINARY, "no-such-family")
+
+
+@pytest.mark.parametrize("alphabet, tokens", [
+    ((0.0, 1.0), ("0.0", "1")),  # 0.0 names the symbol 0
+    ((1e-7, 1.0), ("1e-7", "1.0")),  # 1e-7, not only the 1e-07 of format(value, "g")
+    ((0.1, 0.1000001), ("0.1", "0.1000001")),  # equal at 6 digits, distinct values
+], ids=["zero-point-zero", "exponent", "seven-digits"])
+def test_factor_table_reads_symbols_by_value(tmp_path, alphabet, tokens):
+    # the four words of r = 2, listed out of order; value k + 1 for word k
+    path = tmp_path / "table.txt"
+    a, b = tokens
+    path.write_text(f"# word value\n{b} {a} 3\n{a} {a} 1\n{b} {b} 4\n{a} {b} 2\n")
+    assert load_factor_table(str(path), Alphabet(alphabet), 2) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("token", ["x", "nan"])
+def test_factor_table_rejects_a_token_that_is_no_symbol(tmp_path, token):
+    path = tmp_path / "table.txt"
+    path.write_text(f"0 0 1\n0 {token} 1\n")
+    with pytest.raises(ValidationFailure) as exc:
+        load_factor_table(str(path), BINARY, 2)
+    assert str(exc.value) == f"{path}:2: unknown symbol {token!r}"
 
 
 def test_admissibility():
@@ -206,9 +229,9 @@ def test_contraction_guard(alphabet, l, r, factor, N, expected):
                   (exact_expected_Z, as_float)):
         with pytest.raises(GuardError):
             fn(e, N, guard=3)
-    assert exact_expected_Z_exact(ens, N, guard=3, allow_large=True) == expected
+    assert exact_expected_Z_exact(ens, N, guard=None) == expected
     for e in (ens, as_float):
-        assert exact_expected_Z(e, N, guard=3, allow_large=True) == pytest.approx(
+        assert exact_expected_Z(e, N, guard=None) == pytest.approx(
             math.log(expected), abs=1e-12)
 
 
@@ -231,7 +254,7 @@ def test_codewords_at_weight_split_the_exact_sum():
         ens = make_ensemble(l, r, BINARY, "parity")
         with pytest.raises(GuardError):
             expected_codewords_at_weight(l, r, N, N // 2, guard=3)
-        per_weight = [expected_codewords_at_weight(l, r, N, w, guard=3, allow_large=True)
+        per_weight = [expected_codewords_at_weight(l, r, N, w, guard=None)
                       for w in range(N + 1)]
         assert sum(per_weight) == exact_expected_Z_exact(ens, N)
 
@@ -256,7 +279,7 @@ def test_permutation_oracle_guard():
 
 
 def test_permutation_oracle_key_guard(monkeypatch):
-    # 64 letters, (6,2) at N=2: 12 stubs are admitted with allow_large, but
+    # 64 letters, (6,2) at N=2: 12 stubs are admitted with guard=None, but
     # the packed key needs (64^2)^6 = 2^72 values per variable type; the
     # guard refuses before any socket map is drawn
     ens = make_ensemble(6, 2, Alphabet(range(64)), "uniform")
@@ -267,7 +290,7 @@ def test_permutation_oracle_key_guard(monkeypatch):
 
     monkeypatch.setattr(factor_graph, "_socket_maps", no_enumeration)
     with pytest.raises(GuardError, match="int64"):
-        brute_force_permutation_oracle(ens, 2, allow_large=True)
+        brute_force_permutation_oracle(ens, 2, guard=None)
 
 
 @pytest.mark.parametrize("N,l", [(1, 1), (4, 1), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2),
@@ -536,17 +559,17 @@ S_BATTERY = [
 def test_step_size_battery(l, r, alphabet, factor, s):
     ens = make_ensemble(l, r, alphabet, factor)
     assert lattice_step_s(ens) == s
-    # a box of width 3l (needs odd l) covers every residue class evenly,
+    # for odd l, a box of width 3l covers every residue class evenly,
     # making the lattice density exactly 1/s
-    box = (3 * l - 1) // 2 if l % 2 else None
-    methods = step_size_methods(ens, density_box_L=box)
+    methods = step_size_methods(ens)
     assert methods["snf"] == s
     assert methods["residue_count"] == s
     if "prime_rank" in methods:
         assert methods["prime_rank"] == s
     if "binary_gcd" in methods:
         assert methods["binary_gcd"] == s
-    if box is not None:
+    assert ("box_density" in methods) == bool(l % 2)
+    if l % 2:
         assert methods["box_density"] == Fraction(1, s)
 
 

@@ -37,7 +37,7 @@ from central_approx.types_core import (
     log_multinomial,
     log_multinomial_rows,
     logsumexp,
-    multinomial_exact,
+    multinomial,
     num_types,
     power_terms,
     require_interior,
@@ -129,27 +129,22 @@ def test_multinomial_frozen_values():
     # oracle: exact big-integer binomial
     c = math.comb(100, 50)
     assert c == 100891344545564193334812497256
-    assert multinomial_exact([50, 50]) == c
+    assert multinomial([50, 50]) == c
     expected = math.log(c)  # 66.78384165201743
     assert expected == pytest.approx(66.78384165201743, rel=1e-14)
     assert log_multinomial([50, 50]) == pytest.approx(expected, rel=1e-12)
     # small exact case
-    assert multinomial_exact([1, 2, 3]) == 60
+    assert multinomial([1, 2, 3]) == 60
     assert log_multinomial([1, 2, 3]) == pytest.approx(math.log(60), rel=1e-12)
-    assert multinomial_exact([0, 0]) == 1
+    assert multinomial([0, 0]) == 1
     assert log_multinomial([0, 0]) == 0.0
-
-
-def test_multinomial_exact_guard():
-    with pytest.raises(GuardError):
-        multinomial_exact([1500, 1500])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 60), min_size=1, max_size=6))
 def test_multinomial_paths_agree(counts):
     # exact path and log-gamma path agree to 1e-9 relative in the log
-    exact = math.log(multinomial_exact(counts))
+    exact = math.log(multinomial(counts))
     approx = log_multinomial(counts)
     assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
@@ -159,7 +154,7 @@ def test_multinomial_paths_agree_large():
     for _ in range(50):
         cells = rng.integers(2, 7)
         counts = rng.multinomial(300, np.ones(cells) / cells)
-        exact = math.log(multinomial_exact(counts))
+        exact = math.log(multinomial(counts.tolist()))
         assert abs(log_multinomial(counts) - exact) <= 1e-9 * abs(exact)
 
 
@@ -285,8 +280,9 @@ def test_enumerate_types_complete_and_sorted(N, cells):
     assert all(sum(g) == N for g in got)
 
 
-def test_type_array_blocks_concatenate_to_enumeration():
-    blocks = list(type_array_blocks(9, 4, max_rows=16))
+def test_type_array_blocks_concatenate_to_enumeration(monkeypatch):
+    monkeypatch.setattr(types_core, "TYPE_BLOCK_ROWS", 16)
+    blocks = list(type_array_blocks(9, 4))
     assert len(blocks) > 1  # actually exercises the splitting path
     all_rows = np.vstack(blocks)
     assert all_rows.shape == (num_types(9, 4), 4)
@@ -298,7 +294,7 @@ def test_enumeration_guard():
     with pytest.raises(GuardError):
         list(enumerate_types(10**6, 6))
     # override works (use a small case so it stays fast)
-    n = sum(1 for _ in enumerate_types(5, 3, guard=2, allow_large=True))
+    n = sum(1 for _ in enumerate_types(5, 3, guard=None))
     assert n == num_types(5, 3)
 
 
@@ -352,8 +348,7 @@ def test_power_terms_merges_rows_and_guards_both_sides():
     # 7 packed slots and num_types(3, 3) = 10 types: both above a guard of 6
     with pytest.raises(GuardError):
         list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=6))
-    assert len(list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=6,
-                                allow_large=True))) == 1
+    assert len(list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=None))) == 1
 
 
 # ------------------------------------------------------------ linear algebra
