@@ -365,26 +365,51 @@ def _packing(E: np.ndarray, weights, M: int) -> tuple:
     return low, step, (E - low).max(axis=0) // step * M + 1, width
 
 
+# The last log power of a base whose slots do not move with M (at most one
+# column varies), {(positions, log weights): (M, power)}: at most one entry.
+# A later call on that base with a larger M resumes from it.  The products
+# depend on the base alone, so a resumed power has the bits of a fresh one.
+_LOG_POWERS: dict = {}
+
+
 def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
     """Exponent rows and nonzero coefficients of the M-th power, one term per
     distinct row of E, packed by _packing into one flat polynomial (strides:
-    products of the lower columns' slot counts): a big integer raised to the
-    M-th power when exact, M products with the base in logs otherwise."""
+    products of the lower columns' slot counts).
+
+    Exact weights run J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    with the lowest term q_0 t^a factored out, the coefficients of the power
+    satisfy k q_0 p_k = sum_j ((M+1) j - k) q_j p_{k-j}, and every division
+    is exact.  Log weights take M products with the base, resumed from the
+    last power of the same one-column base (_LOG_POWERS) when M has grown."""
     low, step, spans, width = packing
     strides = np.cumprod(spans) // spans
     at = (E - low) // step @ strides
     if width:
-        packed = sum(w << (8 * width * a) for a, w in zip(at.tolist(), weights))
-        data = (packed**M).to_bytes(int(np.prod(spans)) * width, "little")
-        slots = np.flatnonzero(np.frombuffer(data, np.uint8).reshape(-1, width).any(axis=1))
-        coefs = [int.from_bytes(data[i * width:(i + 1) * width], "little")
-                 for i in slots.tolist()]
+        base = sorted((a, w) for a, w in zip(at.tolist(), weights) if w)
+        a0, q0 = base[0]
+        terms = [(a - a0, w, (M + 1) * (a - a0) * w) for a, w in base[1:]]
+        p = [q0**M] + [0] * (M * (base[-1][0] - a0))
+        for k in range(1, len(p)):
+            s = 0
+            for j, w, c in terms:
+                if j > k:
+                    break
+                q = p[k - j]
+                if q:  # skip zero slots
+                    s += (c - k * w) * q
+            p[k] = s // (k * q0)
+        slots = np.flatnonzero([c != 0 for c in p]) + M * a0
+        coefs = [c for c in p if c]
     else:
         # M products with the base: each slot adds its T shifted terms scaled
         # by the largest (no overflow) and takes one log
         terms = list(zip(at.tolist(), weights.tolist()))
-        power = np.zeros(1)
-        for _ in range(M):
+        key = (at.tobytes(), weights.tobytes())
+        done, power = _LOG_POWERS.get(key, (0, np.zeros(1)))
+        if done > M:
+            done, power = 0, np.zeros(1)
+        for _ in range(M - done):
             top = np.full(len(power) + int(at.max()), -np.inf)
             for a, w in terms:
                 np.maximum(top[a:a + len(power)], power + w, out=top[a:a + len(power)])
@@ -394,6 +419,9 @@ def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
                 total[a:a + len(power)] += np.exp(power + w - top[a:a + len(power)])
             with np.errstate(divide="ignore"):
                 power = top + np.log(total)
+        if np.count_nonzero(spans > 1) <= 1:
+            _LOG_POWERS.clear()
+            _LOG_POWERS[key] = (M, power)
         slots = np.flatnonzero(power > -np.inf)
         coefs = power[slots]
     return slots[:, None] // strides % spans * step + M * low, coefs
@@ -433,13 +461,15 @@ def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tu
     Exact coefficients come as a sequence that a caller indexes by the rows it
     keeps; the expansion computes each one only when it is read.
 
-    Equal rows are merged first, T rows remain.  Integer exponents (up to
-    2^31 in size) can be packed (_packing, _packed_power): shifted by its
-    minimum and divided by its gcd, column d spans 0..span_d, so the power
-    fits prod(span_d M + 1) slots.  The expansion (_expanded_power) goes
-    block by block, in bounded memory.  The side needing fewer numbers is
-    built (packed 64-bit words, or types; the expansion on a tie); GuardError
-    when both exceed ``guard``, none when ``guard`` is None.
+    Equal rows are merged first and rows of weight zero (log weight -inf)
+    dropped; T rows remain, and T = 0 gives one empty block.  Integer
+    exponents (up to 2^31 in size) can be packed (_packing, _packed_power):
+    shifted by its minimum and divided by its gcd, column d spans
+    0..span_d, so the power fits prod(span_d M + 1) slots.  The expansion
+    (_expanded_power) goes block by block, in bounded memory.  The side
+    needing fewer numbers is built (packed 64-bit words, or types; the
+    expansion on a tie); GuardError when both exceed ``guard``, none when
+    ``guard`` is None.
     """
     exact = not isinstance(weights, np.ndarray)
     E, group = np.unique(np.asarray(exponents), axis=0, return_inverse=True)
@@ -447,9 +477,17 @@ def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tu
         merged = [0] * len(E)
         for t, w in zip(group.tolist(), weights):
             merged[t] += w
+        keep = np.array([w != 0 for w in merged], dtype=bool)
+        merged = [w for w in merged if w]
     else:
         merged = np.full(len(E), -np.inf)
         np.logaddexp.at(merged, group, weights)
+        keep = merged != -np.inf
+        merged = merged[keep]
+    E = E[keep]  # a zero weight adds no term, and the recurrence needs none
+    if not len(E):
+        yield E, merged  # the zero polynomial
+        return
     expanded, packed = num_types(M, len(E)), math.inf
     if np.all(np.abs(E) <= 2**31) and np.array_equal(E, np.round(E)):  # int64-safe
         E = E.astype(np.int64)

@@ -8,8 +8,10 @@ Bethe maximum.  Asymptotic claims are checked by ratios at growing N.
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,7 @@ from central_approx.factor_graph import (
 )
 from central_approx.types_core import Alphabet, ProbMeasure, dirichlet_starts
 
+ROOT = Path(__file__).resolve().parents[1]
 BINARY = Alphabet((0.0, 1.0))
 TERNARY = Alphabet((0.0, 1.0, 2.0))
 
@@ -246,6 +249,22 @@ def test_sparse_support_under_the_default_guard(K, N):
     assert exact_expected_Z_exact(ens, N) == expected
     as_float = make_ensemble(2, 2, alphabet, ens.f_values.tolist())
     assert exact_expected_Z(as_float, N) == pytest.approx(math.log(expected), rel=1e-12)
+
+
+def test_packed_exact_sums_finish_within_a_second():
+    # the packed power by Miller's recurrence: about 0.1 s for both (the
+    # big-integer power took about 2 s), with the same value as the log route
+    ternary = make_ensemble(2, 2, TERNARY, f"table:{ROOT}/perfbench/inputs/ternary22.txt")
+    cases = [(ternary, 80), (make_ensemble(3, 6, BINARY, "parity"), 960)]
+    start = time.perf_counter()
+    exact = [exact_expected_Z_exact(ens, N) for ens, N in cases]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+    for (ens, N), value in zip(cases, exact):
+        log_value = math.log(value.numerator) - math.log(value.denominator)
+        as_float = make_ensemble(ens.l, ens.r, ens.alphabet, ens.f_values.tolist())
+        assert log_value == pytest.approx(exact_expected_Z(ens, N), rel=1e-12)
+        assert log_value == pytest.approx(exact_expected_Z(as_float, N), rel=1e-12)
 
 
 def test_codewords_at_weight_split_the_exact_sum():

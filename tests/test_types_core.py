@@ -351,6 +351,106 @@ def test_power_terms_merges_rows_and_guards_both_sides():
     assert len(list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=None))) == 1
 
 
+def _bignum_power(E, weights, M, packing):
+    """The exact packed power as one big integer raised to the M-th power and
+    cut back into slots of the packing's width: the recurrence's oracle."""
+    low, step, spans, width = packing
+    strides = np.cumprod(spans) // spans
+    at = (E - low) // step @ strides
+    packed = sum(w << (8 * width * a) for a, w in zip(at.tolist(), weights))
+    data = (packed**M).to_bytes(int(np.prod(spans)) * width, "little")
+    slots = np.flatnonzero(np.frombuffer(data, np.uint8).reshape(-1, width).any(axis=1))
+    coefs = [int.from_bytes(data[i * width:(i + 1) * width], "little")
+             for i in slots.tolist()]
+    return slots[:, None] // strides % spans * step + M * low, coefs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 40), st.data())
+def test_recurrence_power_equals_the_bignum_power(D, M, data):
+    # distinct integer rows with negative entries and, when drawn, a constant
+    # last column; weights 0-50 with at least one nonzero, so the lowest
+    # term can be zero and must be skipped
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=D, max_size=D),
+                              min_size=1, max_size=5))
+    E = np.unique(np.array(rows, dtype=np.int64), axis=0)
+    if data.draw(st.booleans()):
+        E[:, -1] = -2
+        E = np.unique(E, axis=0)
+    weights = data.draw(st.lists(st.integers(0, 50), min_size=len(E), max_size=len(E))
+                        .filter(any))
+    # the oracle builds the whole box: lower M until it has at most 4096 slots
+    while M > 1 and math.prod(_packing(E, weights, M)[2].tolist()) > 4096:
+        M -= 1
+    packing = _packing(E, weights, M)
+    rows, coefs = _packed_power(E, weights, M, packing)
+    oracle_rows, oracle_coefs = _bignum_power(E, weights, M, packing)
+    assert np.array_equal(rows, oracle_rows)
+    assert coefs == oracle_coefs
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "log"])
+@pytest.mark.parametrize("M", [1, 2, 5])
+def test_zero_weight_rows_add_no_terms(exact, M):
+    # rows 0, 2 and 5 add nothing: a zero weight on a row below every other,
+    # and two equal rows whose weights cancel (exact) or are log 0
+    E = np.array([[-1, 0], [1, 1], [0, 2], [2, 0], [0, 3], [0, 2]])
+    kept = [1, 3, 4]
+    if exact:
+        weights = [0, 3, 5, 1, 2, -5]
+    else:
+        weights = np.array([-np.inf, 0.5, -np.inf, -1.0, 2.0, -np.inf])
+    bare = [weights[i] for i in kept] if exact else weights[kept]
+    without = list(power_terms(E[kept], bare, M, guard=None))
+    with_zeros = list(power_terms(E, weights, M, guard=None))
+    assert len(with_zeros) == len(without)
+    for (rows, coefs), (bare_rows, bare_coefs) in zip(with_zeros, without):
+        assert np.array_equal(rows, bare_rows)
+        assert list(coefs) == list(bare_coefs)
+    # every weight zero: the zero polynomial, one empty block
+    zeros = [0] * len(E) if exact else np.full(len(E), -np.inf)
+    [(rows, coefs)] = power_terms(E, zeros, M, guard=None)
+    assert rows.shape == (0, 2) and len(coefs) == 0
+
+
+def test_log_power_resumes_only_on_its_own_one_column_base(monkeypatch):
+    # every call returns the bits of a fresh call; the memo holds at most the
+    # last one-column base, and a multi-column call leaves it as it was
+    monkeypatch.setattr(types_core, "_LOG_POWERS", {})
+    memo = types_core._LOG_POWERS
+    one = (np.array([[0, 4], [1, 4], [3, 4]]), np.log([2.0, 0.5, 1.5]))  # constant 2nd column
+    other = (np.array([[0], [2]]), np.array([0.3, -0.7]))
+    multi = (np.array([[0, 0], [1, 0], [0, 1]]), np.array([0.1, 0.2, 0.3]))
+
+    def fresh(E, w, M):
+        saved = dict(memo)
+        memo.clear()
+        try:
+            return _packed_power(E, w, M, _packing(E, w, M))
+        finally:
+            memo.clear()
+            memo.update(saved)
+
+    ascending = [(one, M) for M in (1, 3, 7, 20, 41)]
+    descending = [(one, M) for M in (41, 20, 7, 3, 1)]
+    repeated = [(one, 9)] * 3
+    interleaved = [(one, 3), (other, 5), (one, 7), (multi, 4), (one, 20), (multi, 6),
+                   (one, 20), (other, 11), (one, 9), (multi, 2), (one, 41)]
+    for base, M in ascending + descending + repeated + interleaved:
+        E, w = base
+        before = dict(memo)
+        rows, logs = _packed_power(E, w, M, _packing(E, w, M))
+        fresh_rows, fresh_logs = fresh(E, w, M)
+        assert np.array_equal(rows, fresh_rows)
+        assert logs.tobytes() == fresh_logs.tobytes()
+        assert len(memo) <= 1
+        if base is multi:
+            assert memo.keys() == before.keys()
+            assert all(memo[k] is before[k] for k in memo)
+        else:
+            assert [done for done, _ in memo.values()] == [M]
+
+
 # ------------------------------------------------------------ linear algebra
 
 def test_det_known_values():
