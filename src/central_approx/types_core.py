@@ -365,11 +365,84 @@ def _packing(E: np.ndarray, weights, M: int) -> tuple:
     return low, step, (E - low).max(axis=0) // step * M + 1, width
 
 
-# The last log power of a base whose slots do not move with M (at most one
-# column varies), {(positions, log weights): (M, power)}: at most one entry.
-# A later call on that base with a larger M resumes from it.  The products
-# depend on the base alone, so a resumed power has the bits of a fresh one.
-_LOG_POWERS: dict = {}
+# The block log power: slots in blocks of LOG_BLOCK linear values, one
+# power-of-two scale per block.  A step's products span at most
+# LOG_BLOCK_RANGE nats, so each stays a normal float (e^-708 is the least).
+LOG_BLOCK = 32
+LOG_BLOCK_RANGE = 650.0
+
+
+def _log_power(at: np.ndarray, weights: np.ndarray, M: int) -> np.ndarray:
+    """Log coefficients of the M-th power of sum_t e^{w_t} t^{at_t} (distinct
+    offsets at >= 0, finite log weights): M products with the base, in which
+    each slot adds its shifted terms scaled by the largest and takes one log."""
+    terms = list(zip(at.tolist(), weights.tolist()))
+    power = np.zeros(1)
+    for _ in range(M):
+        top = np.full(len(power) + int(at.max()), -np.inf)
+        for a, w in terms:
+            np.maximum(top[a:a + len(power)], power + w, out=top[a:a + len(power)])
+        top[top == -np.inf] = 0.0
+        total = np.zeros_like(top)
+        for a, w in terms:
+            total[a:a + len(power)] += np.exp(power + w - top[a:a + len(power)])
+        with np.errstate(divide="ignore"):
+            power = top + np.log(total)
+    return power
+
+
+def _block_log_power(at: np.ndarray, weights: np.ndarray, M: int) -> np.ndarray | None:
+    """_log_power for a base whose offsets run from 0 to A < B = LOG_BLOCK,
+    as linear values in blocks of B slots: block b, column b of X, holds its
+    slots' values over 2^E_b times the weights' common scale.
+
+    Each step multiplies by the base's c-th power, c = (B - 1) // A (fewer
+    when its log weights would span over LOG_BLOCK_RANGE / 2; the base itself
+    for the last M mod c): block b becomes T0 X_b + 2^(E_{b-1} - E_b) T1 X_{b-1},
+    T0 and T1 the bands of that power's weights scaled by the largest, and is
+    rescaled by the power of two of its largest value, exactly.  Before each
+    step, the positive values of every block and its left neighbour, with the
+    weights, must lie within LOG_BLOCK_RANGE nats of the larger of the two
+    blocks' scales: then no product underflows and no positive slot is lost.
+    None when that fails, for the caller to run _log_power instead."""
+    B, A = LOG_BLOCK, int(at.max())
+    span = float(weights.max() - weights.min())
+    c = max(1, min((B - 1) // A, M, int(LOG_BLOCK_RANGE / 2 / span) if span else M))
+    X = np.zeros((B, M * A // B + 1))
+    X[0, 0] = 1.0
+    E = np.zeros(X.shape[1], dtype=np.int64)
+    scale = 0.0  # log of the weights' common scale
+    length = 1  # slots of the power so far
+    for k, count in ((c, M // c), (1, M % c)):
+        if not count:
+            continue
+        # the two-block band: new slot i takes term a = B + i - j from slot j of
+        # [left block, block] (a negative a reads the zero tail of lin); T0 is
+        # its right half, T1 the left block's corner
+        q = _log_power(at, weights, k)
+        top, K = q.max(), k * A
+        wspan = top - q[q > -np.inf].min()
+        lin = np.zeros(2 * B)
+        lin[:K + 1] = np.exp(q - top)
+        band = lin[B + np.arange(B)[:, None] - np.arange(2 * B)]
+        T0, T1 = band[:, B:], band[:K, B - K:B]
+        for _ in range(count):
+            old, hi = (length - 1) // B + 1, (length + K - 1) // B + 1
+            E[old:hi] = E[old - 1]
+            low = E[:hi] + np.log2(np.min(X[:, :hi], axis=0, where=X[:, :hi] > 0, initial=1.0))
+            left = np.maximum(np.arange(hi) - 1, 0)
+            if (np.maximum(E[:hi], E[left]) - np.minimum(low, low[left])).max() * math.log(2) \
+                    + wspan > LOG_BLOCK_RANGE:
+                return None
+            V = T0 @ X[:, :hi]
+            V[:K, 1:] += T1 @ X[B - K:, :hi - 1] * np.ldexp(1.0, E[:hi - 1] - E[1:hi])
+            e = np.frexp(V.max(axis=0))[1]
+            X[:, :hi] = V * np.ldexp(1.0, -e)
+            E[:hi] += e
+            length += K
+        scale += count * top
+    with np.errstate(divide="ignore"):
+        return np.log(X.T.ravel()[:length]) + (np.repeat(E, B)[:length] * math.log(2) + scale)
 
 
 def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
@@ -380,8 +453,10 @@ def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
     Exact weights run J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
     with the lowest term q_0 t^a factored out, the coefficients of the power
     satisfy k q_0 p_k = sum_j ((M+1) j - k) q_j p_{k-j}, and every division
-    is exact.  Log weights take M products with the base, resumed from the
-    last power of the same one-column base (_LOG_POWERS) when M has grown."""
+    is exact.  Log weights of a base in which one column varies, over fewer
+    than LOG_BLOCK slots, take the block power (_block_log_power); other
+    bases, and a base the block power declines, the M log-domain products of
+    _log_power."""
     low, step, spans, width = packing
     strides = np.cumprod(spans) // spans
     at = (E - low) // step @ strides
@@ -402,26 +477,11 @@ def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
         slots = np.flatnonzero([c != 0 for c in p]) + M * a0
         coefs = [c for c in p if c]
     else:
-        # M products with the base: each slot adds its T shifted terms scaled
-        # by the largest (no overflow) and takes one log
-        terms = list(zip(at.tolist(), weights.tolist()))
-        key = (at.tobytes(), weights.tobytes())
-        done, power = _LOG_POWERS.get(key, (0, np.zeros(1)))
-        if done > M:
-            done, power = 0, np.zeros(1)
-        for _ in range(M - done):
-            top = np.full(len(power) + int(at.max()), -np.inf)
-            for a, w in terms:
-                np.maximum(top[a:a + len(power)], power + w, out=top[a:a + len(power)])
-            top[top == -np.inf] = 0.0
-            total = np.zeros_like(top)
-            for a, w in terms:
-                total[a:a + len(power)] += np.exp(power + w - top[a:a + len(power)])
-            with np.errstate(divide="ignore"):
-                power = top + np.log(total)
-        if np.count_nonzero(spans > 1) <= 1:
-            _LOG_POWERS.clear()
-            _LOG_POWERS[key] = (M, power)
+        power = None
+        if np.count_nonzero(spans > 1) == 1 and at.max() < LOG_BLOCK:  # one column varies
+            power = _block_log_power(at, weights, M)
+        if power is None:
+            power = _log_power(at, weights, M)
         slots = np.flatnonzero(power > -np.inf)
         coefs = power[slots]
     return slots[:, None] // strides % spans * step + M * low, coefs

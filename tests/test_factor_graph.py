@@ -267,6 +267,37 @@ def test_packed_exact_sums_finish_within_a_second():
         assert log_value == pytest.approx(exact_expected_Z(as_float, N), rel=1e-12)
 
 
+def _float_table_36(seed):
+    """(3,6) table: even-weight words 1, odd words uniform on [0.25, 0.45]
+    from random.Random(seed), as the benchmark's float (3,6) input."""
+    rng = random.Random(seed)
+    return [1 if sum(word) % 2 == 0 else rng.uniform(0.25, 0.45)
+            for word in itertools.product((0, 1), repeat=6)]
+
+
+def test_float_log_power_is_as_accurate_as_the_slot_loop():
+    # the float sum against the exact sum of the same (dyadic) table: no
+    # further off than the per-slot log loop was (-2.96e-12 and -9.09e-12)
+    values = _float_table_36(41)
+    floats = make_ensemble(3, 6, BINARY, values)
+    dyadic = make_ensemble(3, 6, BINARY, [Fraction(v) for v in values])
+    for N, loop_error in ((600, 2.96e-12), (1200, 9.1e-12)):
+        exact = exact_expected_Z_exact(dyadic, N)
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert abs(exact_expected_Z(floats, N) - log_exact) <= loop_error
+
+
+def test_float_ladder_finishes_within_its_cap():
+    # N = 600, 1200, 2400 took about 0.05 s with the block power and 0.25 s
+    # with the per-slot loop, on 2 shared Xeon cores
+    floats = make_ensemble(3, 6, BINARY, _float_table_36(41))
+    start = time.perf_counter()
+    for N in (600, 1200, 2400):
+        exact_expected_Z(floats, N)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.15, f"took {elapsed:.3f}s"
+
+
 def test_codewords_at_weight_split_the_exact_sum():
     # one term per weight, under the same guard; (2,2) parity is expanded
     for l, r, N in ((2, 4, 4), (2, 2, 6)):

@@ -2,6 +2,7 @@
 the multi-start solve."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,15 @@ from central_approx.types_core import (
     solve,
     type_array_blocks,
 )
-from central_approx.types_core import _expanded_power, _lu, _packed_power, _packing
+from central_approx.types_core import (
+    LOG_BLOCK,
+    _block_log_power,
+    _expanded_power,
+    _log_power,
+    _lu,
+    _packed_power,
+    _packing,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -413,42 +422,44 @@ def test_zero_weight_rows_add_no_terms(exact, M):
     assert rows.shape == (0, 2) and len(coefs) == 0
 
 
-def test_log_power_resumes_only_on_its_own_one_column_base(monkeypatch):
-    # every call returns the bits of a fresh call; the memo holds at most the
-    # last one-column base, and a multi-column call leaves it as it was
-    monkeypatch.setattr(types_core, "_LOG_POWERS", {})
-    memo = types_core._LOG_POWERS
-    one = (np.array([[0, 4], [1, 4], [3, 4]]), np.log([2.0, 0.5, 1.5]))  # constant 2nd column
-    other = (np.array([[0], [2]]), np.array([0.3, -0.7]))
-    multi = (np.array([[0, 0], [1, 0], [0, 1]]), np.array([0.1, 0.2, 0.3]))
-
-    def fresh(E, w, M):
-        saved = dict(memo)
-        memo.clear()
-        try:
-            return _packed_power(E, w, M, _packing(E, w, M))
-        finally:
-            memo.clear()
-            memo.update(saved)
-
-    ascending = [(one, M) for M in (1, 3, 7, 20, 41)]
-    descending = [(one, M) for M in (41, 20, 7, 3, 1)]
-    repeated = [(one, 9)] * 3
-    interleaved = [(one, 3), (other, 5), (one, 7), (multi, 4), (one, 20), (multi, 6),
-                   (one, 20), (other, 11), (one, 9), (multi, 2), (one, 41)]
-    for base, M in ascending + descending + repeated + interleaved:
-        E, w = base
-        before = dict(memo)
-        rows, logs = _packed_power(E, w, M, _packing(E, w, M))
-        fresh_rows, fresh_logs = fresh(E, w, M)
-        assert np.array_equal(rows, fresh_rows)
-        assert logs.tobytes() == fresh_logs.tobytes()
-        assert len(memo) <= 1
-        if base is multi:
-            assert memo.keys() == before.keys()
-            assert all(memo[k] is before[k] for k in memo)
-        else:
-            assert [done for done, _ in memo.values()] == [M]
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, LOG_BLOCK - 1), st.integers(1, 400), st.data())
+def test_block_log_power_keeps_the_support_of_the_slot_loop(A, M, data):
+    # one-column bases: 2-8 taps at offsets 0..A (divided by their gcd, as
+    # packed), log weights spanning 0 to 1500 nats, sometimes with one tap
+    # 800+ nats below the rest
+    inner = data.draw(st.sets(st.integers(1, A - 1), max_size=6)) if A > 1 else set()
+    at = np.array(sorted({0, A} | inner))
+    at //= np.gcd.reduce(at)
+    span = data.draw(st.sampled_from([0.0, 1.0, 30.0, 300.0, 1500.0]))
+    weights = np.array(data.draw(st.lists(st.floats(-span, 0.0), min_size=len(at),
+                                          max_size=len(at))))
+    if data.draw(st.booleans()):
+        weights[data.draw(st.integers(0, len(at) - 1))] = -800.0 - data.draw(
+            st.floats(0.0, 700.0))
+    loop = _log_power(at, weights, M)
+    block = _block_log_power(at, weights, M)
+    # a weight below the least normal float, relative to the largest, is lost
+    # or rounded in linear form: the block power must decline
+    spread = float(weights.max() - weights.min())
+    if spread > -math.log(sys.float_info.min):
+        assert block is None
+    elif spread <= 1.0:  # flat bases stay far inside the range
+        assert block is not None
+    if block is not None:
+        assert np.array_equal(block > -np.inf, loop > -np.inf)
+        finite = loop > -np.inf
+        # one unit roundoff of the largest log per product
+        tol = np.finfo(float).eps * M * (1.0 + np.abs(loop[finite]).max())
+        assert np.abs(block[finite] - loop[finite]).max() <= tol
+    # through the packing: the block power or, when it declines, the loop's
+    # bits, the same whatever power was built before
+    E = np.column_stack([at, np.full(len(at), 3)])  # a constant second column
+    rows, logs = _packed_power(E, weights, M, _packing(E, weights, M))
+    assert np.array_equal(rows[:, 0], np.flatnonzero(loop > -np.inf))
+    assert logs.tobytes() == (loop if block is None else block)[loop > -np.inf].tobytes()
+    _packed_power(E[:2], weights[:2], M + 1, _packing(E[:2], weights[:2], M + 1))
+    assert _packed_power(E, weights, M, _packing(E, weights, M))[1].tobytes() == logs.tobytes()
 
 
 # ------------------------------------------------------------ linear algebra
