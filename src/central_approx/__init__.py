@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Alphabet": "types_core",
     "ProbMeasure": "types_core",
-    "TypeVector": "types_core",
     "DenseModelSpec": "dense",
     "PolyOverlap": "dense",
     "zero_local": "dense",

@@ -67,7 +67,8 @@ def distinct_pair_positions(n: int) -> list[int]:
 
 class PolyOverlap:
     """Coupling g on the overlap vector (length n(n+1)/2): a polynomial in
-    the overlap coordinates, with analytic derivatives.
+    the overlap coordinates.  Its value and its exact derivatives of any
+    order come from one routine, ``derivative_batch``.
 
     ``terms`` is a sequence of (coefficient, powers) where powers maps a
     pair position (index into pair_indices(n)) to a nonnegative exponent.
@@ -115,57 +116,45 @@ class PolyOverlap:
         """(beta^2/2) * sum over distinct pairs of q_ab^2 (pair curvature beta^2)."""
         return cls.quadratic(n, beta * beta, pairs="distinct")
 
-    def value(self, q) -> float:
-        return float(self.value_batch(np.asarray(q, dtype=float)[None, :])[0])
-
-    def value_batch(self, Q: np.ndarray) -> np.ndarray:
+    def derivative_batch(self, Q: np.ndarray, positions=()) -> np.ndarray:
+        """The partial derivative of g in a multiset of pair positions (a
+        position repeated k times is differentiated k times) at each row of
+        Q; no positions gives g itself."""
         Q = np.asarray(Q, dtype=float)
+        positions = sorted(positions)
         out = np.zeros(Q.shape[0])
         for coef, powers in self.terms:
-            t = np.full(Q.shape[0], coef)
-            for k, e in powers:
-                t = t * Q[:, k] ** e
-            out += t
+            exps = dict(powers)
+            for k in positions:
+                e = exps.get(k, 0)
+                if not e:
+                    break
+                coef *= e
+                exps[k] = e - 1
+            else:
+                t = coef
+                for k, e in exps.items():
+                    if e:
+                        t = t * Q[:, k] ** e
+                out += t
         return out
+
+    def value(self, q) -> float:
+        return float(self.derivative_batch(np.asarray(q, dtype=float)[None, :])[0])
+
+    def value_batch(self, Q: np.ndarray) -> np.ndarray:
+        return self.derivative_batch(Q)
 
     def gradient(self, q) -> np.ndarray:
         return self.gradient_batch(np.asarray(q, dtype=float)[None, :])[0]
 
     def gradient_batch(self, Q: np.ndarray) -> np.ndarray:
-        Q = np.asarray(Q, dtype=float)
-        G = np.zeros((Q.shape[0], self.n_pairs))
-        for coef, powers in self.terms:
-            for k, e in powers:
-                t = coef * e * Q[:, k] ** (e - 1)
-                for k2, e2 in powers:
-                    if k2 != k:
-                        t = t * Q[:, k2] ** e2
-                G[:, k] += t
-        return G
+        return np.column_stack([self.derivative_batch(Q, (k,)) for k in range(self.n_pairs)])
 
     def hessian(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        h = np.zeros((self.n_pairs, self.n_pairs))
-        for coef, powers in self.terms:
-            for k, e in powers:
-                # second derivative in the same coordinate
-                if e >= 2:
-                    t = coef * e * (e - 1) * q[k] ** (e - 2)
-                    for k2, e2 in powers:
-                        if k2 != k:
-                            t *= q[k2] ** e2
-                    h[k, k] += t
-                # mixed derivatives
-                for k2, e2 in powers:
-                    if k2 <= k:
-                        continue
-                    t = coef * e * e2 * q[k] ** (e - 1) * q[k2] ** (e2 - 1)
-                    for k3, e3 in powers:
-                        if k3 != k and k3 != k2:
-                            t *= q[k3] ** e3
-                    h[k, k2] += t
-                    h[k2, k] += t
-        return h
+        Q = np.asarray(q, dtype=float)[None, :]
+        return np.array([[self.derivative_batch(Q, (j, k))[0] for k in range(self.n_pairs)]
+                         for j in range(self.n_pairs)])
 
 
 # ------------------------------------------------------------- local terms

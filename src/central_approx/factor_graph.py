@@ -78,6 +78,9 @@ SOCKET_MAP_MERGE_BLOCKS = 64
 EXACT_COUNT_MAX_STUBS = 60
 TYPE_PAIR_GUARD = 10**7
 WORD_TABLE_GUARD = 1 << 20
+# columns x l values x l^(rows) states: the residue walk's work, about a
+# second for both of its routes at the guard
+RESIDUE_WALK_GUARD = 1 << 18
 MARGINAL_TOL = 1e-8
 
 BUILTIN_FACTORS = ("parity", "all-equal", "uniform", "table:<path>")
@@ -261,8 +264,9 @@ def make_ensemble(l: int, r: int, alphabet: Alphabet, factor) -> EnsembleSpec:
 
 def _as_counts(vec, cells: int, total: int, what: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.int64)
-    if arr.shape != (cells,) or np.any(arr < 0):
-        raise ValidationFailure(f"{what} must be {cells} nonnegative counts")
+    if arr.shape != (cells,) or np.any(arr < 0) or (
+            arr is not vec and not np.array_equal(arr, vec)):
+        raise ValidationFailure(f"{what} must be {cells} nonnegative integer counts")
     if arr.sum() != total:
         raise ValidationFailure(f"{what} must total {total}, got {arr.sum()}")
     return arr
@@ -716,8 +720,13 @@ def _rank_mod_prime(A: np.ndarray, p: int) -> int:
 
 def _residue_sum(A: np.ndarray, l: int, weight) -> int:
     """Sum over eps in (Z/l)^n with A eps = 0 (mod l) of prod_j weight[eps_j],
-    by column DP over the residue vectors of the rows."""
+    by column DP over the residue vectors of the rows: GuardError past
+    RESIDUE_WALK_GUARD steps (columns x l values x l^rows states)."""
     m, n = A.shape
+    # with l >= 2, l^m exceeds the guard once m reaches its bit length
+    if n * l * l ** min(m, RESIDUE_WALK_GUARD.bit_length()) > RESIDUE_WALK_GUARD:
+        raise GuardError(f"residue walk of {n} columns x {l} values x {l}^{m} states "
+                         f"exceeds the guard ({RESIDUE_WALK_GUARD})")
     states = {(0,) * m: 1}
     for j in range(n):
         col = [int(x) % l for x in A[:, j]]

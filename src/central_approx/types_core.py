@@ -1,14 +1,13 @@
 """Combinatorics over empirical types plus a small linear-algebra kernel.
 
-Everything downstream reduces to weighted sums over type vectors (integer
-count vectors with a fixed total) and to determinants of moderately sized
-moment matrices.  This module owns both primitives, and the solver
-machinery that the dense and factor-graph sides share:
+Everything downstream reduces to weighted sums over types (int64 count
+rows with a fixed total) and to determinants of moderately sized moment
+matrices.  This module owns both primitives, and the solver machinery that
+the dense and factor-graph sides share:
 
-* exact and log-gamma multinomial coefficients, entropy, and the local
-  (Gaussian) approximation of a multinomial around a target measure;
-* deterministic lexicographic enumeration of all types, with size guards
-  and a batched array variant for vectorized consumers;
+* exact and log-gamma multinomial coefficients of integer counts, entropy,
+  and the local (Gaussian) approximation of a multinomial around a measure;
+* all types of a total, lexicographic, in guarded int64 array blocks;
 * the one exact contraction kernel, the terms of a polynomial power, packed
   or expanded over types (``power_terms``);
 * a numpy LU factorization with partial pivoting behind ``det`` and
@@ -126,88 +125,29 @@ class ProbMeasure:
     def min_weight(self) -> float:
         return float(self._weights.min())
 
-    def entropy(self) -> float:
-        return entropy(self._weights)
-
     def __repr__(self):
         return f"ProbMeasure({np.array2string(self._weights, precision=6)})"
 
 
-class TypeVector:
-    """Integer count vector with a fixed total."""
-
-    __slots__ = ("_counts", "total")
-
-    def __init__(self, counts, total=None):
-        c = np.asarray(counts)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("counts must be a nonempty 1-d array")
-        if not np.issubdtype(c.dtype, np.integer):
-            ci = np.asarray(counts, dtype=np.int64)
-            if not np.array_equal(ci, np.asarray(counts)):
-                raise ValueError("counts must be integers")
-            c = ci
-        c = c.astype(np.int64)
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        s = int(c.sum())
-        if total is None:
-            total = s
-        elif s != int(total):
-            raise ValueError(f"counts sum to {s}, expected total {total}")
-        self._counts = c.copy()
-        self._counts.setflags(write=False)
-        self.total = int(total)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
-
-    def as_measure(self) -> ProbMeasure:
-        if self.total == 0:
-            raise ValueError("type with total 0 has no empirical measure")
-        return ProbMeasure(self._counts / self.total)
-
-    def __len__(self):
-        return self._counts.size
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TypeVector)
-            and self.total == other.total
-            and np.array_equal(self._counts, other._counts)
-        )
-
-    def __hash__(self):
-        return hash((self.total, tuple(self._counts.tolist())))
-
-    def __repr__(self):
-        return f"TypeVector({self._counts.tolist()}, total={self.total})"
-
-
-def _counts_of(counts) -> np.ndarray:
-    if isinstance(counts, TypeVector):
-        return counts.counts
-    c = np.asarray(counts, dtype=np.int64)
-    if c.ndim != 1 or np.any(c < 0):
-        raise ValueError("counts must be a 1-d nonnegative integer array")
-    return c
+def _int_counts(counts) -> np.ndarray:
+    """counts as an int64 array: ValueError for an entry that is not an integer."""
+    c = np.asarray(counts)
+    ints = c.astype(np.int64, copy=False)
+    if ints is not c and not np.array_equal(ints, c):
+        raise ValueError("counts must be integers")
+    return ints
 
 
 def multinomial(counts) -> int:
     """Exact multinomial coefficient of a sequence of nonnegative ints, uncapped."""
     coef, total = 1, 0
-    for k in counts:
-        total += k
-        coef *= math.comb(total, k)
+    try:
+        for k in counts:
+            total += k
+            coef *= math.comb(total, k)
+    except TypeError:
+        raise ValueError("counts must be integers") from None
     return coef
-
-
-def log_multinomial(counts) -> float:
-    """log of the multinomial coefficient, via log-gamma."""
-    c = _counts_of(counts)
-    total = int(c.sum())
-    return float(math.lgamma(total + 1) - sum(math.lgamma(k + 1) for k in c.tolist()))
 
 
 def log_factorials(counts) -> np.ndarray:
@@ -216,7 +156,7 @@ def log_factorials(counts) -> np.ndarray:
     Each value comes from math.lgamma once: from a table up to the largest
     count, or per distinct count when that table would outgrow the input.
     """
-    c = np.asarray(counts, dtype=np.int64)
+    c = _int_counts(counts)
     if c.size and int(c.min()) < 0:
         raise ValueError("counts must be nonnegative")
     top = int(c.max(initial=0))
@@ -228,8 +168,15 @@ def log_factorials(counts) -> np.ndarray:
 
 def log_multinomial_rows(type_rows: np.ndarray) -> np.ndarray:
     """Row-wise log multinomial for an (m, cells) array of count vectors."""
-    V = np.asarray(type_rows, dtype=np.int64)
+    V = _int_counts(type_rows)
+    if V.ndim != 2:
+        raise ValueError("type rows must form a 2-d array")
     return log_factorials(V.sum(axis=1)) - log_factorials(V).sum(axis=1)
+
+
+def log_multinomial(counts) -> float:
+    """log of the multinomial coefficient of one count vector."""
+    return float(log_multinomial_rows([counts])[0])
 
 
 def logsumexp(a) -> float:
@@ -291,28 +238,19 @@ def num_types(N: int, cells: int) -> int:
     return math.comb(N + cells - 1, cells - 1)
 
 
-def _compositions(total: int, cells: int) -> np.ndarray:
-    """All compositions as an (count, cells) int64 array, lexicographic."""
-    if cells == 1:
-        return np.array([[total]], dtype=np.int64)
-    if cells == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([first, total - first])
-    if cells == 3:
-        lengths = np.arange(total + 1, 0, -1, dtype=np.int64)
-        first = np.repeat(np.arange(total + 1, dtype=np.int64), lengths)
-        second = np.concatenate(
-            [np.arange(n, dtype=np.int64) for n in lengths]
-        ) if total >= 0 else np.empty(0, dtype=np.int64)
-        third = total - first - second
-        return np.column_stack([first, second, third])
-    parts = []
-    for k in range(total + 1):
-        sub = _compositions(total - k, cells - 1)
-        parts.append(
-            np.hstack([np.full((sub.shape[0], 1), k, dtype=np.int64), sub])
-        )
-    return np.vstack(parts)
+def _compositions(total: int, cells: int, prefix=()) -> np.ndarray:
+    """All compositions of total into cells parts, each row led by the counts
+    in prefix, as an int64 array in lexicographic order: built column by
+    column, each row spawning one row per value from 0 to its remainder."""
+    columns = [np.array([k], dtype=np.int64) for k in prefix]
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(cells - 1):
+        spawned = rest + 1
+        parent = np.repeat(np.arange(rest.size), spawned)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(spawned) - spawned, spawned)
+        columns = [col[parent] for col in columns] + [value]
+        rest = rest[parent] - value
+    return np.column_stack(columns + [rest])
 
 
 def type_array_blocks(N: int, cells: int, *,
@@ -331,11 +269,7 @@ def type_array_blocks(N: int, cells: int, *,
 
     def rec(prefix: list[int], total: int, c: int) -> Iterator[np.ndarray]:
         if c <= 3 or num_types(total, c) <= TYPE_BLOCK_ROWS:
-            arr = _compositions(total, c)
-            if prefix:
-                pre = np.tile(np.array(prefix, dtype=np.int64), (arr.shape[0], 1))
-                arr = np.hstack([pre, arr])
-            yield arr
+            yield _compositions(total, c, prefix)
         else:
             for k in range(total + 1):
                 yield from rec(prefix + [k], total - k, c - 1)
@@ -344,12 +278,10 @@ def type_array_blocks(N: int, cells: int, *,
 
 
 def enumerate_types(N: int, cells: int, *,
-                    guard: int | None = TYPE_ENUM_GUARD) -> Iterator[TypeVector]:
-    """Deterministic lexicographic stream of all TypeVectors of total N,
-    guarded as type_array_blocks."""
+                    guard: int | None = TYPE_ENUM_GUARD) -> Iterator[np.ndarray]:
+    """The rows of type_array_blocks, one at a time."""
     for block in type_array_blocks(N, cells, guard=guard):
-        for row in block:
-            yield TypeVector(row, total=N)
+        yield from block
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +339,8 @@ def _block_log_power(at: np.ndarray, weights: np.ndarray, M: int) -> np.ndarray 
     None when that fails, for the caller to run _log_power instead."""
     B, A = LOG_BLOCK, int(at.max())
     span = float(weights.max() - weights.min())
-    c = max(1, min((B - 1) // A, M, int(LOG_BLOCK_RANGE / 2 / span) if span else M))
+    # a tiny span makes the quotient inf, which min() passes over
+    c = max(1, int(min((B - 1) // A, M, LOG_BLOCK_RANGE / 2 / span if span else M)))
     X = np.zeros((B, M * A // B + 1))
     X[0, 0] = 1.0
     E = np.zeros(X.shape[1], dtype=np.int64)

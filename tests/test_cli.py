@@ -418,6 +418,25 @@ def test_fg_s_method_breakdown(capsys):
     assert "1/3" in out  # box density is the reciprocal of s
 
 
+def test_fg_s_past_the_residue_guard_exits_2(capsys):
+    # 7 columns x 801 x 801 steps took about 6 s per route before the guard
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fg-s", "--l", "801", "--r", "4", "--factor", "parity")
+    assert (code, out) == (2, "") and "exceeds the guard" in err
+    assert time.perf_counter() - start < 3.0
+
+
+@pytest.mark.parametrize("h", [1e-308, 5e-324, -1e-308])
+def test_dense_exact_with_a_tiny_field(capsys, tmp_path, h):
+    # a log-weight span below about 1.8e-306 once overflowed the block power
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "model": "dense", "n": 1, "alphabet": [0, 1, 2],
+        "f": {"kind": "field", "h": h}, "g": {"kind": "zero"}}))
+    code, out, err = run_cli(capsys, "dense-exact", "--config", str(path), "--N", "6")
+    assert (code, err) == (0, "") and "6.59167373201" in out
+
+
 def test_fg_flags_equal_config(capsys, fg_config):
     by_flags = run_cli(capsys, "fg-compare", "--l", "3", "--r", "6",
                        "--factor", "parity", "--N", "20")

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +123,43 @@ def test_analytic_derivatives_match_finite_differences():
         assert np.all(np.abs(ah - fh) <= 1e-6 * (1 + np.abs(ah)))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_derivative_batch_matches_sympy(data):
+    # up to 4 monomials over 2-4 of the 6 pair positions at n = 3, rational
+    # coefficients, exponents 0-4; every order 0-4 against sympy's exact diff,
+    # to 1e-12 of the same derivative of the polynomial with |coefficients|
+    # at |q|, which bounds the summed magnitude of the monomials
+    used = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True))
+    terms = data.draw(st.lists(
+        st.tuples(st.fractions(-4, 4, max_denominator=9).filter(bool),
+                  st.lists(st.integers(0, 4), min_size=len(used), max_size=len(used))),
+        min_size=1, max_size=4))
+    # dyadic points in [-1.5, 1.5]: exact floats, no subnormal products
+    Q = np.array(data.draw(st.lists(
+        st.lists(st.integers(-48, 48).map(lambda k: k / 32), min_size=6, max_size=6),
+        min_size=1, max_size=3)))
+    g = PolyOverlap(3, [(float(c), dict(zip(used, exps))) for c, exps in terms])
+    q = sympy.symbols("q0:6")
+
+    def poly(sign):
+        monomials = [sympy.Mul(*(q[k] ** e for k, e in zip(used, exps))) for _, exps in terms]
+        return sympy.Add(*(sympy.Rational(sign(c)) * m for (c, _), m in zip(terms, monomials)))
+
+    exact, magnitude = poly(lambda c: c), poly(abs)
+    # a position outside every monomial makes some derivatives vanish
+    choices = used + [min(set(range(6)) - set(used))]
+    for order in range(5):
+        positions = data.draw(st.lists(st.sampled_from(choices), min_size=order, max_size=order))
+        wrt = [q[k] for k in positions]
+        got = g.derivative_batch(Q, positions)
+        for row, value in zip(Q, got):
+            point = [sympy.Rational(Fraction(x)) for x in row]
+            want = reduce(sympy.diff, wrt, exact).xreplace(dict(zip(q, point)))
+            bound = reduce(sympy.diff, wrt, magnitude).xreplace(dict(zip(q, map(abs, point))))
+            assert abs(value - float(want)) <= 1e-12 * float(bound)
+
+
 SK3 = list(PolyOverlap.pairwise_square(3, 0.5).terms)  # (coef, powers), coef 0.125
 
 
@@ -177,6 +217,14 @@ def test_type_sum_matches_brute_force(n, values, h, lam, data):
     N = data.draw(st.integers(1, int(math.log(2e5) / math.log(spec.num_symbols))))
     bf = brute_force_expectation(spec, N)
     assert exact_type_sum(spec, N) == pytest.approx(bf, rel=1e-10)
+
+
+@pytest.mark.parametrize("h", [1e-308, 5e-324, -1e-308])
+def test_type_sum_takes_a_field_of_tiny_span(h):
+    # the block log power's fold count once overflowed on a positive log-weight
+    # span below about 1.8e-306
+    spec = DenseModelSpec(1, Alphabet((0.0, 1.0, 2.0)), field_local(h), PolyOverlap.zero(1))
+    assert exact_type_sum(spec, 6) == pytest.approx(brute_force_expectation(spec, 6), rel=1e-12)
 
 
 def test_brute_force_guard():

@@ -144,6 +144,14 @@ def test_inconsistent_pair_rejected():
         log_expected_type_count(ens, [3, 3], u, 6)
 
 
+@pytest.mark.parametrize("fn", [log_expected_type_count, expected_type_count_exact])
+def test_non_integral_type_rejected(fn):
+    # v = [1.5, 1.5] used to be read as [1, 1], which gives 2/3
+    ens = make_ensemble(2, 2, BINARY, "uniform")
+    with pytest.raises(ValidationFailure, match="integer"):
+        fn(ens, [1.5, 1.5], [1, 0, 0, 1], 2)
+
+
 def test_exact_count_guard():
     ens = make_ensemble(3, 6, BINARY, "parity")
     v = [30, 30]
@@ -621,6 +629,17 @@ def test_step_size_battery(l, r, alphabet, factor, s):
     assert ("box_density" in methods) == bool(l % 2)
     if l % 2:
         assert methods["box_density"] == Fraction(1, s)
+
+
+def test_residue_walk_is_guarded(monkeypatch):
+    # (3,6) parity: 31 support columns x 3 values x 3 states is 279 steps
+    ens = make_ensemble(3, 6, BINARY, "parity")
+    monkeypatch.setattr(factor_graph, "RESIDUE_WALK_GUARD", 279)
+    assert step_size_methods(ens)["residue_count"] == 3
+    monkeypatch.setattr(factor_graph, "RESIDUE_WALK_GUARD", 278)
+    with pytest.raises(GuardError, match="31 columns x 3 values x 3\\^1 states"):
+        step_size_methods(ens)
+    assert lattice_step_s(ens) == 3  # the Smith form needs no walk
 
 
 def test_step_size_reference_invariance():

@@ -44,7 +44,7 @@ GUARDED = {
     "type_array_blocks": (
         lambda **kw: np.vstack(list(type_array_blocks(5, 3, **kw))).tolist(), 20),
     "enumerate_types": (
-        lambda **kw: [t.counts.tolist() for t in enumerate_types(5, 3, **kw)], 20),
+        lambda **kw: [t.tolist() for t in enumerate_types(5, 3, **kw)], 20),
     # 7 packed slots and 10 types; power_terms has no default guard
     "power_terms": (
         lambda guard=10**8: _terms(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3,

@@ -1,13 +1,14 @@
 """Types, multinomials, the local Gaussian approximation, the LU kernel, and
 the multi-start solve."""
 
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gammaln
@@ -29,12 +30,12 @@ from central_approx.types_core import (
     Alphabet,
     MaximizerRecord,
     ProbMeasure,
-    TypeVector,
     det,
     dirichlet_starts,
     entropy,
     enumerate_types,
     local_approx_log_multinomial,
+    log_factorials,
     log_multinomial,
     log_multinomial_rows,
     logsumexp,
@@ -50,6 +51,7 @@ from central_approx.types_core import (
 from central_approx.types_core import (
     LOG_BLOCK,
     _block_log_power,
+    _compositions,
     _expanded_power,
     _log_power,
     _lu,
@@ -120,18 +122,6 @@ def test_prob_measure_as_array():
             == local_approx_log_multinomial(m.weights, v, 100))
 
 
-def test_type_vector_total_check():
-    t = TypeVector([2, 3], total=5)
-    assert t.total == 5
-    assert np.array_equal(t.counts, [2, 3])
-    with pytest.raises(ValueError):
-        TypeVector([2, 3], total=6)
-    with pytest.raises(ValueError):
-        TypeVector([-1, 6])
-    with pytest.raises(ValueError):
-        TypeVector([0.5, 0.5])
-
-
 # ------------------------------------------------------------- multinomials
 
 def test_multinomial_frozen_values():
@@ -172,6 +162,8 @@ def test_log_multinomial_rows_matches_scalar():
     rows = log_multinomial_rows(V)
     for row, val in zip(V, rows):
         assert val == pytest.approx(log_multinomial(row), abs=1e-12)
+    with pytest.raises(ValueError, match="2-d"):
+        log_multinomial(V)  # one count vector, not a stack of them
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,6 +176,16 @@ def test_log_multinomial_rows_matches_gammaln(rows):
     ref = gammaln(V.sum(axis=1) + 1.0) - gammaln(V + 1.0).sum(axis=1)
     got = log_multinomial_rows(V)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("fn", [multinomial, log_multinomial, log_factorials,
+                                lambda c: log_multinomial_rows([c])])
+def test_counts_must_be_nonnegative_integers(fn):
+    # [2.5, 2.5] used to be read as [2, 2]
+    with pytest.raises(ValueError, match="integers"):
+        fn([2.5, 2.5])
+    with pytest.raises(ValueError):
+        fn([-1, 6])
 
 
 @pytest.mark.parametrize("a", [
@@ -275,28 +277,45 @@ def test_local_approx_rejects_bad_inputs():
 # -------------------------------------------------------------- enumeration
 
 def test_enumerate_types_small_lexicographic():
-    got = [tuple(t.counts.tolist()) for t in enumerate_types(2, 2)]
+    got = [tuple(t.tolist()) for t in enumerate_types(2, 2)]
     assert got == [(0, 2), (1, 1), (2, 0)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 8), st.integers(1, 4))
 def test_enumerate_types_complete_and_sorted(N, cells):
-    got = [tuple(t.counts.tolist()) for t in enumerate_types(N, cells)]
+    got = [tuple(t.tolist()) for t in enumerate_types(N, cells)]
     assert len(got) == num_types(N, cells)
     assert len(set(got)) == len(got)
     assert got == sorted(got)
     assert all(sum(g) == N for g in got)
 
 
+def _stars_and_bars(total, cells):
+    """Compositions read off the cells - 1 bar positions among total + cells - 1
+    slots, in the order itertools.combinations lists the bars: lexicographic."""
+    rows = []
+    for bars in itertools.combinations(range(total + cells - 1), cells - 1):
+        edges = (-1, *bars, total + cells - 1)
+        rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(rows, dtype=np.int64).reshape(-1, cells)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(0, 30))
+def test_compositions_match_stars_and_bars(cells, total):
+    assume(num_types(total, cells) <= 20_000)
+    got = _compositions(total, cells)
+    want = _stars_and_bars(total, cells)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_type_array_blocks_concatenate_to_enumeration(monkeypatch):
     monkeypatch.setattr(types_core, "TYPE_BLOCK_ROWS", 16)
-    blocks = list(type_array_blocks(9, 4))
-    assert len(blocks) > 1  # actually exercises the splitting path
-    all_rows = np.vstack(blocks)
-    assert all_rows.shape == (num_types(9, 4), 4)
-    direct = np.array([t.counts for t in enumerate_types(9, 4)])
-    assert np.array_equal(all_rows, direct)
+    for cells in (4, 5, 6):
+        blocks = list(type_array_blocks(9, cells))
+        assert len(blocks) > 1  # actually exercises the splitting path
+        assert np.array_equal(np.vstack(blocks), _stars_and_bars(9, cells))
 
 
 def test_enumeration_guard():
