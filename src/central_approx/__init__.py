@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _EXPORTS = {
     "Alphabet": "types_core",
-    "ProbMeasure": "types_core",
     "DenseModelSpec": "dense",
     "PolyOverlap": "dense",
     "zero_local": "dense",

@@ -45,7 +45,11 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CovarianceResult:
-    """A (possibly singular) covariance matrix with basis labels and rank."""
+    """A (possibly singular) covariance matrix with basis labels and rank.
+
+    ``min_eigenvalue`` is exactly 0.0 when rank < dim: the smallest
+    eigenvalue then lies within the tolerance the rank counts as zero, and
+    its digits are rounding noise."""
 
     matrix: np.ndarray
     labels: tuple
@@ -68,7 +72,9 @@ class CovarianceResult:
             raise NumericalFailure(
                 f"covariance has eigenvalue {min_eig:.3e}, below the PSD tolerance"
             )
-        rank = int(np.sum(eigs > PSD_TOL * scale)) if eigs.size else 0
+        rank = int(np.sum(eigs > PSD_TOL * scale))
+        if rank < eigs.size:
+            min_eig = 0.0
         sym.setflags(write=False)
         return cls(matrix=sym, labels=tuple(labels), rank=rank, min_eigenvalue=min_eig)
 

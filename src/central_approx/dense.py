@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import GuardError
 from .types_core import (
+    RESTARTS,
     Alphabet,
     MaximizerRecord,
     dirichlet_starts,
@@ -139,22 +140,19 @@ class PolyOverlap:
                 out += t
         return out
 
-    def value(self, q) -> float:
-        return float(self.derivative_batch(np.asarray(q, dtype=float)[None, :])[0])
-
-    def value_batch(self, Q: np.ndarray) -> np.ndarray:
-        return self.derivative_batch(Q)
-
-    def gradient(self, q) -> np.ndarray:
-        return self.gradient_batch(np.asarray(q, dtype=float)[None, :])[0]
-
     def gradient_batch(self, Q: np.ndarray) -> np.ndarray:
         return np.column_stack([self.derivative_batch(Q, (k,)) for k in range(self.n_pairs)])
 
     def hessian(self, q) -> np.ndarray:
+        """Evaluated only at the pairs of positions that share a monomial;
+        every other entry is exactly 0."""
         Q = np.asarray(q, dtype=float)[None, :]
-        return np.array([[self.derivative_batch(Q, (j, k))[0] for k in range(self.n_pairs)]
-                         for j in range(self.n_pairs)])
+        H = np.zeros((self.n_pairs, self.n_pairs))
+        shared = {jk for _, powers in self.terms
+                  for jk in itertools.combinations_with_replacement([k for k, _ in powers], 2)}
+        for j, k in shared:
+            H[j, k] = H[k, j] = self.derivative_batch(Q, (j, k))[0]
+        return H
 
 
 # ------------------------------------------------------------- local terms
@@ -253,7 +251,7 @@ def brute_force_expectation(spec: DenseModelSpec, N: int, *,
         digits = (idx[:, None] // powers) % K
         fsum = spec.f_values[digits].sum(axis=1)
         q = spec.pair_products[digits].mean(axis=1)
-        lw = fsum + N * spec.g.value_batch(q)
+        lw = fsum + N * spec.g.derivative_batch(q)
         pieces.append(logsumexp(lw))
     return logsumexp(pieces)
 
@@ -263,7 +261,7 @@ def type_log_weights(spec: DenseModelSpec, N: int, V: np.ndarray) -> np.ndarray:
     lw = log_multinomial_rows(V)
     lw = lw + V @ spec.f_values
     Q = (V / N) @ spec.pair_products
-    lw = lw + N * spec.g.value_batch(Q)
+    lw = lw + N * spec.g.derivative_batch(Q)
     return lw
 
 
@@ -275,7 +273,7 @@ def exact_type_sum(spec: DenseModelSpec, N: int, *,
     Equal to brute_force_expectation wherever both are feasible."""
     if N < 1:
         raise ValueError("need N >= 1")
-    pieces = [logsumexp(coef + N * spec.g.value_batch(rows / N))
+    pieces = [logsumexp(coef + N * spec.g.derivative_batch(rows / N))
               for rows, coef in power_terms(spec.pair_products, spec.f_values, N, guard=guard)]
     return logsumexp(pieces)
 
@@ -306,7 +304,8 @@ def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
 # ------------------------------------------------------- variational layer
 
 def _variational_objective(spec: DenseModelSpec, w: np.ndarray) -> float:
-    return float(entropy(w) + w @ spec.f_values + spec.g.value(spec.overlaps(w)))
+    g = spec.g.derivative_batch(spec.overlaps(w)[None, :])[0]
+    return float(entropy(w) + w @ spec.f_values + g)
 
 
 def _stationary_map(spec: DenseModelSpec, W: np.ndarray) -> np.ndarray:
@@ -317,8 +316,7 @@ def _stationary_map(spec: DenseModelSpec, W: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def solve_variational(spec: DenseModelSpec, *, restarts: int = 32,
-                      seed: int = 0) -> MaximizerRecord:
+def solve_variational(spec: DenseModelSpec, *, seed: int = 0) -> MaximizerRecord:
     """Maximizing measure(s) of H(nu) + <f>_nu + g(q(nu)) over the simplex.
 
     Damped fixed-point iteration of the stationary map from the starts of
@@ -326,7 +324,7 @@ def solve_variational(spec: DenseModelSpec, *, restarts: int = 32,
     FIXED_POINT_TOL under the stationary map (solve_multistart).
     """
     return solve_multistart(
-        dirichlet_starts(spec.num_symbols, restarts, seed),
+        dirichlet_starts(spec.num_symbols, RESTARTS, seed),
         lambda W: _stationary_map(spec, W),
         lambda W: [_variational_objective(spec, w) for w in W],
     )

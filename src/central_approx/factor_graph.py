@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import GuardError, NonConvergenceError, ValidationFailure
 from .types_core import (
+    RESTARTS,
     Alphabet,
     MaximizerRecord,
-    ProbMeasure,
     dirichlet_starts,
     entropy,
     log_gaussian_sum,
@@ -526,12 +526,13 @@ def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *,
 @dataclass
 class BetheSolution(MaximizerRecord):
     """The Bethe maximum: the shared record over letter marginals, plus the
-    maximizing word measure of each co-maximizer."""
+    maximizing word measure of each co-maximizer, as the rows of one
+    read-only array."""
 
-    word_measures: list[ProbMeasure]
+    word_measures: np.ndarray
 
     @property
-    def mu_star(self) -> ProbMeasure:
+    def mu_star(self) -> np.ndarray:
         return self.word_measures[0]
 
 
@@ -562,7 +563,7 @@ def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray) -> 
     return float(lr * (entropy(mu) + flog) - (ensemble.l - 1) * entropy(nu))
 
 
-def solve_bethe(ensemble: EnsembleSpec, *, restarts: int = 32, seed: int = 0) -> BetheSolution:
+def solve_bethe(ensemble: EnsembleSpec, *, seed: int = 0) -> BetheSolution:
     """Damped fixed-point iteration for the Bethe maximum, multi-started.
 
     Iterates nu <- marginal(mu(nu)) where mu(nu) is the entropy-maximizing
@@ -578,13 +579,13 @@ def solve_bethe(ensemble: EnsembleSpec, *, restarts: int = 32, seed: int = 0) ->
                 for nu, mu in zip(nus, _bethe_mu(ensemble, nus))]
 
     record = solve_multistart(
-        dirichlet_starts(K, restarts, seed),
+        dirichlet_starts(K, RESTARTS, seed),
         lambda nus: _bethe_marginal(ensemble, _bethe_mu(ensemble, nus)),
         objectives,
     )
-    nus = np.array([m.weights for m in record.co_maximizers])
-    mus = _bethe_mu(ensemble, nus)
-    return BetheSolution(**vars(record), word_measures=[ProbMeasure(mu) for mu in mus])
+    mus = _bethe_mu(ensemble, record.co_maximizers)
+    mus.setflags(write=False)
+    return BetheSolution(**vars(record), word_measures=mus)
 
 
 # --------------------------------------------------------------------------

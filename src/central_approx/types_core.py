@@ -14,9 +14,14 @@ the dense and factor-graph sides share:
   ``solve``, with an explicit singularity signal, plus ``logsumexp`` and
   log-factorials of integer counts (no scipy on the runtime path);
 * the multi-start solve shared by the variational and Bethe solvers (batched
-  fixed-point loop with one stop rule, co-maximizer selection, one result
-  record), the one boundary rule for a maximizer (``require_interior``),
-  and the Gaussian constant summed over the co-maximizers.
+  fixed-point loop with one stop rule from RESTARTS + 1 starts, co-maximizer
+  selection, one result record), the one boundary rule for a maximizer
+  (``require_interior``), and the Gaussian constant summed over the
+  co-maximizers.
+
+A measure is a plain float row, nonnegative and summing to one by
+construction of the solver that returns it; the co-maximizers of a solve are
+the rows of one read-only array, best first.
 """
 
 from __future__ import annotations
@@ -38,12 +43,13 @@ from .errors import (
 
 # Tolerances and guards used by the constructors below.  Kept module level
 # so tests can reference the same numbers.
-PROB_SUM_TOL = 1e-12
 TYPE_ENUM_GUARD = 10**8
 TYPE_BLOCK_ROWS = 1 << 20
 PIVOT_RTOL = 1e-14
 
-# Settings of the multi-start solve, shared by both solvers.
+# Settings of the multi-start solve, shared by both solvers: RESTARTS
+# Dirichlet starts after the uniform one.
+RESTARTS = 32
 DAMPING = 0.5
 FIXED_POINT_TOL = 1e-12
 MAX_ITER = 100_000
@@ -84,49 +90,6 @@ class Alphabet:
 
     def __getitem__(self, i):
         return self.values[i]
-
-
-class ProbMeasure:
-    """Nonnegative weights over an indexed finite cell set, summing to one.
-
-    ``np.asarray`` of a measure is its read-only weight array, and
-    ``np.array`` a writable copy.
-    """
-
-    __slots__ = ("_weights",)
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        s = float(w.sum())
-        if abs(s - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"weights sum to {s!r}, not 1 within {PROB_SUM_TOL}")
-        self._weights = w.copy()
-        self._weights.setflags(write=False)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._weights, dtype=dtype, copy=copy)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    def __len__(self) -> int:
-        return self._weights.size
-
-    def __getitem__(self, i) -> float:
-        return float(self._weights[i])
-
-    def min_weight(self) -> float:
-        return float(self._weights.min())
-
-    def __repr__(self):
-        return f"ProbMeasure({np.array2string(self._weights, precision=6)})"
 
 
 def _int_counts(counts) -> np.ndarray:
@@ -636,16 +599,17 @@ def require_interior(weights) -> None:
 @dataclass
 class MaximizerRecord:
     """Result of a multi-start solve: the co-maximizers, best first, and how
-    the solve went.  ``diagnostics`` holds exactly ``restarts`` (starts
+    the solve went.  ``co_maximizers`` is a read-only (m, K) float array, one
+    measure per row.  ``diagnostics`` holds exactly ``restarts`` (starts
     run), ``converged`` (starts that stopped) and ``iterations_best``."""
 
-    co_maximizers: list[ProbMeasure]
+    co_maximizers: np.ndarray
     F: float
     residual: float
     diagnostics: dict
 
     @property
-    def nu_star(self) -> ProbMeasure:
+    def nu_star(self) -> np.ndarray:
         return self.co_maximizers[0]
 
     @property
@@ -655,7 +619,7 @@ class MaximizerRecord:
     @property
     def boundary(self) -> bool:
         """Whether a co-maximizer breaks require_interior's rule."""
-        return min(m.min_weight() for m in self.co_maximizers) < BOUNDARY_TOL
+        return float(np.min(self.co_maximizers)) < BOUNDARY_TOL
 
 
 def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
@@ -693,8 +657,10 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     obj = objectives(X)
     kept = select_maximizers(X, obj)
     best = kept[0]
+    co_maximizers = X[kept]
+    co_maximizers.setflags(write=False)
     return MaximizerRecord(
-        co_maximizers=[ProbMeasure(X[i]) for i in kept],
+        co_maximizers=co_maximizers,
         F=float(obj[best]),
         residual=float(np.abs(fmap(X[best:best + 1]) - X[best]).max()),
         diagnostics={

@@ -41,3 +41,14 @@ def test_no_signature_has_a_retired_option():
     found = {qualified: sorted(RETIRED & set(inspect.signature(fn).parameters))
              for qualified, fn in _functions()}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_solvers_take_only_a_seed():
+    # the restart count is the constant types_core.RESTARTS
+    from central_approx.dense import solve_variational
+    from central_approx.factor_graph import solve_bethe
+
+    for solver in (solve_variational, solve_bethe):
+        params = inspect.signature(solver).parameters
+        assert "restarts" not in params
+        assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == ["seed"]

@@ -638,6 +638,23 @@ def test_clt_cov_dense(capsys, cw_config):
     assert len(doc["rows"]) == 3
 
 
+@pytest.mark.parametrize("config,kind", [
+    ("configs/parity36.json", "factor"),
+    ("configs/parity36.json", "variable"),
+    ("perfbench/inputs/sk3.json", "type"),
+    ("configs/cw.json", "type"),
+])
+def test_clt_cov_singular_min_eigenvalue_is_zero(capsys, config, kind):
+    # a singular covariance prints 0, not the LU rounding noise (about 1e-17)
+    # of its smallest eigenvalue
+    code, out, _ = run_cli(capsys, "clt-cov", "--config", str(ROOT / config),
+                           "--kind", kind, "--format", "csv")
+    assert code == 0
+    scalars = dict(line[2:].split(" = ") for line in out.splitlines() if line.startswith("# "))
+    assert int(scalars["rank"]) < int(scalars["dim"])
+    assert scalars["min_eigenvalue"] == "0"
+
+
 def test_clt_cov_fg_variable(capsys, tmp_path):
     cfg = {"schema_version": 1, "model": "factor-graph", "l": 2, "r": 3,
            "alphabet": [0, 1], "factor": "parity"}

@@ -20,14 +20,14 @@ from central_approx.dense import (
     zero_local,
 )
 from central_approx.errors import GuardError, NumericalFailure
-from central_approx.types_core import Alphabet, ProbMeasure
+from central_approx.types_core import Alphabet
 
 SPINS = Alphabet((1.0, -1.0))
 BINARY = Alphabet((0.0, 1.0))
 
 
 def uniform_measure(k):
-    return ProbMeasure(np.full(k, 1.0 / k))
+    return np.full(k, 1.0 / k)
 
 
 # --------------------------------------------------------- overlap formulas
@@ -82,7 +82,7 @@ def test_overlap_equals_conjugated_type_covariance():
 def test_type_covariance_zero_coupling():
     spec = DenseModelSpec(1, BINARY, field_local(0.4), PolyOverlap.zero(1))
     sol = solve_variational(spec)
-    w = sol.nu_star.weights
+    w = sol.nu_star
     cov = dense_type_covariance(spec, sol.nu_star)
     assert np.max(np.abs(cov.matrix - (np.diag(w) - np.outer(w, w)))) <= 1e-13
     assert np.array_equal(dense_type_covariance(spec, w).matrix, cov.matrix)
@@ -167,6 +167,16 @@ def test_covariance_result_diagnostics():
     assert not res.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("tiny", [-1e-17, 0.0, 1e-17, 0.5e-9])
+def test_min_eigenvalue_of_a_singular_covariance_is_zero(tiny):
+    # an eigenvalue the rank counts as zero (within PSD_TOL of the scale) is
+    # reported as exactly 0.0; a full-rank matrix keeps its smallest eigenvalue
+    res = CovarianceResult.from_matrix(np.diag([2.0, tiny]), ("a", "b"))
+    assert (res.rank, res.min_eigenvalue) == (1, 0.0)
+    full = CovarianceResult.from_matrix(np.diag([2.0, 0.25]), ("a", "b"))
+    assert (full.rank, full.min_eigenvalue) == (2, 0.25)
+
+
 # ------------------------------------------------- factor-graph covariances
 
 def fg_weighted_type_covariances(ens, N):
@@ -248,7 +258,7 @@ def test_fg_covariance_trivial_factor_is_exact():
     ens = make_ensemble(2, 3, BINARY, "uniform")
     sol = solve_bethe(ens)
     covs = fg_type_covariances(ens, sol.mu_star, sol.nu_star)
-    nu = sol.nu_star.weights
+    nu = sol.nu_star
     scaled = (ens.l / ens.r) * (np.diag(nu) - np.outer(nu, nu))
     assert np.abs(covs["variable"].matrix - scaled).max() < 1e-10
 
@@ -264,11 +274,11 @@ def test_fg_covariance_balanced_degrees():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     sol = solve_bethe(ens)
     covs = fg_type_covariances(ens, sol.mu_star, sol.nu_star)
-    assert np.allclose(sol.mu_star.weights, 0.25, atol=1e-10)
+    assert np.allclose(sol.mu_star, 0.25, atol=1e-10)
     for res in covs.values():
         assert np.abs(res.matrix.sum(axis=1)).max() < 1e-9
         assert res.min_eigenvalue >= -1e-9
     # l = r removes the scaling ambiguity: the variable covariance is the
     # plain multinomial one, corrected by the curvature resolvent
-    nu = sol.nu_star.weights
+    nu = sol.nu_star
     assert covs["variable"].matrix[0, 0] == pytest.approx(nu[0] * (1 - nu[0]), rel=1e-10)

@@ -17,7 +17,8 @@ from central_approx.errors import (
     BoundaryMaximizerError,
     GuardError,
 )
-from central_approx.types_core import FIXED_POINT_TOL, Alphabet, MaximizerRecord, ProbMeasure
+from central_approx import dense
+from central_approx.types_core import FIXED_POINT_TOL, Alphabet, MaximizerRecord
 from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
@@ -97,9 +98,26 @@ def test_pair_index_order():
 def test_poly_overlap_value_and_batch():
     g = PolyOverlap(2, [(0.25, {1: 2})])
     q = np.array([1.0, 0.4, 1.0])
-    assert g.value(q) == pytest.approx(0.25 * 0.16, rel=1e-14)
+    assert g.derivative_batch(q[None, :])[0] == pytest.approx(0.25 * 0.16, rel=1e-14)
     Q = np.array([q, 2 * q])
-    assert np.allclose(g.value_batch(Q), [g.value(q), g.value(2 * q)])
+    assert np.allclose(g.derivative_batch(Q), [0.25 * 0.16, 0.25 * 0.64])
+
+
+def test_hessian_is_bit_identical_to_the_full_pair_loop():
+    # the Hessian evaluates only pairs of positions that share a monomial;
+    # every entry, zeros included, equals the loop over all P x P pairs
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        P = n * (n + 1) // 2
+        terms = [(rng.normal(), {int(k): int(rng.integers(0, 4))
+                                 for k in rng.choice(P, size=rng.integers(1, min(P, 4) + 1))})
+                 for _ in range(rng.integers(0, 6))]
+        g = PolyOverlap(n, terms)
+        q = rng.uniform(-1.0, 1.0, size=P)
+        full = np.array([[g.derivative_batch(q[None, :], (j, k))[0] for k in range(P)]
+                         for j in range(P)])
+        assert g.hessian(q).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan])
@@ -115,10 +133,13 @@ def test_analytic_derivatives_match_finite_differences():
         3,
         [(0.12, {0: 2}), (-0.08, {1: 1, 3: 2}), (0.06, {2: 1, 4: 1, 5: 1}), (0.2, {1: 2})],
     )
+    def value(q):
+        return g.derivative_batch(q[None, :])[0]
+
     for _ in range(100):
         q = rng.uniform(-0.9, 0.9, size=6)
-        ag, fg = g.gradient(q), fd_gradient(g.value, q)
-        ah, fh = g.hessian(q), fd_hessian(g.value, q)
+        ag, fg = g.gradient_batch(q[None, :])[0], fd_gradient(value, q)
+        ah, fh = g.hessian(q), fd_hessian(value, q)
         assert np.all(np.abs(ag - fg) <= 1e-6 * (1 + np.abs(ag)))
         assert np.all(np.abs(ah - fh) <= 1e-6 * (1 + np.abs(ah)))
 
@@ -273,7 +294,7 @@ def test_variational_symmetric_pair_instance():
     spec = DenseModelSpec(2, SPINS, zero_local(), PolyOverlap(2, [(0.25, {1: 2})]))
     sol = solve_variational(spec)
     assert sol.F == pytest.approx(2 * math.log(2), rel=1e-12)
-    assert np.allclose(sol.nu_star.weights, 0.25, atol=1e-10)
+    assert np.allclose(sol.nu_star, 0.25, atol=1e-10)
     assert sol.unique
 
 
@@ -293,13 +314,13 @@ def test_variational_meets_the_stop_tolerance(n, g):
 
 def test_assemble_matrices_contracts(cw_spec, cw_solution):
     pair_covariance, hessian = dense_fluctuation(cw_spec, cw_solution.nu_star)
-    w = cw_solution.nu_star.weights
+    w = cw_solution.nu_star
     J = cw_spec.pair_products
     # a symmetric pair, the Hessian taken at the overlaps of nu*, and the
-    # same pair from the bare weight array
+    # same pair from the weights as a plain list
     assert np.allclose(pair_covariance, pair_covariance.T, rtol=0, atol=1e-15)
     assert np.array_equal(hessian, cw_spec.g.hessian(w @ J))
-    for got, want in zip(dense_fluctuation(cw_spec, w), (pair_covariance, hessian)):
+    for got, want in zip(dense_fluctuation(cw_spec, w.tolist()), (pair_covariance, hessian)):
         assert np.array_equal(got, want)
     # pair-product contraction identity: J^T (S' - S) J = U' - U
     lhs = J.T @ (np.diag(w) - np.outer(w, w)) @ J
@@ -331,12 +352,13 @@ def test_central_constant_cw(cw_spec, cw_solution):
     assert res.log_constant == pytest.approx(-0.5 * math.log(1 - rho * (1 - rho)), rel=1e-12)
 
 
-def test_central_constant_allocates_no_symbol_square():
+def test_central_constant_allocates_no_symbol_square(monkeypatch):
     # K = 2000 symbols: one K x K float array alone would take 32 MB
     K = 2000
     spec = DenseModelSpec(1, Alphabet(tuple(np.linspace(0.0, 1.0, K))), field_local(0.3),
                           PolyOverlap.quadratic(1, 1.0))
-    solution = solve_variational(spec, restarts=0)
+    monkeypatch.setattr(dense, "RESTARTS", 0)
+    solution = solve_variational(spec)
     tracemalloc.start()
     try:
         central_approx_constant(spec, solution)
@@ -387,8 +409,8 @@ def test_at_instability_raised():
     # solver itself escapes to the stable asymmetric maximizer, so drive the
     # constant computation with the unstable point directly
     spec = DenseModelSpec(1, BINARY, zero_local(), PolyOverlap.quadratic(1, 6.0))
-    half = ProbMeasure(np.array([0.5, 0.5]))
-    fake = MaximizerRecord(co_maximizers=[half], F=0.0, residual=0.0, diagnostics={})
+    half = np.array([[0.5, 0.5]])
+    fake = MaximizerRecord(co_maximizers=half, F=0.0, residual=0.0, diagnostics={})
     with pytest.raises(ATInstabilityError):
         central_approx_constant(spec, fake)
 
@@ -415,7 +437,7 @@ def test_windowed_type_sum_covers_simplex_at_tiny_N(cw_spec, cw_solution):
     full = exact_type_sum(cw_spec, 1)
     win = windowed_type_sum(cw_spec, 1, 0.6, cw_solution.nu_star)
     assert win == pytest.approx(full, rel=1e-14)
-    assert windowed_type_sum(cw_spec, 1, 0.6, cw_solution.nu_star.weights) == win
+    assert windowed_type_sum(cw_spec, 1, 0.6, cw_solution.nu_star.tolist()) == win
 
 
 def test_windowed_alpha_range(cw_spec, cw_solution):
@@ -433,7 +455,9 @@ def test_variational_multistart_against_exact_sum(n, lam, h):
     spec = DenseModelSpec(n, BINARY, field_local(h), PolyOverlap.quadratic(n, lam))
     sol = solve_variational(spec)
     assert sol.residual <= 1e-10
-    assert sol.F == pytest.approx(_variational_objective(spec, sol.nu_star.weights), abs=1e-12)
-    assert sol.F >= solve_variational(spec, restarts=0).F - 1e-12
+    assert sol.F == pytest.approx(_variational_objective(spec, sol.nu_star), abs=1e-12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "RESTARTS", 0)
+        assert sol.F >= solve_variational(spec).F - 1e-12
     estimate = asymptotic_estimate(spec, 200, central_approx_constant(spec, sol))
     assert math.exp(exact_type_sum(spec, 200) - estimate) == pytest.approx(1.0, abs=0.05)

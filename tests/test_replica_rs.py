@@ -134,7 +134,7 @@ def test_determinant_matches_dense_route(n, beta, h, expected):
     spec = DenseModelSpec(n, Alphabet((1.0, -1.0)), field_local(h),
                           PolyOverlap.pairwise_square(n, beta))
     solution = solve_variational(spec)
-    q = float(np.mean(spec.overlaps(solution.nu_star.weights)[distinct_pair_positions(n)]))
+    q = float(np.mean(spec.overlaps(solution.nu_star)[distinct_pair_positions(n)]))
     dense_det = central_approx_constant(spec, solution).det_value
     closed = rs_determinant(n, q, 0.0, beta * beta, 0.0, 0.0)
     assert closed == pytest.approx(expected, rel=1e-12)

@@ -15,7 +15,7 @@ from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from central_approx import types_core
-from central_approx.config import build_dense, load_config
+from central_approx.config import build_dense, build_ensemble, load_config
 from central_approx.dense import solve_variational
 from central_approx.errors import (
     BoundaryMaximizerError,
@@ -29,7 +29,6 @@ from central_approx.types_core import (
     BOUNDARY_TOL,
     Alphabet,
     MaximizerRecord,
-    ProbMeasure,
     det,
     dirichlet_starts,
     entropy,
@@ -80,46 +79,6 @@ def test_alphabet_rejects_duplicates_and_nonfinite():
         Alphabet((0.0, float("inf")))
     with pytest.raises(ValueError):
         Alphabet(())
-
-
-# ----------------------------------------------------------------- measures
-
-def test_prob_measure_validation():
-    ProbMeasure([0.25, 0.75])
-    with pytest.raises(ValueError):
-        ProbMeasure([0.5, 0.6])  # sums to 1.1
-    with pytest.raises(ValueError):
-        ProbMeasure([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        ProbMeasure([0.5, float("nan")])
-    # sum tolerance is 1e-12 absolute
-    ProbMeasure([0.5, 0.5 + 0.9e-12])
-    with pytest.raises(ValueError):
-        ProbMeasure([0.5, 0.5 + 1e-9])
-
-
-def test_prob_measure_weights_read_only():
-    m = ProbMeasure([0.5, 0.5])
-    with pytest.raises(ValueError):
-        m.weights[0] = 0.9
-
-
-def test_prob_measure_as_array():
-    m = ProbMeasure([0.25, 0.75])
-    assert np.asarray(m) is m.weights
-    assert np.asarray(m, dtype=float) is m.weights
-    copy = np.array(m)
-    assert copy.flags.writeable and np.array_equal(copy, m.weights)
-    copy[0] = 1.0
-    assert m[0] == 0.25
-    assert np.asarray(m, dtype=np.float32).dtype == np.float32
-    with pytest.raises(ValueError):
-        np.array(m, dtype=np.float32, copy=False)
-    # a measure and its weight array give equal results
-    assert entropy(m) == entropy(m.weights) == entropy([0.25, 0.75])
-    v = np.array([0.5, -0.5])
-    assert (local_approx_log_multinomial(m, v, 100)
-            == local_approx_log_multinomial(m.weights, v, 100))
 
 
 # ------------------------------------------------------------- multinomials
@@ -219,7 +178,7 @@ def test_entropy_values():
     # oracle: direct evaluation of -sum p log p
     expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
     assert expected == pytest.approx(0.5623351446188083, rel=1e-14)
-    assert entropy(ProbMeasure([0.25, 0.75])) == pytest.approx(expected, rel=1e-14)
+    assert entropy(np.array([0.25, 0.75])) == pytest.approx(expected, rel=1e-14)
     # 0 log 0 = 0 convention
     assert entropy([0.0, 1.0]) == 0.0
 
@@ -693,7 +652,7 @@ def test_multistart_freezes_each_row_at_its_own_stop(monkeypatch):
         assert sol.diagnostics == {"restarts": 3, "converged": 3, "iterations_best": updates}
         # one update past the test: 2^-41 from the target, far beyond OBJECTIVE_GAP
         # from the other two
-        assert [m.weights.tolist() for m in sol.co_maximizers] == [
+        assert sol.co_maximizers.tolist() == [
             (targets[best] + 2.0**-41 * np.array([1.0, -1.0])).tolist()]
         assert sol.residual == 2.0**-41
     monkeypatch.setattr(types_core, "MAX_ITER", 3)
@@ -711,7 +670,7 @@ def test_iterations_best_is_the_first_start_at_the_best_point():
     objectives = np.array([0.5, np.nextafter(0.5, 1.0)])
     sol = solve_multistart(starts, lambda X: np.repeat(target, len(X), axis=0),
                            lambda X: objectives)
-    assert [m.weights.tolist() for m in sol.co_maximizers] == [
+    assert sol.co_maximizers.tolist() == [
         (target[0] + 2.0**-41 * np.array([1.0, -1.0])).tolist()]
     assert sol.F == objectives[0]
     assert sol.residual == 2.0**-41
@@ -746,11 +705,41 @@ def test_solvers_return_the_uniform_start_at_every_seed(solver):
         records = [solve_variational(spec, seed=seed) for seed in (0, 11, 41)]
 
     def fields(record):
-        return {name: [m.weights.tolist() for m in value] if isinstance(value, list) else value
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
                 for name, value in vars(record).items()}
 
     assert fields(records[0]) == fields(records[1]) == fields(records[2])
     assert records[0].diagnostics["iterations_best"] == 0
+
+
+def _solve(model: str, seed: int):
+    """The solver record of an example model from configs/ or perfbench/inputs/."""
+    if model == "ternary22":
+        table = f"table:{ROOT}/perfbench/inputs/ternary22.txt"
+        return solve_bethe(make_ensemble(2, 2, Alphabet((0.0, 1.0, 2.0)), table), seed=seed)
+    if model == "parity36":
+        return solve_bethe(build_ensemble(load_config(str(ROOT / "configs" / "parity36.json"))),
+                           seed=seed)
+    path = ROOT / ("configs" if model == "cw" else "perfbench/inputs") / f"{model}.json"
+    return solve_variational(build_dense(load_config(str(path))), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41])
+@pytest.mark.parametrize("model", ["cw", "sk2", "sk3", "parity36", "ternary22"])
+def test_solver_measures_are_read_only_probability_rows(model, seed):
+    # a measure is a plain float row: the solvers return them normalized by
+    # construction, as the rows of one read-only array
+    record = _solve(model, seed)
+    measures = [record.co_maximizers]
+    if model in ("parity36", "ternary22"):
+        measures.append(record.word_measures)
+    for rows in measures:
+        assert rows.ndim == 2 and rows.dtype == np.float64 and len(rows) >= 1
+        assert np.isfinite(rows).all() and (rows >= 0).all()
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.5
+    assert not record.nu_star.flags.writeable
 
 
 def test_selection_dedups_within_the_objective_gap():
@@ -764,13 +753,13 @@ def test_selection_dedups_within_the_objective_gap():
 @pytest.mark.parametrize("weight", [0.0, 5e-324, 1e-11, 0.99 * BOUNDARY_TOL])
 def test_boundary_rule(weight):
     # one comparison behind both the record's flag and the builders' check
-    inside = [ProbMeasure([0.5, 0.5]), ProbMeasure([BOUNDARY_TOL, 1.0 - BOUNDARY_TOL])]
-    touching = ProbMeasure([weight, 1.0 - weight])
+    inside = np.array([[0.5, 0.5], [BOUNDARY_TOL, 1.0 - BOUNDARY_TOL]])
+    touching = np.array([weight, 1.0 - weight])
     record = MaximizerRecord(co_maximizers=inside, F=0.0, residual=0.0, diagnostics={})
     assert not record.boundary
     for m in inside:
         require_interior(m)
-    record.co_maximizers.append(touching)
+    record.co_maximizers = np.vstack([inside, touching])
     assert record.boundary
     with pytest.raises(BoundaryMaximizerError, match=r"^maximizer touches the simplex "
                        r"boundary \(min weight [0-9.e+-]+\); the Gaussian expansion"):
