@@ -36,7 +36,7 @@ from .factor_graph import (
     step_size_methods,
 )
 from .replica_rs import build_pqr_matrix, rs_correction_n0, rs_determinant, sk_paramagnetic_correction
-from .types_core import Alphabet, local_approx_log_multinomial, log_multinomial, det
+from .types_core import Alphabet, local_approx_log_multinomial, log_multinomial
 
 BINARY = Alphabet((0.0, 1.0))
 SPINS = Alphabet((1.0, -1.0))
@@ -125,8 +125,8 @@ def check_sylvester() -> tuple[bool, str]:
     worst = 0.0
     for (a, b), pairs in pairs_by_shape.items():  # one stacked det per side and shape
         A, B = (np.array(side) for side in zip(*pairs))
-        d1 = det(np.eye(a) - A @ B)
-        d2 = det(np.eye(b) - B @ A)
+        d1 = np.linalg.det(np.eye(a) - A @ B)
+        d2 = np.linalg.det(np.eye(b) - B @ A)
         worst = max(worst, float((np.abs(d1 - d2) / np.maximum(1.0, np.abs(d1))).max()))
     return worst <= 1e-9, f"worst relative defect {worst:.3e}"
 

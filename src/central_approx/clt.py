@@ -49,7 +49,9 @@ class CovarianceResult:
 
     ``min_eigenvalue`` is exactly 0.0 when rank < dim: the smallest
     eigenvalue then lies within the tolerance the rank counts as zero, and
-    its digits are rounding noise."""
+    its digits are rounding noise.  Likewise an entry within SYM_TOL times
+    the scale (the largest |entry|, at least 1) of zero is stored as exactly
+    0.0, after the rank and ``min_eigenvalue`` are taken."""
 
     matrix: np.ndarray
     labels: tuple
@@ -75,6 +77,7 @@ class CovarianceResult:
         rank = int(np.sum(eigs > PSD_TOL * scale))
         if rank < eigs.size:
             min_eig = 0.0
+        sym[np.abs(sym) <= SYM_TOL * scale] = 0.0
         sym.setflags(write=False)
         return cls(matrix=sym, labels=tuple(labels), rank=rank, min_eigenvalue=min_eig)
 

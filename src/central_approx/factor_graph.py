@@ -97,10 +97,15 @@ def check_word_table(l: int, r: int, K: int) -> None:
 
 
 class EnsembleSpec:
-    """An (l,r)-regular ensemble: degrees, alphabet, and the factor table."""
+    """An (l,r)-regular ensemble: degrees, alphabet, and the factor table.
 
-    def __init__(self, l: int, r: int, alphabet: Alphabet, f_values,
-                 f_exact: tuple[Fraction, ...] | None = None,
+    ``table`` is a sequence of K^r numbers in word order.  ``f_values`` holds
+    them as read-only floats; ``f_exact`` as Fractions when every one is an
+    int, a numpy integer or a Fraction (the exact route), else None (the
+    float route).
+    """
+
+    def __init__(self, l: int, r: int, alphabet: Alphabet, table,
                  factor_name: str | None = None):
         K = len(alphabet)
         check_word_table(l, r, K)
@@ -113,7 +118,14 @@ class EnsembleSpec:
         self.letter_counts = np.stack(
             [(self.words == z).sum(axis=1) for z in range(K)], axis=1
         )
-        f = np.asarray(f_values, dtype=float)
+        try:
+            vals = list(table)
+            f = np.array([float(x) for x in vals])
+        except (TypeError, ValueError):
+            raise ValidationFailure(
+                f"factor must be a name or a sequence of {K**r} numbers") from None
+        except OverflowError:  # a rational past the float range
+            raise ValidationFailure("factor values must be finite and nonnegative") from None
         if f.shape != (K**r,):
             raise ValidationFailure(
                 f"factor table needs {K**r} values (|alphabet|^r), got shape {f.shape}"
@@ -124,13 +136,9 @@ class EnsembleSpec:
             raise ValidationFailure("factor function has empty support")
         f.setflags(write=False)
         self.f_values = f
-        if f_exact is not None:
-            f_exact = tuple(Fraction(x) for x in f_exact)
-            if len(f_exact) != K**r:
-                raise ValidationFailure("exact factor table length mismatch")
-            if any(float(a) != b for a, b in zip(f_exact, f)):
-                raise ValidationFailure("exact factor table disagrees with float table")
-        self.f_exact = f_exact
+        self.f_exact = None
+        if all(isinstance(x, (int, np.integer, Fraction)) for x in vals):
+            self.f_exact = tuple(x if isinstance(x, Fraction) else Fraction(int(x)) for x in vals)
         self.factor_name = factor_name
         self.support = np.flatnonzero(f > 0)
 
@@ -165,7 +173,8 @@ def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
     Tokens are whitespace-separated; the first r are alphabet symbols, read
     as floats and matched by value ("0", "0.0" and "0e0" all name 0), the
     last is the value.  Values parse as exact rationals when they can
-    ("2", "1/3", "0.25"), keeping the big-rational paths available.
+    ("2", "1/3", "0.25") and as floats otherwise, and come back as parsed:
+    a table of rationals alone keeps the big-rational paths available.
     Blank lines and #-comments are skipped.  Every word must appear
     exactly once.
     """
@@ -206,56 +215,40 @@ def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
     missing = sum(1 for v in vals if v is None)
     if missing:
         raise ValidationFailure(f"{path}: {missing} of {K**r} words missing")
-    if all(isinstance(v, Fraction) for v in vals):
-        return vals
-    return [float(v) for v in vals]
+    return vals
 
 
 def make_ensemble(l: int, r: int, alphabet: Alphabet, factor) -> EnsembleSpec:
-    """Build an ensemble from a named factor, a value table, or a callable.
+    """Build an ensemble from a named factor or a value table.
 
     Named factors: "parity" (two-letter alphabets, indicator that the
     second symbol appears an even number of times), "all-equal" (indicator
     that all r letters agree), "uniform" (f identically one), and
-    "table:<path>" (load_factor_table format).  A table is a sequence of
-    K^r values in word order; a callable receives the word as a tuple of
-    alphabet values.
+    "table:<path>" (load_factor_table format); the indicators are int
+    tables, so they take the exact route.  A table is a sequence of K^r
+    numbers in word order (EnsembleSpec); anything else raises
+    ValidationFailure.
     """
     K = len(alphabet)
     check_word_table(l, r, K)  # before any K^r word list is built
-    if isinstance(factor, str):
-        if factor.startswith("table:"):
-            return make_ensemble(l, r, alphabet, load_factor_table(factor[6:], alphabet, r))
-        if factor == "parity":
-            if K != 2:
-                raise ValidationFailure("parity factors need a two-letter alphabet")
-            counts1 = np.array(
-                [sum(w) for w in itertools.product(range(2), repeat=r)]
-            )
-            vals = (counts1 % 2 == 0).astype(int)
-        elif factor == "all-equal":
-            vals = np.array(
-                [int(len(set(w)) == 1) for w in itertools.product(range(K), repeat=r)]
-            )
-        elif factor == "uniform":
-            vals = np.ones(K**r, dtype=int)
-        else:
-            raise ValidationFailure(
-                f"unknown factor name {factor!r}; built-ins are {BUILTIN_FACTORS}"
-            )
-        exact = tuple(Fraction(int(x)) for x in vals)
-        return EnsembleSpec(l, r, alphabet, vals.astype(float), exact, factor)
-    if callable(factor):
-        words = itertools.product(alphabet.values, repeat=r)
-        vals = np.array([float(factor(w)) for w in words])
-        return EnsembleSpec(l, r, alphabet, vals, None, None)
-    vals = list(factor)
-    exact = None
-    if all(isinstance(x, (int, np.integer, Fraction)) for x in vals):
-        exact = tuple(
-            Fraction(int(x)) if isinstance(x, (int, np.integer)) else x for x in vals
+    if not isinstance(factor, str):
+        return EnsembleSpec(l, r, alphabet, factor)
+    if factor.startswith("table:"):
+        return EnsembleSpec(l, r, alphabet, load_factor_table(factor[6:], alphabet, r))
+    words = np.array(list(itertools.product(range(K), repeat=r)), dtype=np.int64)
+    if factor == "parity":
+        if K != 2:
+            raise ValidationFailure("parity factors need a two-letter alphabet")
+        vals = words.sum(axis=1) % 2 == 0
+    elif factor == "all-equal":
+        vals = np.all(words == words[:, :1], axis=1)
+    elif factor == "uniform":
+        vals = np.ones(K**r, dtype=bool)
+    else:
+        raise ValidationFailure(
+            f"unknown factor name {factor!r}; built-ins are {BUILTIN_FACTORS}"
         )
-    return EnsembleSpec(l, r, alphabet, [float(x) for x in vals], exact, None)
+    return EnsembleSpec(l, r, alphabet, vals.astype(np.int64), factor)
 
 
 # --------------------------------------------------------------------------
@@ -676,25 +669,11 @@ def smith_normal_form_divisors(A) -> list[int]:
     return divisors
 
 
-def _step_matrix(ensemble: EnsembleSpec, ref_word: int | None,
-                 ref_symbol: int | None) -> np.ndarray:
-    """Coefficient matrix of the congruences: rows letters (minus the
-    reference), columns support words (minus the reference word)."""
-    S = ensemble.support
-    if ref_word is None:
-        ref_word = int(S[0])
-    if ref_symbol is None:
-        ref_symbol = 0
-    if ref_word not in set(int(x) for x in S):
-        raise ValidationFailure("reference word must lie in the support")
-    K = len(ensemble.alphabet)
-    rows = [z for z in range(K) if z != ref_symbol]
-    cols = [int(x) for x in S if int(x) != ref_word]
-    base = ensemble.letter_counts[ref_word]
-    return np.array(
-        [[int(ensemble.letter_counts[x][z] - base[z]) for x in cols] for z in rows],
-        dtype=np.int64,
-    ).reshape(len(rows), len(cols))
+def _step_matrix(ensemble: EnsembleSpec) -> np.ndarray:
+    """Coefficient matrix of the congruences: rows letters 1..K-1, columns
+    the letter-count shifts of the other support words from the first."""
+    counts = ensemble.letter_counts[ensemble.support, 1:]
+    return (counts[1:] - counts[0]).T
 
 
 def _rank_mod_prime(A: np.ndarray, p: int) -> int:
@@ -747,8 +726,7 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(math.isqrt(p)) + 1))
 
 
-def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
-                      ref_symbol: int | None = None) -> dict:
+def step_size_methods(ensemble: EnsembleSpec) -> dict:
     """All available routes to the step size s, for cross-validation.
 
     Always: "snf" (Smith normal form of the congruence matrix) and
@@ -759,9 +737,9 @@ def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
     [-L, L]^n with L = (3l - 1)/2; its width 2L + 1 = 3l covers every
     residue class evenly, so it equals 1/s exactly.
     """
-    A = _step_matrix(ensemble, ref_word, ref_symbol)
+    A = _step_matrix(ensemble)
     l = ensemble.l
-    out: dict = {"snf": lattice_step_s(ensemble, ref_word=ref_word, ref_symbol=ref_symbol)}
+    out: dict = {"snf": lattice_step_s(ensemble)}
     kernel = _residue_sum(A, l, [1] * l)
     n = A.shape[1]
     total = l**n
@@ -784,8 +762,7 @@ def step_size_methods(ensemble: EnsembleSpec, *, ref_word: int | None = None,
     return out
 
 
-def lattice_step_s(ensemble: EnsembleSpec, *, ref_word: int | None = None,
-                   ref_symbol: int | None = None) -> int:
+def lattice_step_s(ensemble: EnsembleSpec) -> int:
     """Step size s: the index of the consistency sublattice.
 
     The factor-type fluctuations can only move on the sublattice where
@@ -794,7 +771,7 @@ def lattice_step_s(ensemble: EnsembleSpec, *, ref_word: int | None = None,
     Smith normal form.  step_size_methods cross-checks it by other routes.
     """
     l = ensemble.l
-    A = _step_matrix(ensemble, ref_word, ref_symbol)
+    A = _step_matrix(ensemble)
     return math.prod(l // math.gcd(d, l) for d in smith_normal_form_divisors(A))
 
 

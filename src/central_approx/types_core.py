@@ -10,9 +10,10 @@ the dense and factor-graph sides share:
 * all types of a total, lexicographic, in guarded int64 array blocks;
 * the one exact contraction kernel, the terms of a polynomial power, packed
   or expanded over types (``power_terms``);
-* a numpy LU factorization with partial pivoting behind ``det`` and
-  ``solve``, with an explicit singularity signal, plus ``logsumexp`` and
-  log-factorials of integer counts (no scipy on the runtime path);
+* a numpy LU factorization of one matrix with partial pivoting behind
+  ``det`` and ``solve``, with an explicit singularity signal, plus
+  ``logsumexp`` and log-factorials of integer counts (no scipy on the
+  runtime path);
 * the multi-start solve shared by the variational and Bethe solvers (batched
   fixed-point loop with one stop rule from RESTARTS + 1 starts, co-maximizer
   selection, one result record), the one boundary rule for a maximizer
@@ -84,12 +85,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 def _int_counts(counts) -> np.ndarray:
@@ -463,77 +458,61 @@ def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tu
 # than PIVOT_RTOL times the matrix scale is treated as singular.
 
 def _lu(a: np.ndarray):
-    """Factors P a = L U of each square finite matrix of a stack (..., n, n),
-    all at once; a single matrix is a stack of one.  Returns the factors in
-    one array of a's shape (L strictly below the diagonal, unit diagonal
-    implied), the row orders ``perm`` (row k of P a is row perm[k] of a) and
-    the numbers of row swaps, one per matrix; None when n = 0.  Each step
-    takes the first largest |entry| of the column as pivot, swaps it up,
-    scales the column and updates the trailing block, for every matrix of
-    the stack in the same numpy operations."""
+    """Factors P a = L U of one square finite matrix: the factors in one
+    array (L strictly below the diagonal, unit diagonal implied), the row
+    order ``perm`` (row k of P a is row perm[k] of a) and the number of row
+    swaps; None when n = 0.  Each step takes the first largest |entry| of
+    the column as pivot, swaps it up, scales the column and updates the
+    trailing block."""
     lu = np.array(a, dtype=float)
-    if lu.ndim < 2 or lu.shape[-1] != lu.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
+        raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(lu)):
         raise ValueError("matrix entries must be finite")
-    shape, n = lu.shape[:-2], lu.shape[-1]
+    n = len(lu)
     if n == 0:
         return None
-    lu = lu.reshape(-1, n, n)
-    scale = np.abs(lu).max(axis=(1, 2))
-    members = np.arange(len(lu))
-    perm = np.tile(np.arange(n), (len(lu), 1))
-    swaps = np.zeros(len(lu), dtype=np.int64)
+    scale = float(np.abs(lu).max())
+    perm = np.arange(n)
+    swaps = 0
     for k in range(n):
-        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
-        swapped = p != k
-        if swapped.any():
-            lu[members, k], lu[members, p] = lu[members, p], lu[members, k]
-            perm[members, k], perm[members, p] = perm[members, p], perm[members, k]
-            swaps += swapped
-        # an exact zero column is left as is (divided by 1), and reported below
-        pivot = lu[:, k, k]
-        lu[:, k + 1:, k] /= np.where(pivot != 0.0, pivot, 1.0)[:, None]
-        lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, k, None, k + 1:]
-    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    singular = (scale == 0.0) | (pivots.min(axis=1) < PIVOT_RTOL * scale)
-    if singular.any():
-        i = int(np.argmax(singular))
-        member = f"stack member {list(map(int, np.unravel_index(i, shape)))}: " if shape else ""
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            swaps += 1
+        # an exact zero column is left as is, and reported below
+        if lu[k, k] != 0.0:
+            lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, None, k + 1:]
+    pivots = np.abs(np.diag(lu))
+    if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
-            f"{member}singular to working precision (min pivot {pivots[i].min():.3e}, "
-            f"scale {scale[i]:.3e})"
+            f"singular to working precision (min pivot {pivots.min():.3e}, scale {scale:.3e})"
         )
-    return lu.reshape(shape + (n, n)), perm.reshape(shape + (n,)), swaps.reshape(shape)
+    return lu, perm, swaps
 
 
-def det(a) -> float | np.ndarray:
-    """Determinant via LU with partial pivoting: a float for one matrix, an
-    array of the leading shape for a stack (..., n, n).
+def det(a) -> float:
+    """Determinant of one matrix via LU with partial pivoting.
 
-    Raises SingularMatrixError when a pivot of any matrix falls below
-    PIVOT_RTOL * its scale.  The empty matrix has determinant 1.  Each
-    determinant is the sign times math.exp of the summed log |pivots|, so a
-    matrix gets the same bits alone or in a stack.
+    Raises SingularMatrixError when a pivot falls below PIVOT_RTOL * the
+    matrix scale.  The empty matrix has determinant 1.  The determinant is
+    the sign times math.exp of the summed log |pivots|.
     """
     factors = _lu(a)
     if factors is None:
-        shape = np.shape(a)[:-2]
-        return np.ones(shape) if shape else 1.0
+        return 1.0
     lu, _, swaps = factors
-    pivots = np.diagonal(lu, axis1=-2, axis2=-1)
-    signs = (-1.0) ** swaps * np.prod(np.sign(pivots), axis=-1)
-    logs = np.log(np.abs(pivots)).sum(axis=-1)
-    dets = [s * math.exp(x) for s, x in zip(signs.ravel().tolist(), logs.ravel().tolist())]
-    return np.reshape(dets, swaps.shape) if swaps.ndim else dets[0]
+    pivots = np.diag(lu)
+    sign = (-1.0) ** swaps * float(np.prod(np.sign(pivots)))
+    return sign * math.exp(float(np.log(np.abs(pivots)).sum()))
 
 
 def solve(a, b) -> np.ndarray:
     """Solve a x = b (b a vector or a matrix of columns) for one matrix a,
     through the same guarded LU: forward substitution with L, then back
     substitution with U."""
-    if np.ndim(a) != 2:
-        raise ValueError("expected a square matrix")
     factors = _lu(a)
     b = np.asarray(b, dtype=float)
     if factors is None:

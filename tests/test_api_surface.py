@@ -1,16 +1,23 @@
 """The package's option surface: knobs that were folded into constants or
 into the guard argument must not come back."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import central_approx
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # allow_large: guard=None lifts a guard; max_rows: types_core.TYPE_BLOCK_ROWS;
 # batch: dense.BRUTE_FORCE_BATCH; density_box_L: step_size_methods adds the
-# box density itself whenever l is odd
-RETIRED = {"allow_large", "max_rows", "batch", "density_box_L"}
+# box density itself whenever l is odd; ref_word, ref_symbol: the step size
+# does not depend on the reference; f_exact: an ensemble derives it from its
+# table
+RETIRED = {"allow_large", "max_rows", "batch", "density_box_L", "ref_word", "ref_symbol",
+           "f_exact"}
 
 
 def _functions():
@@ -52,3 +59,22 @@ def test_solvers_take_only_a_seed():
         params = inspect.signature(solver).parameters
         assert "restarts" not in params
         assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == ["seed"]
+
+
+def test_traced_benchmark_names_resolve():
+    # perfbench/traced.py imports names from the package and wraps the
+    # functions in SPANNED and COUNTED by name; read it with ast, since
+    # importing it needs perfbench's own modules on the path
+    tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8"))
+    wrapped = []
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets in (["SPANNED"], ["COUNTED"]):
+            wrapped += [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("central_approx"):
+            exec(compile(ast.Module([node], []), "traced.py", "exec"), {})  # ImportError if gone
+    assert len(wrapped) > 20
+    missing = [f"{module}.{name}" for module, name in wrapped
+               if not callable(getattr(importlib.import_module(f"central_approx.{module}"),
+                                       name, None))]
+    assert missing == []

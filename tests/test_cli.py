@@ -655,6 +655,19 @@ def test_clt_cov_singular_min_eigenvalue_is_zero(capsys, config, kind):
     assert scalars["min_eigenvalue"] == "0"
 
 
+def test_clt_cov_entries_zero_up_to_rounding_print_zero(capsys):
+    # the sk3 type covariance of each antipodal pair of spin words is 0; its
+    # rounding noise (below 1e-17) is stored as exactly 0
+    code, out, _ = run_cli(capsys, "clt-cov", "--config", str(ROOT / "perfbench/inputs/sk3.json"),
+                           "--kind", "type", "--format", "csv")
+    assert code == 0
+    values = {(row, col): value for row, col, value in
+              (line.split(",") for line in out.splitlines()[5:])}
+    antipodal = [("1|1|1", "-1|-1|-1"), ("1|1|-1", "-1|-1|1"),
+                 ("1|-1|1", "-1|1|-1"), ("1|-1|-1", "-1|1|1")]
+    assert [values[pair] for pair in antipodal] == ["0"] * 4
+
+
 def test_clt_cov_fg_variable(capsys, tmp_path):
     cfg = {"schema_version": 1, "model": "factor-graph", "l": 2, "r": 3,
            "alphabet": [0, 1], "factor": "parity"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from central_approx.clt import (
+    SYM_TOL,
     CovarianceResult,
     dense_type_covariance,
     empirical_type_covariance_oracle,
@@ -175,6 +176,17 @@ def test_min_eigenvalue_of_a_singular_covariance_is_zero(tiny):
     assert (res.rank, res.min_eigenvalue) == (1, 0.0)
     full = CovarianceResult.from_matrix(np.diag([2.0, 0.25]), ("a", "b"))
     assert (full.rank, full.min_eigenvalue) == (2, 0.25)
+
+
+@pytest.mark.parametrize("entry", [-1e-17, 1e-17, 2e-10, -2.5e-10, 1e-3])
+def test_entries_zero_up_to_rounding_are_stored_as_zero(entry):
+    # within SYM_TOL times the scale (2 here) an entry is stored as exactly
+    # 0.0; the eigenvalues are taken from the matrix as given
+    matrix = np.array([[2.0, entry], [entry, 1.0]])
+    res = CovarianceResult.from_matrix(matrix, ("a", "b"))
+    want = 0.0 if abs(entry) <= SYM_TOL * 2.0 else entry
+    assert res.matrix[0, 1] == res.matrix[1, 0] == want
+    assert res.min_eigenvalue == float(np.linalg.eigvalsh(matrix)[0])
 
 
 # ------------------------------------------------- factor-graph covariances

@@ -18,7 +18,7 @@ from central_approx.errors import (
     GuardError,
 )
 from central_approx import dense
-from central_approx.types_core import FIXED_POINT_TOL, Alphabet, MaximizerRecord
+from central_approx.types_core import FIXED_POINT_TOL, Alphabet, MaximizerRecord, require_interior
 from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
@@ -274,8 +274,8 @@ def test_variational_matches_grid_oracle(cw_spec, cw_solution):
     assert cw_solution.F == pytest.approx(F_grid, abs=5e-12)
     assert cw_solution.F == pytest.approx(0.8588370486524773, abs=1e-12)
     assert cw_solution.residual <= 1e-10
-    assert cw_solution.unique
-    assert not cw_solution.boundary
+    assert len(cw_solution.co_maximizers) == 1
+    require_interior(cw_solution.co_maximizers)
     # stationarity: nu(1) solves rho = sigmoid(rho)
     rho_star = cw_solution.nu_star[1]
     assert rho_star == pytest.approx(1.0 / (1.0 + math.exp(-rho_star)), abs=1e-11)
@@ -295,7 +295,7 @@ def test_variational_symmetric_pair_instance():
     sol = solve_variational(spec)
     assert sol.F == pytest.approx(2 * math.log(2), rel=1e-12)
     assert np.allclose(sol.nu_star, 0.25, atol=1e-10)
-    assert sol.unique
+    assert len(sol.co_maximizers) == 1
 
 
 @pytest.mark.parametrize("n,g", [

@@ -54,7 +54,7 @@ from central_approx.factor_graph import (
     _socket_maps,
     _weight_tilt,
 )
-from central_approx.types_core import Alphabet, dirichlet_starts
+from central_approx.types_core import Alphabet, dirichlet_starts, require_interior
 
 ROOT = Path(__file__).resolve().parents[1]
 BINARY = Alphabet((0.0, 1.0))
@@ -91,6 +91,11 @@ def test_factor_table_validation():
         make_ensemble(2, 2, BINARY, [0, 0, 0, 0])
     with pytest.raises(ValidationFailure):
         make_ensemble(2, 2, BINARY, "no-such-family")
+    # a factor is a name or a sequence of numbers, each within the float range
+    for factor in (lambda w: 1.0, 2.0, [1, 1, "x", 1], [[1, 1], [1, 1]],
+                   [1, Fraction(10**400), 1, 1]):
+        with pytest.raises(ValidationFailure):
+            make_ensemble(2, 2, BINARY, factor)
 
 
 @pytest.mark.parametrize("alphabet, tokens", [
@@ -366,7 +371,8 @@ def test_socket_maps_are_the_distinct_permutation_maps(N, l):
 
 
 def test_exact_rational_needs_exact_table():
-    ens = make_ensemble(2, 2, BINARY, lambda x: math.exp(-abs(x[0] - x[1])))
+    ens = make_ensemble(2, 2, BINARY, [math.exp(-abs(x[0] - x[1]))
+                                       for x in itertools.product(BINARY.values, repeat=2)])
     with pytest.raises(ValidationFailure):
         exact_expected_Z_exact(ens, 2)
     # the float path still runs
@@ -383,9 +389,8 @@ def test_generating_function_matches_permutations(alphabet, N, data):
     oracle = brute_force_permutation_oracle(ens, N)
     exact = exact_expected_Z_exact(ens, N)
     assert exact == oracle.expected_Z
-    # the same table as a callable has no exact values: the log arithmetic runs
-    index = {w: i for i, w in enumerate(itertools.product(alphabet.values, repeat=2))}
-    as_float = make_ensemble(2, 2, alphabet, lambda w: table[index[w]])
+    # the same table as floats has no exact values: the log arithmetic runs
+    as_float = make_ensemble(2, 2, alphabet, [float(x) for x in table])
     assert as_float.f_exact is None
     expected = math.log(exact) if exact else -math.inf
     assert exact_expected_Z(as_float, N) == pytest.approx(expected, abs=1e-12)
@@ -434,7 +439,7 @@ def test_bethe_parity_growth_rate(l, r):
     sol = solve_bethe(ens)
     assert sol.F == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
     assert sol.residual < 1e-10
-    assert not sol.boundary
+    require_interior(sol.co_maximizers)
     grid = bethe_dual_grid(ens)
     assert grid <= sol.F + 5e-9
     assert sol.F - grid < 1e-6
@@ -456,7 +461,8 @@ def test_bethe_single_symbol():
 def test_bethe_concentrating_maximizer_is_boundary():
     ens = make_ensemble(3, 3, TERNARY, "all-equal")
     sol = solve_bethe(ens)
-    assert sol.boundary
+    with pytest.raises(BoundaryMaximizerError):
+        require_interior(sol.co_maximizers)
     assert abs(sol.F) < 1e-4
     with pytest.raises(BoundaryMaximizerError):
         fg_constant_log(ens, sol)
@@ -647,10 +653,31 @@ def test_residue_walk_is_guarded(monkeypatch):
 
 
 def test_step_size_reference_invariance():
-    ens = make_ensemble(3, 6, BINARY, "parity")
-    for ref_word in [int(x) for x in ens.support[:4]]:
-        for ref_symbol in (0, 1):
-            assert lattice_step_s(ens, ref_word=ref_word, ref_symbol=ref_symbol) == 3
+    # the congruences are taken against letter 0 and the first support word;
+    # relabeling the alphabet moves both.  The battery's tables are symmetric,
+    # so each is checked with its last support word dropped as well.  In the
+    # battery the first support word is all zeros; in the last table it is 01
+    for l, r, alphabet, factor, s in (S_BATTERY[1], S_BATTERY[9], S_BATTERY[10],
+                                      S_BATTERY[12], S_BATTERY[19],
+                                      (2, 2, BINARY, [0, 1, 0, 1], 2)):
+        K = len(alphabet)
+        words = list(itertools.product(range(K), repeat=r))
+        table = make_ensemble(l, r, alphabet, factor).f_values
+        trimmed = table.copy()
+        trimmed[np.flatnonzero(table)[-1]] = 0.0
+        for values in (table, trimmed):
+            firsts, steps = set(), set()
+            for perm in itertools.permutations(range(K)):
+                relabeled = [values[words.index(tuple(perm[z] for z in w))] for w in words]
+                ens = make_ensemble(l, r, alphabet, relabeled)
+                firsts.add(int(ens.support[0]))
+                steps |= {1 / v if name == "box_density" else v
+                          for name, v in step_size_methods(ens).items()}
+            assert len(steps) == 1
+            if values is table:
+                assert steps == {s}
+            else:
+                assert len(firsts) > 1
 
 
 # --------------------------------------------- the constant, end to end
