@@ -10,16 +10,14 @@ fails (instability, non-convergence), with the reason on stderr.
 Each subcommand imports the model modules it runs once its input is read,
 so --help, the closed forms (sk, rs-det, rs-correction) and input errors
 start without numpy, and a dense command never loads the factor-graph code.
+The json and csv modules load only for the format that uses them.
 """
 
 import argparse
-import csv
 import io
-import json
 import math
 import numbers
 import sys
-from fractions import Fraction
 
 from .config import build_dense, build_ensemble, build_rs, load_config, parse_alphabet
 from .errors import NumericalFailure, ValidationFailure
@@ -70,13 +68,13 @@ def _json_value(value):
         if math.isfinite(x):
             return float(format(x, ".12g"))
         return fmt(x)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
 def render(report: Report, fmt_name: str) -> str:
     if fmt_name == "json":
+        import json
+
         doc = {
             "command": report.command,
             "scalars": {k: _json_value(v) for k, v in report.scalars},
@@ -86,6 +84,8 @@ def render(report: Report, fmt_name: str) -> str:
             doc["rows"] = [[_json_value(v) for v in row] for row in report.rows]
         return json.dumps(doc, indent=2) + "\n"
     if fmt_name == "csv":
+        import csv
+
         buf = io.StringIO()
         for k, v in report.scalars:
             buf.write(f"# {k} = {fmt(v)}\n")
@@ -135,22 +135,34 @@ def _dense_from_args(args) -> tuple:
     return build_dense(cfg), cfg.get("guards", {})
 
 
+def _reject_model_flags(args, names) -> None:
+    """A config sets the whole model, so no model flag may come with it."""
+    given = [name for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValidationFailure("--config sets the model; drop --" + ", --".join(given))
+
+
 def _ensemble_from_args(args):
     if args.config:
+        _reject_model_flags(args, ("l", "r", "alphabet", "factor"))
         cfg = _model_config(args.config, "factor-graph")
         return build_ensemble(cfg), cfg.get("guards", {})
     if args.l is None or args.r is None or args.factor is None:
         raise ValidationFailure("need either --config or all of --l, --r, --factor")
-    alphabet = parse_alphabet(args.alphabet.split(","))
+    alphabet = parse_alphabet((args.alphabet or "0,1").split(","))
     from .factor_graph import make_ensemble
 
     return make_ensemble(args.l, args.r, alphabet, args.factor), {}
 
 
+_RS_FLAGS = ("n", "q", "r", "P", "Q", "R")
+
+
 def _rs_params(args):
     if args.config:
+        _reject_model_flags(args, _RS_FLAGS)
         return build_rs(_model_config(args.config, "rs"))
-    missing = [k for k in ("n", "q", "r", "P", "Q", "R") if getattr(args, k) is None]
+    missing = [k for k in _RS_FLAGS if getattr(args, k) is None]
     if missing:
         raise ValidationFailure("need either --config or all of --" + ", --".join(missing))
     from .replica_rs import RSParams
@@ -366,10 +378,11 @@ def cmd_clt_cov(args) -> Report:
             return "|".join(format(v, "g") for v in x)
         return format(x, "g") if isinstance(x, float) else str(x)
 
+    labels = [label(x) for x in cov.labels]
     rows = []
-    for i, li in enumerate(cov.labels):
+    for i, li in enumerate(labels):
         for j in range(i, cov.dim):
-            rows.append((label(li), label(cov.labels[j]), cov.matrix[i, j]))
+            rows.append((li, labels[j], cov.matrix[i, j]))
     rep.table(["row", "col", "value"], rows)
     return rep
 
@@ -411,7 +424,7 @@ def _add_fg_model_flags(p) -> None:
     p.add_argument("--config", help="factor-graph config JSON")
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--alphabet", default="0,1", help="comma-separated symbol values")
+    p.add_argument("--alphabet", help="comma-separated symbol values (default 0,1)")
     p.add_argument("--factor", help="parity | all-equal | uniform | table:<path>")
 
 
@@ -514,12 +527,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_failure(args, text: str) -> None:
+def _write_out(path: str, text: str) -> bool:
+    """Write the --out file; if it cannot be written, say so on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_failure(args, text: str, code: int) -> int:
+    """Report a failure on stderr and in the --out file; exit 2 if that cannot be written."""
     print(text, file=sys.stderr)
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    return code if not out or _write_out(out, text + "\n") else 2
 
 
 def main(argv=None) -> int:
@@ -530,15 +553,13 @@ def main(argv=None) -> int:
             raise ValidationFailure(f"--seed must be >= 0, got {args.seed}")
         report = args.run(args)
     except ValidationFailure as exc:
-        _emit_failure(args, f"error: {exc}")
-        return 2
+        return _emit_failure(args, f"error: {exc}", 2)
     except NumericalFailure as exc:
-        _emit_failure(args, f"numerical failure: {exc}")
-        return 3
+        return _emit_failure(args, f"numerical failure: {exc}", 3)
     text = render(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write_out(args.out, text):
+            return 2
     else:
         sys.stdout.write(text)
     if report.command == "selftest":

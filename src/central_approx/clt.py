@@ -14,18 +14,22 @@ pairs, so it refuses a boundary maximizer by the constants' rule
 (types_core.require_interior).  Degenerate directions (normalization,
 hard constraints) are kept in the matrix rather than projected out, so
 bases stay aligned with their labels; rank diagnostics travel with the
-result.
+result.  Each function imports the model module it reads when it runs, so a
+factor-graph covariance loads no dense code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dense import DenseModelSpec, dense_fluctuation, pair_indices, type_log_weights
 from .errors import ATInstabilityError, NumericalFailure, SingularMatrixError
 from .types_core import logsumexp, solve, type_array_blocks
+
+if TYPE_CHECKING:
+    from .dense import DenseModelSpec
 
 __all__ = [
     "CovarianceResult",
@@ -102,6 +106,8 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     diagonal and outer-product moment matrices of nu* and D2g is the
     coupling Hessian at the maximizing overlaps.
     """
+    from .dense import dense_fluctuation
+
     _, hessian = dense_fluctuation(spec, nu_star)
     w = np.asarray(nu_star, dtype=float)
     J = spec.pair_products
@@ -115,6 +121,8 @@ def overlap_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     """Covariance of sqrt(N)(q - q*) on the pair basis (a,b), a <= b, over all
     n replicas: (U' - U)(I - D2g (U' - U))^{-1}.
     """
+    from .dense import dense_fluctuation, pair_indices
+
     cov = _resolvent_covariance(*dense_fluctuation(spec, nu_star))
     return CovarianceResult.from_matrix(cov, tuple(pair_indices(spec.n)))
 
@@ -130,6 +138,8 @@ def empirical_type_covariance_oracle(spec: DenseModelSpec, N: int, *,
     dense_type_covariance; cost grows like the number of types, which
     ``guard`` bounds (``guard=None`` lifts it).
     """
+    from .dense import type_log_weights
+
     blocks = list(type_array_blocks(N, len(spec.symbols), guard=guard))
     V = np.concatenate(blocks, axis=0)
     logw = type_log_weights(spec, N, V)

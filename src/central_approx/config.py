@@ -5,13 +5,12 @@ output format, seeds) comes from the command line.  Unknown keys are
 rejected up front so a typo cannot silently fall back to a default.
 
 Reading and validating a config needs no numpy: the builders import the
-model modules when they are called.
+model modules when they are called, and only load_config imports json.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from typing import TYPE_CHECKING
@@ -176,6 +175,8 @@ CONFIG_SCHEMA = {
 
 def load_config(path: str) -> dict:
     """Read a config file, require finite numbers and schema-validate it."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

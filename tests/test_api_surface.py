@@ -4,7 +4,10 @@ into the guard argument must not come back."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import central_approx
@@ -61,20 +64,44 @@ def test_solvers_take_only_a_seed():
         assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == ["seed"]
 
 
-def test_traced_benchmark_names_resolve():
-    # perfbench/traced.py imports names from the package and wraps the
-    # functions in SPANNED and COUNTED by name; read it with ast, since
-    # importing it needs perfbench's own modules on the path
+def _traced_names() -> tuple[list, list]:
+    """perfbench/traced.py's wrapped (module, function) pairs in SPANNED and
+    COUNTED, and its imports from the package.  Read with ast, since
+    importing the file needs perfbench's own modules on the path."""
     tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8"))
-    wrapped = []
+    wrapped, imports = [], []
     for node in tree.body:
         targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
         if targets in (["SPANNED"], ["COUNTED"]):
             wrapped += [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("central_approx"):
-            exec(compile(ast.Module([node], []), "traced.py", "exec"), {})  # ImportError if gone
+            imports.append(node)
+    return wrapped, imports
+
+
+def test_traced_benchmark_names_resolve():
+    # traced.py wraps the functions in SPANNED and COUNTED by name
+    wrapped, imports = _traced_names()
+    for node in imports:
+        exec(compile(ast.Module([node], []), "traced.py", "exec"), {})  # ImportError if gone
     assert len(wrapped) > 20
     missing = [f"{module}.{name}" for module, name in wrapped
                if not callable(getattr(importlib.import_module(f"central_approx.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def test_traced_imports_load_every_wrapped_module():
+    # traced.py reads each wrapped module from sys.modules after only its own
+    # imports, so those imports must load every module it wraps; a module the
+    # package imported lazily instead would fail --trace 1 with a KeyError
+    wrapped, imports = _traced_names()
+    modules = sorted({f"central_approx.{module}" for module, _ in wrapped})
+    script = "\n".join([*map(ast.unparse, imports), "import sys",
+                        f"print(sorted(set({modules!r}) - set(sys.modules)))"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert len(modules) > 5
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -96,6 +96,8 @@ _FG = {"factor_graph", "types_core", "numpy"}
     pytest.param(["ldpc-codewords", "--l", "3", "--r", "6", "--N", "60"], 0, _FG, id="ldpc"),
     pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], 0,
                  {"clt", "dense", "types_core", "numpy"}, id="clt-cov"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "factor"],
+                 0, _FG | {"clt"}, id="clt-cov-fg"),
     pytest.param(["selftest", "--only", "sk-correction"], 0,
                  {"acceptance", "clt", "dense", "factor_graph", "replica_rs", "types_core",
                   "numpy"}, id="selftest"),
@@ -145,11 +147,14 @@ def test_command_loads_only_its_modules(argv, code, loaded):
 
 
 _NUMPY_FREE = {"numpy", "numpy.random", "dataclasses", "inspect"}
+_TEXT_ONLY = {"json", "csv", "fractions", "decimal"}
 
 
 # numpy.random costs a process about 6 MB and 15 ms; the solvers' restarts and
 # the selftest draws come from the stdlib generator.  The numpy-free commands
-# also skip dataclasses (and inspect, which it imports).
+# also skip dataclasses (and inspect, which it imports).  A run that reads no
+# config and prints a table loads neither json nor csv, nor fractions (with
+# decimal), which only exact sums and the acceptance checks use.
 @pytest.mark.parametrize("argv, absent", [
     pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"],
                  {"numpy.random"}, id="fg-compare"),
@@ -160,17 +165,24 @@ _NUMPY_FREE = {"numpy", "numpy.random", "dataclasses", "inspect"}
     pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "factor"],
                  {"numpy.random"}, id="clt-cov-fg"),
     pytest.param(["selftest"], {"numpy.random"}, id="selftest"),
-    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], _NUMPY_FREE, id="sk"),
+    pytest.param(["--help"], _NUMPY_FREE | _TEXT_ONLY, id="help"),
+    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], _NUMPY_FREE | _TEXT_ONLY, id="sk"),
     pytest.param(["rs-det", "--config", str(_CONFIGS / "sk_pqr.json")], _NUMPY_FREE,
                  id="rs-det"),
     pytest.param(["rs-correction", "--config", str(_CONFIGS / "sk_pqr.json"), "--N", "100"],
                  _NUMPY_FREE, id="rs-correction"),
 ])
 def test_command_leaves_heavy_modules_unloaded(argv, absent):
+    # sys.modules is read before the script imports json to print
     script = (
-        "import json, sys, central_approx.cli as cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        f"print(json.dumps([code, sorted(set(sys.modules).intersection({sorted(absent)!r}))]))\n"
+        "import sys, central_approx.cli as cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"loaded = sorted(set(sys.modules).intersection({sorted(absent)!r}))\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, timeout=120, env=_src_env(), cwd=ROOT)
@@ -619,6 +631,44 @@ def test_failure_reason_reaches_out_file(capsys, tmp_path):
     )
     assert code == 3
     assert "boundary" in dest.read_text()
+
+
+@pytest.mark.parametrize("argv, before", [
+    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], [], id="report"),
+    pytest.param(["selftest", "--only", "bogus"], ["error: unknown checks: bogus;"],
+                 id="input-error"),
+    pytest.param(["fg-asymptotic", "--l", "3", "--r", "3", "--alphabet", "0,1,2",
+                  "--factor", "all-equal", "--N", "9"], ["numerical failure:"],
+                 id="numerical-failure"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, before, where):
+    dest = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(dest))
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", len(before) + 1), err
+    for line, start in zip(lines, before + [f"error: cannot write {dest}: "]):
+        assert line.startswith(start)
+
+
+_PARITY36 = str(_CONFIGS / "parity36.json")
+_SK_PQR = str(_CONFIGS / "sk_pqr.json")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(["fg-exact", "--config", _PARITY36, "--l", "4", "--r", "8", "--N", "12"],
+                 "--l, --r", id="fg-exact"),
+    pytest.param(["fg-asymptotic", "--config", _PARITY36, "--alphabet", "0,1", "--N", "12"],
+                 "--alphabet", id="fg-asymptotic"),
+    pytest.param(["fg-s", "--config", _PARITY36, "--factor", "all-equal"], "--factor",
+                 id="fg-s"),
+    pytest.param(["rs-det", "--config", _SK_PQR, "--n", "7"], "--n", id="rs-det"),
+    pytest.param(["rs-correction", "--config", _SK_PQR, "--q", "0.1", "--R", "0", "--N", "100"],
+                 "--q, --R", id="rs-correction"),
+])
+def test_config_with_model_flags_exits_2(capsys, argv, flags):
+    # a config sets the whole model; a model flag beside it was once ignored
+    assert run_cli(capsys, *argv) == (2, "", f"error: --config sets the model; drop {flags}\n")
 
 
 def test_model_mismatch_exits_2(capsys, fg_config):
