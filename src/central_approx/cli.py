@@ -30,14 +30,15 @@ class Report:
         self.command = command
         self.scalars: list[tuple[str, object]] = []
         self.columns: list[str] = []
-        self.rows: list[list[object]] = []
+        self.rows: list[tuple] = []
 
     def scalar(self, name: str, value) -> None:
         self.scalars.append((name, value))
 
     def table(self, columns, rows) -> None:
+        """``rows``: any iterable of tuples, kept as given."""
         self.columns = list(columns)
-        self.rows = [list(r) for r in rows]
+        self.rows = list(rows)
 
 
 def _is_float(value) -> bool:
@@ -378,12 +379,11 @@ def cmd_clt_cov(args) -> Report:
             return "|".join(format(v, "g") for v in x)
         return format(x, "g") if isinstance(x, float) else str(x)
 
+    # the upper triangle, one row per entry, each label formatted once
     labels = [label(x) for x in cov.labels]
-    rows = []
-    for i, li in enumerate(labels):
-        for j in range(i, cov.dim):
-            rows.append((li, labels[j], cov.matrix[i, j]))
-    rep.table(["row", "col", "value"], rows)
+    rep.table(["row", "col", "value"],
+              ((labels[i], labels[j], cov.matrix[i, j])
+               for i in range(cov.dim) for j in range(i, cov.dim)))
     return rep
 
 
