@@ -147,14 +147,14 @@ def test_command_loads_only_its_modules(argv, code, loaded):
 
 
 _NUMPY_FREE = {"numpy", "numpy.random", "dataclasses", "inspect"}
-_TEXT_ONLY = {"json", "csv", "fractions", "decimal"}
+_UNUSED_STDLIB = {"json", "csv", "fractions", "decimal"}
 
 
 # numpy.random costs a process about 6 MB and 15 ms; the solvers' restarts and
 # the selftest draws come from the stdlib generator.  The numpy-free commands
 # also skip dataclasses (and inspect, which it imports).  A run that reads no
 # config and prints a table loads neither json nor csv, nor fractions (with
-# decimal), which only exact sums and the acceptance checks use.
+# decimal), which only the model modules import.
 @pytest.mark.parametrize("argv, absent", [
     pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"],
                  {"numpy.random"}, id="fg-compare"),
@@ -165,8 +165,8 @@ _TEXT_ONLY = {"json", "csv", "fractions", "decimal"}
     pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "factor"],
                  {"numpy.random"}, id="clt-cov-fg"),
     pytest.param(["selftest"], {"numpy.random"}, id="selftest"),
-    pytest.param(["--help"], _NUMPY_FREE | _TEXT_ONLY, id="help"),
-    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], _NUMPY_FREE | _TEXT_ONLY, id="sk"),
+    pytest.param(["--help"], _NUMPY_FREE | _UNUSED_STDLIB, id="help"),
+    pytest.param(["sk", "--beta", "0.5", "--N", "1000"], _NUMPY_FREE | _UNUSED_STDLIB, id="sk"),
     pytest.param(["rs-det", "--config", str(_CONFIGS / "sk_pqr.json")], _NUMPY_FREE,
                  id="rs-det"),
     pytest.param(["rs-correction", "--config", str(_CONFIGS / "sk_pqr.json"), "--N", "100"],
@@ -667,7 +667,6 @@ _SK_PQR = str(_CONFIGS / "sk_pqr.json")
                  "--q, --R", id="rs-correction"),
 ])
 def test_config_with_model_flags_exits_2(capsys, argv, flags):
-    # a config sets the whole model; a model flag beside it was once ignored
     assert run_cli(capsys, *argv) == (2, "", f"error: --config sets the model; drop {flags}\n")
 
 
