@@ -8,9 +8,9 @@ for dense overlaps and for the two factor-graph type layers; only M, B and
 the basis change.  The overlap and variable-type pairs are the ones the
 Gaussian constants read, from ``dense.dense_fluctuation`` (U' - U, D2g) and
 ``factor_graph.fg_fluctuation`` (V' - V, C).  The factor covariance
-diag(mu*) - mu* mu*^T is the one |X|^r x |X|^r matrix, and only
-fg_type_covariances builds it.  Every covariance starts from one of those
-pairs, so it refuses a boundary maximizer by the constants' rule
+diag(mu*) - mu* mu*^T is the one |X|^r x |X|^r matrix; only
+fg_type_covariances builds it, and only for kind "factor".  Every
+covariance starts from one of those pairs, so it refuses a boundary maximizer by the constants' rule
 (types_core.require_interior).  Degenerate directions (normalization,
 hard constraints) are kept in the matrix rather than projected out, so
 bases stay aligned with their labels; rank diagnostics travel with the
@@ -151,8 +151,9 @@ def empirical_type_covariance_oracle(spec: DenseModelSpec, N: int, *,
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))
 
 
-def fg_type_covariances(ensemble, mu_star, nu_star) -> dict[str, CovarianceResult]:
-    """Factor- and variable-type covariances of a random regular ensemble.
+def fg_type_covariances(ensemble, mu_star, nu_star, kind: str) -> CovarianceResult:
+    """The factor- or variable-type covariance of a random regular ensemble,
+    as ``kind`` names; only that one is built.
 
     factor:   (T' - T)(I - K C K^T (T' - T))^{-1}   on the X^r word basis
     variable: (V' - V)(I - C (V' - V))^{-1}          on the X letter basis
@@ -170,12 +171,13 @@ def fg_type_covariances(ensemble, mu_star, nu_star) -> dict[str, CovarianceResul
     """
     from .factor_graph import fg_fluctuation
 
+    if kind not in ("factor", "variable"):
+        raise ValueError(f"kind must be 'factor' or 'variable', got {kind!r}")
     variable_bare, curvature = fg_fluctuation(ensemble, mu_star, nu_star)
+    if kind == "variable":
+        variable = _resolvent_covariance(variable_bare, curvature)
+        return CovarianceResult.from_matrix(variable, ensemble.alphabet.values)
     mu = np.asarray(mu_star, dtype=float)
     Kf = ensemble.letter_counts / ensemble.r
     factor = _resolvent_covariance(np.diag(mu) - np.outer(mu, mu), Kf @ curvature @ Kf.T)
-    variable = _resolvent_covariance(variable_bare, curvature)
-    return {
-        "factor": CovarianceResult.from_matrix(factor, ensemble.word_labels),
-        "variable": CovarianceResult.from_matrix(variable, ensemble.alphabet.values),
-    }
+    return CovarianceResult.from_matrix(factor, ensemble.word_labels)

@@ -244,8 +244,8 @@ def test_fg_covariance_oracle_convergence():
 
     ens = make_ensemble(2, 3, BINARY, "parity")
     sol = solve_bethe(ens)
-    covs = fg_type_covariances(ens, sol.mu_star, sol.nu_star)
-    fac, var = covs["factor"], covs["variable"]
+    fac, var = (fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+                for kind in ("factor", "variable"))
     assert fac.min_eigenvalue >= -1e-9
     assert np.abs(fac.matrix.sum(axis=1)).max() < 1e-9
     assert np.abs(var.matrix.sum(axis=1)).max() < 1e-9
@@ -269,15 +269,16 @@ def test_fg_covariance_trivial_factor_is_exact():
 
     ens = make_ensemble(2, 3, BINARY, "uniform")
     sol = solve_bethe(ens)
-    covs = fg_type_covariances(ens, sol.mu_star, sol.nu_star)
+    fac, var = (fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+                for kind in ("factor", "variable"))
     nu = sol.nu_star
     scaled = (ens.l / ens.r) * (np.diag(nu) - np.outer(nu, nu))
-    assert np.abs(covs["variable"].matrix - scaled).max() < 1e-10
+    assert np.abs(var.matrix - scaled).max() < 1e-10
 
     cu, cv = fg_weighted_type_covariances(ens, 12)
-    assert np.abs(cv - covs["variable"].matrix).max() < 1e-11
+    assert np.abs(cv - var.matrix).max() < 1e-11
     # the word type is only multinomial in the limit; at N=12 it is merely close
-    assert np.abs(cu - covs["factor"].matrix).max() < 0.05
+    assert np.abs(cu - fac.matrix).max() < 0.05
 
 
 def test_fg_covariance_balanced_degrees():
@@ -285,7 +286,8 @@ def test_fg_covariance_balanced_degrees():
 
     ens = make_ensemble(2, 2, BINARY, "uniform")
     sol = solve_bethe(ens)
-    covs = fg_type_covariances(ens, sol.mu_star, sol.nu_star)
+    covs = {kind: fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+            for kind in ("factor", "variable")}
     assert np.allclose(sol.mu_star, 0.25, atol=1e-10)
     for res in covs.values():
         assert np.abs(res.matrix.sum(axis=1)).max() < 1e-9
@@ -294,3 +296,12 @@ def test_fg_covariance_balanced_degrees():
     # plain multinomial one, corrected by the curvature resolvent
     nu = sol.nu_star
     assert covs["variable"].matrix[0, 0] == pytest.approx(nu[0] * (1 - nu[0]), rel=1e-10)
+
+
+def test_fg_covariance_kind_is_checked():
+    from central_approx.factor_graph import make_ensemble, solve_bethe
+
+    ens = make_ensemble(2, 2, BINARY, "uniform")
+    sol = solve_bethe(ens)
+    with pytest.raises(ValueError, match="kind"):
+        fg_type_covariances(ens, sol.mu_star, sol.nu_star, "word")
