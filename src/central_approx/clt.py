@@ -10,12 +10,13 @@ Gaussian constants read, from ``dense.dense_fluctuation`` (U' - U, D2g) and
 ``factor_graph.fg_fluctuation`` (V' - V, C).  The factor covariance
 diag(mu*) - mu* mu*^T is the one |X|^r x |X|^r matrix; only
 fg_type_covariances builds it, and only for kind "factor".  Every
-covariance starts from one of those pairs, so it refuses a boundary maximizer by the constants' rule
-(types_core.require_interior).  Degenerate directions (normalization,
-hard constraints) are kept in the matrix rather than projected out, so
-bases stay aligned with their labels; rank diagnostics travel with the
-result.  Each function imports the model module it reads when it runs, so a
-factor-graph covariance loads no dense code.
+covariance starts from one of those pairs, so it refuses a boundary
+maximizer by the constants' rule (types_core.require_interior).
+Degenerate directions (normalization, hard constraints) are kept in the
+matrix rather than projected out, so bases stay aligned with their labels;
+rank diagnostics travel with the result.  Each function imports the model
+module it reads when it runs, so a factor-graph covariance loads no dense
+code.
 """
 
 from __future__ import annotations
