@@ -48,6 +48,11 @@ def _is_float(value) -> bool:
 
 
 def fmt(value) -> str:
+    # the common cases first: float and np.float64 values, and text labels
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -60,6 +65,8 @@ def fmt(value) -> str:
 
 
 def _json_value(value):
+    if isinstance(value, float) and math.isfinite(value):  # as fmt's fast path
+        return float(format(value, ".12g"))
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, numbers.Integral):

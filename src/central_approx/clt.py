@@ -5,13 +5,16 @@ Gaussian whose covariance has the resolvent form M (I - B M)^{-1}: M is the
 bare multinomial covariance of the maximizing measure and B the coupling
 curvature seen through the relevant contraction.  The same shape appears
 for dense overlaps and for the two factor-graph type layers; only M, B and
-the basis change.  The overlap and variable-type pairs are the ones the
-Gaussian constants read, from ``dense.dense_fluctuation`` (U' - U, D2g) and
-``factor_graph.fg_fluctuation`` (V' - V, C).  The factor covariance
-diag(mu*) - mu* mu*^T is the one |X|^r x |X|^r matrix; only
-fg_type_covariances builds it, and only for kind "factor".  Every
-covariance starts from one of those pairs, so it refuses a boundary
-maximizer by the constants' rule (types_core.require_interior).
+the basis change.  Every covariance starts from the small pair that the
+Gaussian constants read, ``dense.dense_fluctuation`` (U' - U, D2g) or
+``factor_graph.fg_fluctuation`` (V' - V, C), and from its one symmetric
+eigendecomposition (types_core.fluctuation_root): the overlap and
+variable kinds are R S^{-1} R, and the dense type and factor kinds are
+lifted from it by Woodbury (_lifted_covariance), so no |X|^n- or
+|X|^r-square matrix is factored or solved.  Every covariance thus refuses a
+boundary maximizer, a singular point and a point that is not a maximum
+as the constants do.  Only fg_type_covariances builds an |X|^r x |X|^r
+matrix, and only for kind "factor".
 Degenerate directions (normalization, hard constraints) are kept in the
 matrix rather than projected out, so bases stay aligned with their labels;
 rank diagnostics travel with the result.  Each function imports the model
@@ -26,8 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ATInstabilityError, NumericalFailure, SingularMatrixError
-from .types_core import logsumexp, solve, type_array_blocks
+from .errors import NumericalFailure
+from .types_core import fluctuation_root, logsumexp, type_array_blocks
 
 if TYPE_CHECKING:
     from .dense import DenseModelSpec
@@ -92,12 +95,19 @@ class CovarianceResult:
 
 
 def _resolvent_covariance(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """M (I - B M)^{-1} via one linear solve; raises on a singular middle."""
-    middle = np.eye(M.shape[0]) - B @ M
-    try:
-        return solve(middle.T, M.T).T
-    except SingularMatrixError as exc:
-        raise ATInstabilityError(f"fluctuation resolvent is singular: {exc}") from exc
+    """M (I - B M)^{-1} = R S^{-1} R, from types_core.fluctuation_root (which
+    raises where S is singular or the point is not a maximum)."""
+    R, S, _ = fluctuation_root(M, B)
+    return R @ np.linalg.solve(S, R)
+
+
+def _lifted_covariance(w: np.ndarray, K: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """T (I - K B K^T T)^{-1} for T = diag(w) - w w^T, lifted by Woodbury from
+    the small pair (K^T T K, B): T + T K (B + B G B) K^T T, G that pair's
+    resolvent covariance; nothing on the big basis is solved."""
+    TK = w[:, None] * K - np.outer(w, w @ K)
+    G = _resolvent_covariance(K.T @ TK, B)
+    return np.diag(w) - np.outer(w, w) + TK @ (B + B @ G @ B) @ TK.T
 
 
 def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
@@ -105,16 +115,13 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
 
     Returns (S' - S)(I - J D2g J^T (S' - S))^{-1} where S', S are the
     diagonal and outer-product moment matrices of nu* and D2g is the
-    coupling Hessian at the maximizing overlaps.
+    coupling Hessian at the maximizing overlaps, lifted from the pair
+    (U' - U, D2g) = (J^T (S' - S) J, D2g) (_lifted_covariance).
     """
     from .dense import dense_fluctuation
 
     _, hessian = dense_fluctuation(spec, nu_star)
-    w = np.asarray(nu_star, dtype=float)
-    J = spec.pair_products
-    M = np.diag(w) - np.outer(w, w)
-    B = J @ hessian @ J.T
-    cov = _resolvent_covariance(M, B)
+    cov = _lifted_covariance(np.asarray(nu_star, dtype=float), spec.pair_products, hessian)
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))
 
 
@@ -160,8 +167,10 @@ def fg_type_covariances(ensemble, mu_star, nu_star, kind: str) -> CovarianceResu
     variable: (V' - V)(I - C (V' - V))^{-1}          on the X letter basis
 
     with T' = diag(mu*), T = mu* mu*^T, K the per-word letter frequencies,
-    V' = K^T T' K, V = nu* nu*^T and C the variable-entropy curvature.
-    Words outside the factor support carry zero rows and columns.
+    V' = K^T T' K, V = nu* nu*^T and C the variable-entropy curvature.  The
+    factor kind is lifted from the letter pair (K^T (T' - T) K, C)
+    (_lifted_covariance).  Words outside the factor support carry zero rows
+    and columns.
 
     Both matrices describe fluctuations scaled by sqrt(M), M = Nl/r the
     number of factor nodes: sqrt(M)(u/M - mu*) and sqrt(M)(v/N - nu*).
@@ -178,7 +187,6 @@ def fg_type_covariances(ensemble, mu_star, nu_star, kind: str) -> CovarianceResu
     if kind == "variable":
         variable = _resolvent_covariance(variable_bare, curvature)
         return CovarianceResult.from_matrix(variable, ensemble.alphabet.values)
-    mu = np.asarray(mu_star, dtype=float)
     Kf = ensemble.letter_counts / ensemble.r
-    factor = _resolvent_covariance(np.diag(mu) - np.outer(mu, mu), Kf @ curvature @ Kf.T)
+    factor = _lifted_covariance(np.asarray(mu_star, dtype=float), Kf, curvature)
     return CovarianceResult.from_matrix(factor, ensemble.word_labels)

@@ -7,10 +7,9 @@ expectation of interest is
 
     E = sum over configurations exp{ sum_i f(x_i) + N g(q) }.
 
-Three routes are provided:
+Two routes are provided:
 
-* ``brute_force_expectation``: literal configuration sum (tiny N only);
-* ``exact_type_sum``: the same value from the generating function of the
+* ``exact_type_sum``: the sum from the generating function of the
   pair-product sums, feasible into the thousands of sites;
 * ``asymptotic_estimate``: N F plus the log of the Gaussian constant
   factor coming from the curvature of the type sum at its maximizing
@@ -44,14 +43,11 @@ from .types_core import (
     power_terms,
     require_interior,
     solve_multistart,
-    type_array_blocks,
 )
 
 SYMBOL_TABLE_GUARD = 1 << 20
-# default size guard of the three exact routes below: configurations, or the
-# smaller of packed words and types, or types in the window's enumeration
+# default size guard of exact_type_sum: the smaller of packed words and types
 EXACT_GUARD = 10**8
-BRUTE_FORCE_BATCH = 1 << 15
 
 
 def pair_indices(n: int) -> list[tuple[int, int]]:
@@ -233,29 +229,6 @@ class DenseModelSpec:
 
 # ----------------------------------------------------------- exact routes
 
-def brute_force_expectation(spec: DenseModelSpec, N: int, *,
-                            guard: int | None = EXACT_GUARD) -> float:
-    """log of the configuration sum, enumerated literally, BRUTE_FORCE_BATCH
-    configurations at a time.
-
-    Guarded to |X|^(n N) <= guard configurations; ``guard=None`` lifts it.
-    """
-    K = spec.num_symbols
-    total = K**N
-    if guard is not None and total > guard:
-        raise GuardError(f"brute force would enumerate {total} configurations (guard {guard})")
-    powers = K ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    pieces = []
-    for start in range(0, total, BRUTE_FORCE_BATCH):
-        idx = np.arange(start, min(start + BRUTE_FORCE_BATCH, total), dtype=np.int64)
-        digits = (idx[:, None] // powers) % K
-        fsum = spec.f_values[digits].sum(axis=1)
-        q = spec.pair_products[digits].mean(axis=1)
-        lw = fsum + N * spec.g.derivative_batch(q)
-        pieces.append(logsumexp(lw))
-    return logsumexp(pieces)
-
-
 def type_log_weights(spec: DenseModelSpec, N: int, V: np.ndarray) -> np.ndarray:
     """log multinomial(v) + sum_x v(x) f(x) + N g(q(v/N)) for rows of V."""
     lw = log_multinomial_rows(V)
@@ -270,34 +243,11 @@ def exact_type_sum(spec: DenseModelSpec, N: int, *,
     """log of the configuration sum: sum over the pair-product sums r of
     [y^r] (sum_x e^{f(x)} y^{J(x)})^N * e^{N g(r/N)}, the power from
     types_core.power_terms and guarded by it (``guard=None`` lifts it).
-    Equal to brute_force_expectation wherever both are feasible."""
+    Equal to the literal configuration sum wherever both are feasible."""
     if N < 1:
         raise ValueError("need N >= 1")
     pieces = [logsumexp(coef + N * spec.g.derivative_batch(rows / N))
               for rows, coef in power_terms(spec.pair_products, spec.f_values, N, guard=guard)]
-    return logsumexp(pieces)
-
-
-def windowed_type_sum(spec: DenseModelSpec, N: int, alpha: float, nu_star,
-                      *, guard: int | None = EXACT_GUARD) -> float:
-    """Type sum restricted to the window ||v - N nu*||_2 <= N^alpha.
-
-    alpha must lie strictly between 1/2 (below the fluctuation scale) and
-    2/3 (where cubic corrections enter).  Returns -inf for an empty window.
-    Enumerates every type, guarded as type_array_blocks.
-    """
-    if not (0.5 < alpha < 2.0 / 3.0):
-        raise ValueError("alpha must lie in (1/2, 2/3)")
-    center = N * np.asarray(nu_star, dtype=float)
-    if center.size != spec.num_symbols:
-        raise ValueError("nu_star has the wrong number of cells")
-    radius = float(N) ** alpha
-    pieces = []
-    for V in type_array_blocks(N, spec.num_symbols, guard=guard):
-        dist2 = ((V - center) ** 2).sum(axis=1)
-        mask = dist2 <= radius * radius
-        if mask.any():
-            pieces.append(logsumexp(type_log_weights(spec, N, V[mask])))
     return logsumexp(pieces)
 
 

@@ -22,17 +22,13 @@ class NumericalFailure(CentralApproxError):
     """Computation started but cannot produce a trustworthy result."""
 
 
-class SingularMatrixError(NumericalFailure):
-    """LU factorization hit a pivot below the singularity threshold."""
-
-
 class InstabilityError(NumericalFailure):
     """Closed-form correction undefined (non-positive log argument)."""
 
 
 class ATInstabilityError(InstabilityError):
-    """Fluctuation determinant is singular or non-positive: the Gaussian
-    constant factor does not exist at this maximizer."""
+    """I - R B R at a point is singular or not positive definite (the point
+    is not a maximum): the Gaussian constant factor does not exist there."""
 
 
 class NonConvergenceError(NumericalFailure):

@@ -39,10 +39,8 @@ from .types_core import (
     entropy,
     log_gaussian_sum,
     log_factorials,
-    log_multinomial,
     log_multinomial_rows,
     logsumexp,
-    multinomial,
     power_terms,
     require_interior,
     solve_multistart,
@@ -51,9 +49,6 @@ from .types_core import (
 __all__ = [
     "EnsembleSpec",
     "make_ensemble",
-    "check_consistency",
-    "log_expected_type_count",
-    "expected_type_count_exact",
     "PermutationOracleResult",
     "brute_force_permutation_oracle",
     "exact_expected_Z",
@@ -75,7 +70,6 @@ PERMUTATION_GUARD_STUBS = 8
 PERMUTATION_MAX_STUBS = 12
 SOCKET_MAP_BLOCK = 256
 SOCKET_MAP_MERGE_BLOCKS = 64
-EXACT_COUNT_MAX_STUBS = 60
 TYPE_PAIR_GUARD = 10**7
 WORD_TABLE_GUARD = 1 << 20
 # columns x l values x l^(rows) states: the residue walk's work, about a
@@ -249,62 +243,6 @@ def make_ensemble(l: int, r: int, alphabet: Alphabet, factor) -> EnsembleSpec:
             f"unknown factor name {factor!r}; built-ins are {BUILTIN_FACTORS}"
         )
     return EnsembleSpec(l, r, alphabet, vals.astype(np.int64), factor)
-
-
-# --------------------------------------------------------------------------
-# expected counts of (variable-type, factor-type) pairs
-
-
-def _as_counts(vec, cells: int, total: int, what: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.int64)
-    if arr.shape != (cells,) or np.any(arr < 0) or (
-            arr is not vec and not np.array_equal(arr, vec)):
-        raise ValidationFailure(f"{what} must be {cells} nonnegative integer counts")
-    if arr.sum() != total:
-        raise ValidationFailure(f"{what} must total {total}, got {arr.sum()}")
-    return arr
-
-
-def check_consistency(ensemble: EnsembleSpec, v, u, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (v, u) pair: totals and the per-letter edge-count balance.
-
-    Every letter z is seen l*v(z) times from the variable side and
-    sum_x N_z(x) u(x) times from the factor side; the two must agree.
-    """
-    M = ensemble.num_factors(N)
-    K = len(ensemble.alphabet)
-    v = _as_counts(v, K, N, "variable-type")
-    u = _as_counts(u, K**ensemble.r, M, "factor-type")
-    lhs = ensemble.letter_counts.T @ u
-    if not np.array_equal(lhs, ensemble.l * v):
-        raise ValidationFailure(
-            f"inconsistent type pair: factor side sees {lhs.tolist()} letters, "
-            f"variable side provides {(ensemble.l * v).tolist()}"
-        )
-    return v, u
-
-
-def log_expected_type_count(ensemble: EnsembleSpec, v, u, N: int) -> float:
-    """log E[N(v,u)]: multinomial(v) * multinomial(u) * prod (v(x)l)! / (Nl)!."""
-    v, u = check_consistency(ensemble, v, u, N)
-    l = ensemble.l
-    out = log_multinomial(v) + log_multinomial(u) - math.lgamma(N * l + 1)
-    out += sum(math.lgamma(int(c) * l + 1) for c in v)
-    return out
-
-
-def expected_type_count_exact(ensemble: EnsembleSpec, v, u, N: int) -> Fraction:
-    """E[N(v,u)] as an exact rational; guarded by the (Nl)! size."""
-    if N * ensemble.l > EXACT_COUNT_MAX_STUBS:
-        raise GuardError(
-            f"exact path is guarded at N*l <= {EXACT_COUNT_MAX_STUBS}, got {N * ensemble.l}"
-        )
-    v, u = check_consistency(ensemble, v, u, N)
-    l = ensemble.l
-    num = multinomial(v.tolist()) * multinomial(u.tolist())
-    for c in v:
-        num *= math.factorial(int(c) * l)
-    return Fraction(num, math.factorial(N * l))
 
 
 # --------------------------------------------------------------------------
@@ -862,9 +800,10 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
     the Bethe objective at (mu, nu) with mu from _weight_tilt, and
     theta = l lam - (l-1) log(omega/(1-omega)) is the field on letter 1
     that makes nu stationary.  The constant is the theta-tilted ensemble's
-    total-count constant at (mu, nu), ATInstabilityError where its
-    determinant is not positive (omega <= 0.15 on (3,6)); the
-    weight-localization normalization of a local limit is not included.
+    total-count constant at (mu, nu), ATInstabilityError where (mu, nu) is
+    not a maximum of that ensemble (types_core.fluctuation_root; omega <= 0.15
+    on (3,6)); the weight-localization normalization of a local limit is not
+    included.
 
     omega = 0 is handled exactly: the all-zeros word is always the unique
     weight-0 codeword.  Weights outside the support range have expected

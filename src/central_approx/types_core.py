@@ -1,8 +1,8 @@
-"""Combinatorics over empirical types plus a small linear-algebra kernel.
+"""Combinatorics over empirical types plus the Gaussian term at a maximizer.
 
 Everything downstream reduces to weighted sums over types (int64 count
-rows with a fixed total) and to determinants of moderately sized moment
-matrices.  This module owns both primitives, and the solver machinery that
+rows with a fixed total) and to small (covariance, curvature) pairs at a
+maximizer.  This module owns both primitives, and the solver machinery that
 the dense and factor-graph sides share:
 
 * exact and log-gamma multinomial coefficients of integer counts, entropy,
@@ -10,9 +10,10 @@ the dense and factor-graph sides share:
 * all types of a total, lexicographic, in guarded int64 array blocks;
 * the one exact contraction kernel, the terms of a polynomial power, packed
   or expanded over types (``power_terms``);
-* a numpy LU factorization of one matrix with partial pivoting behind
-  ``det`` and ``solve``, with an explicit singularity signal, plus
-  ``logsumexp`` and log-factorials of integer counts (no scipy on the
+* one symmetric eigendecomposition per (M, B) pair (``fluctuation_root``):
+  R, the PSD root of M, and S = I - R B R, whose eigenvalue product is
+  ``det``; S must be positive definite (a maximum), else the pair raises;
+  plus ``logsumexp`` and log-factorials of integer counts (no scipy on the
   runtime path);
 * the multi-start solve shared by the variational and Bethe solvers (batched
   fixed-point loop with one stop rule from RESTARTS + 1 starts, co-maximizer
@@ -39,14 +40,14 @@ from .errors import (
     BoundaryMaximizerError,
     GuardError,
     NonConvergenceError,
-    SingularMatrixError,
 )
 
 # Tolerances and guards used by the constructors below.  Kept module level
 # so tests can reference the same numbers.
 TYPE_ENUM_GUARD = 10**8
 TYPE_BLOCK_ROWS = 1 << 20
-PIVOT_RTOL = 1e-14
+# the smallest eigenvalue of I - R B R a maximum needs, relative to its scale
+STABILITY_RTOL = 1e-12
 
 # Settings of the multi-start solve, shared by both solvers: RESTARTS
 # Dirichlet starts after the uniform one.
@@ -454,79 +455,39 @@ def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tu
 
 
 # ---------------------------------------------------------------------------
-# Dense linear-algebra kernel.  LU with partial pivoting; a pivot smaller
-# than PIVOT_RTOL times the matrix scale is treated as singular.
+# The Gaussian term at a maximizer: one symmetric eigendecomposition.
 
-def _lu(a: np.ndarray):
-    """Factors P a = L U of one square finite matrix: the factors in one
-    array (L strictly below the diagonal, unit diagonal implied), the row
-    order ``perm`` (row k of P a is row perm[k] of a) and the number of row
-    swaps; None when n = 0.  Each step takes the first largest |entry| of
-    the column as pivot, swaps it up, scales the column and updates the
-    trailing block."""
-    lu = np.array(a, dtype=float)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(lu)):
-        raise ValueError("matrix entries must be finite")
-    n = len(lu)
-    if n == 0:
-        return None
-    scale = float(np.abs(lu).max())
-    perm = np.arange(n)
-    swaps = 0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
-        # an exact zero column is left as is, and reported below
-        if lu[k, k] != 0.0:
-            lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, None, k + 1:]
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"singular to working precision (min pivot {pivots.min():.3e}, scale {scale:.3e})"
-        )
-    return lu, perm, swaps
+def fluctuation_root(cov, curvature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, S, eigenvalues of S) for a covariance M and a curvature B of one
+    size: R the PSD root of M (np.linalg.eigh, negative eigenvalues as 0) and
+    S = I - R B R, with det S = det(I - B M) and M (I - B M)^{-1} = R S^-1 R.
+
+    ATInstabilityError unless S is positive definite, the test of a maximum:
+    an eigenvalue within STABILITY_RTOL times the scale (the largest
+    |eigenvalue|, at least 1) of 0 makes S singular, and one below that makes
+    the point not a maximum, whatever the sign of the determinant."""
+    M, B = np.asarray(cov, dtype=float), np.asarray(curvature, dtype=float)
+    if M.ndim != 2 or M.shape != M.T.shape or B.shape != M.shape \
+            or not (np.isfinite(M).all() and np.isfinite(B).all()):
+        raise ValueError("expected a finite square covariance and a curvature of its size")
+    lam, V = np.linalg.eigh(M)
+    R = (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
+    S = np.eye(len(M)) - R @ B @ R
+    eigs = np.linalg.eigvalsh(S)
+    tol = STABILITY_RTOL * float(np.abs(eigs).max(initial=1.0))
+    low = float(eigs.min(initial=1.0))
+    if low <= tol:
+        what = "is singular" if low >= -tol else f"{float(np.prod(eigs)):.6e}: not a maximum"
+        raise ATInstabilityError(
+            f"fluctuation determinant {what} (smallest eigenvalue {low:.3e} of "
+            f"I - R B R, tolerance {tol:.3e})")
+    return R, S, eigs
 
 
-def det(a) -> float:
-    """Determinant of one matrix via LU with partial pivoting.
-
-    Raises SingularMatrixError when a pivot falls below PIVOT_RTOL * the
-    matrix scale.  The empty matrix has determinant 1.  The determinant is
-    the sign times math.exp of the summed log |pivots|.
-    """
-    factors = _lu(a)
-    if factors is None:
-        return 1.0
-    lu, _, swaps = factors
-    pivots = np.diag(lu)
-    sign = (-1.0) ** swaps * float(np.prod(np.sign(pivots)))
-    return sign * math.exp(float(np.log(np.abs(pivots)).sum()))
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve a x = b (b a vector or a matrix of columns) for one matrix a,
-    through the same guarded LU: forward substitution with L, then back
-    substitution with U."""
-    factors = _lu(a)
-    b = np.asarray(b, dtype=float)
-    if factors is None:
-        return np.zeros_like(b)
-    lu, perm, _ = factors
-    if b.ndim not in (1, 2) or b.shape[0] != len(lu):
-        raise ValueError(f"right-hand side of shape {b.shape} does not fit a "
-                         f"{len(lu)}x{len(lu)} matrix")
-    x = b[perm]
-    for k in range(len(lu)):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in reversed(range(len(lu))):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+def det(cov, curvature) -> float:
+    """det(I - B M) at a maximum, the product of the eigenvalues of S
+    (fluctuation_root, which raises where S is not positive definite)."""
+    return float(np.prod(fluctuation_root(cov, curvature)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +615,9 @@ def log_gaussian_sum(fluctuations) -> tuple[float, list[float]]:
     """log sum_m det(I - B_m M_m)^(-1/2) over (M_m, B_m) pairs, the covariance
     and the curvature at each co-maximizer, best first.
 
-    Returns the log sum and the determinants, best first.  Raises
-    ATInstabilityError when a determinant is singular or non-positive; the
-    builders of the pairs apply require_interior.
+    Returns the log sum and the determinants (det, once per pair), best
+    first.  Raises ATInstabilityError where a pair is singular or not a
+    maximum; the builders of the pairs apply require_interior.
     """
-    dets = []
-    for cov, curvature in fluctuations:
-        try:
-            d = det(np.eye(len(curvature)) - curvature @ cov)
-        except SingularMatrixError as exc:
-            raise ATInstabilityError(f"fluctuation determinant is singular: {exc}") from exc
-        if d <= 0.0:
-            raise ATInstabilityError(
-                f"fluctuation determinant {d:.6e} <= 0: Gaussian constant undefined"
-            )
-        dets.append(d)
+    dets = [det(cov, curvature) for cov, curvature in fluctuations]
     return logsumexp([-0.5 * math.log(d) for d in dets]), dets

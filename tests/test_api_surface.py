@@ -15,10 +15,10 @@ import central_approx
 ROOT = Path(__file__).resolve().parents[1]
 
 # allow_large: guard=None lifts a guard; max_rows: types_core.TYPE_BLOCK_ROWS;
-# batch: dense.BRUTE_FORCE_BATCH; density_box_L: step_size_methods adds the
-# box density itself whenever l is odd; ref_word, ref_symbol: the step size
-# does not depend on the reference; f_exact: an ensemble derives it from its
-# table
+# batch: BRUTE_FORCE_BATCH in tests/oracles.py; density_box_L:
+# step_size_methods adds the box density itself whenever l is odd; ref_word,
+# ref_symbol: the step size does not depend on the reference; f_exact: an
+# ensemble derives it from its table
 RETIRED = {"allow_large", "max_rows", "batch", "density_box_L", "ref_word", "ref_symbol",
            "f_exact"}
 

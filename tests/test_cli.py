@@ -575,7 +575,8 @@ def test_ldpc_low_weight_exits_3_at_once(capsys):
                              "--N", "60", "--omega", "0.1")
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure: fluctuation determinant ")
+    assert err.startswith("numerical failure: fluctuation determinant -1.128513e-01: "
+                          "not a maximum ")
     assert err.count("\n") == 1
     code, out, err = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
                              "--N", "60", "--omega", "5e-324")
@@ -636,6 +637,16 @@ def test_numerical_failure_exits_3(capsys):
     )
     assert code == 3
     assert "boundary" in err
+
+
+@pytest.mark.parametrize("alphabet", ["0,1", "0,1,2"])
+def test_flat_maximum_exits_3_as_singular(capsys, alphabet):
+    # (2,2) all-equal: F is flat on the whole simplex, so I - R B R is 0 on
+    # every letter direction but the normalization
+    code, out, err = run_cli(capsys, "fg-asymptotic", "--l", "2", "--r", "2",
+                             "--alphabet", alphabet, "--factor", "all-equal", "--N", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: fluctuation determinant is singular ")
 
 
 def test_failure_reason_reaches_out_file(capsys, tmp_path):

@@ -1,11 +1,17 @@
 """Type and overlap fluctuation covariances against exact finite-N oracles."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from central_approx.clt import (
     SYM_TOL,
     CovarianceResult,
+    _lifted_covariance,
+    _resolvent_covariance,
     dense_type_covariance,
     empirical_type_covariance_oracle,
     fg_type_covariances,
@@ -20,7 +26,7 @@ from central_approx.dense import (
     solve_variational,
     zero_local,
 )
-from central_approx.errors import GuardError, NumericalFailure
+from central_approx.errors import ATInstabilityError, GuardError, NumericalFailure
 from central_approx.types_core import Alphabet
 
 SPINS = Alphabet((1.0, -1.0))
@@ -305,3 +311,46 @@ def test_fg_covariance_kind_is_checked():
     sol = solve_bethe(ens)
     with pytest.raises(ValueError, match="kind"):
         fg_type_covariances(ens, sol.mu_star, sol.nu_star, "word")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_resolvent_and_lift_match_numpy(cells, p, seed):
+    # numpy's LAPACK solve is the oracle on both bases: M (I - B M)^{-1} for
+    # the small pair (M, B) = (K^T T K, B), and T (I - K B K^T T)^{-1} for the
+    # big bare covariance T = diag(w) - w w^T (singular: its rows sum to 0)
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(cells))
+    K = rng.standard_normal((cells, p))
+    b = rng.standard_normal((p, p)) * 10.0 ** rng.uniform(-1.0, 1.0)
+    B = b + b.T
+    T = np.diag(w) - np.outer(w, w)
+    M = K.T @ T @ K
+    small = np.eye(p) - B @ M
+    eigs = np.linalg.eigvals(small).real
+    assume(abs(float(eigs.min())) > 1e-3 * max(1.0, float(np.abs(eigs).max())))
+    if eigs.min() < 0:  # not a maximum: both forms refuse it
+        for build in (lambda: _resolvent_covariance(M, B), lambda: _lifted_covariance(w, K, B)):
+            with pytest.raises(ATInstabilityError, match="not a maximum"):
+                build()
+        return
+    for ours, (bare, middle) in ((_resolvent_covariance(M, B), (M, small)),
+                                 (_lifted_covariance(w, K, B), (T, np.eye(cells) - K @ B @ K.T @ T))):
+        direct = np.linalg.solve(middle.T, bare.T).T
+        assert np.abs(ours - direct).max() <= 1e-9 * max(1.0, float(np.abs(direct).max()))
+
+
+def test_factor_covariance_on_729_words_is_fast():
+    # ternary (3,6) uniform: 3^6 = 729 words, lifted from the 3 x 3 letter
+    # pair; only from_matrix's eigvalsh runs on the 729 x 729 matrix
+    from central_approx.factor_graph import make_ensemble, solve_bethe
+
+    ens = make_ensemble(3, 6, Alphabet((0.0, 1.0, 2.0)), "uniform")
+    sol = solve_bethe(ens)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        cov = fg_type_covariances(ens, sol.mu_star, sol.nu_star, "factor")
+        times.append(time.perf_counter() - start)
+    assert cov.dim == 729
+    assert min(times) < 0.2

@@ -23,7 +23,6 @@ from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
     asymptotic_estimate,
-    brute_force_expectation,
     central_approx_constant,
     dense_fluctuation,
     distinct_pair_positions,
@@ -31,10 +30,10 @@ from central_approx.dense import (
     field_local,
     pair_indices,
     solve_variational,
-    windowed_type_sum,
     zero_local,
 )
 from central_approx.dense import _variational_objective
+from oracles import brute_force_expectation, windowed_type_sum
 
 BINARY = Alphabet((0.0, 1.0))
 SPINS = Alphabet((1.0, -1.0))
@@ -412,6 +411,19 @@ def test_at_instability_raised():
     half = np.array([[0.5, 0.5]])
     fake = MaximizerRecord(co_maximizers=half, F=0.0, residual=0.0, diagnostics={})
     with pytest.raises(ATInstabilityError):
+        central_approx_constant(spec, fake)
+
+
+def test_saddle_with_a_positive_determinant_is_refused():
+    # two Curie-Weiss replicas at beta = 1.5 (g = 3 (q_00^2 + q_11^2), field
+    # -3 on each spin in {0, 1}): at the uniform point det(I - D2g (U' - U))
+    # is 0.25 > 0, but I - R D2g R has eigenvalues -0.5, -0.5 and 1, a saddle
+    spec = DenseModelSpec(2, Alphabet((0, 1)), field_local(-3.0),
+                          PolyOverlap.quadratic(2, 6.0, "diagonal"))
+    uniform = np.full((1, 4), 0.25)
+    fake = MaximizerRecord(co_maximizers=uniform, F=0.0, residual=0.0, diagnostics={})
+    with pytest.raises(ATInstabilityError,
+                       match=r"^fluctuation determinant 2\.500000e-01: not a maximum "):
         central_approx_constant(spec, fake)
 
 

@@ -34,14 +34,12 @@ from central_approx.factor_graph import (
     exact_expected_Z,
     exact_expected_Z_exact,
     expected_codewords_at_weight,
-    expected_type_count_exact,
     fg_asymptotic_estimate,
     fg_constant_log,
     fg_fluctuation,
     lattice_step_s,
     ldpc_expected_codewords,
     load_factor_table,
-    log_expected_type_count,
     make_ensemble,
     smith_normal_form_divisors,
     solve_bethe,
@@ -55,6 +53,7 @@ from central_approx.factor_graph import (
     _weight_tilt,
 )
 from central_approx.types_core import Alphabet, dirichlet_starts, require_interior
+from oracles import expected_type_count_exact, log_expected_type_count
 
 ROOT = Path(__file__).resolve().parents[1]
 BINARY = Alphabet((0.0, 1.0))

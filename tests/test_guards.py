@@ -12,9 +12,7 @@ from central_approx.clt import empirical_type_covariance_oracle
 from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
-    brute_force_expectation,
     exact_type_sum,
-    windowed_type_sum,
     zero_local,
 )
 from central_approx.errors import GuardError
@@ -26,6 +24,7 @@ from central_approx.factor_graph import (
     make_ensemble,
 )
 from central_approx.types_core import Alphabet, enumerate_types, power_terms, type_array_blocks
+from oracles import brute_force_expectation, windowed_type_sum
 
 ROOT = Path(__file__).resolve().parents[1]
 BINARY = Alphabet((0.0, 1.0))
@@ -49,10 +48,10 @@ GUARDED = {
     "power_terms": (
         lambda guard=10**8: _terms(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3,
                                                guard=guard)), 6),
-    "dense.brute_force_expectation": (
+    "oracles.brute_force_expectation": (
         lambda **kw: brute_force_expectation(DENSE, 6, **kw), 4000),
     "dense.exact_type_sum": (lambda **kw: exact_type_sum(DENSE, 6, **kw), 80),
-    "dense.windowed_type_sum": (
+    "oracles.windowed_type_sum": (
         lambda **kw: windowed_type_sum(DENSE, 6, 0.6, np.full(4, 0.25), **kw), 80),
     "clt.empirical_type_covariance_oracle": (
         lambda **kw: empirical_type_covariance_oracle(DENSE, 6, **kw).matrix.tolist(), 80),

@@ -1,5 +1,5 @@
-"""Types, multinomials, the local Gaussian approximation, the LU kernel, and
-the multi-start solve."""
+"""Types, multinomials, the local Gaussian approximation, the Gaussian term
+det(I - B M), and the multi-start solve."""
 
 import itertools
 import math
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -18,21 +17,22 @@ from central_approx import types_core
 from central_approx.config import build_dense, build_ensemble, load_config
 from central_approx.dense import solve_variational
 from central_approx.errors import (
+    ATInstabilityError,
     BoundaryMaximizerError,
     GuardError,
     NonConvergenceError,
-    SingularMatrixError,
 )
 from central_approx.factor_graph import make_ensemble, solve_bethe
 from central_approx.types_core import (
-    PIVOT_RTOL,
     BOUNDARY_TOL,
+    STABILITY_RTOL,
     Alphabet,
     MaximizerRecord,
     det,
     dirichlet_starts,
     entropy,
     enumerate_types,
+    fluctuation_root,
     local_approx_log_multinomial,
     log_factorials,
     log_multinomial,
@@ -44,7 +44,6 @@ from central_approx.types_core import (
     require_interior,
     select_maximizers,
     solve_multistart,
-    solve,
     type_array_blocks,
 )
 from central_approx.types_core import (
@@ -53,7 +52,6 @@ from central_approx.types_core import (
     _compositions,
     _expanded_power,
     _log_power,
-    _lu,
     _packed_power,
     _packing,
 )
@@ -440,181 +438,116 @@ def test_block_log_power_keeps_the_support_of_the_slot_loop(A, M, data):
     assert _packed_power(E, weights, M, _packing(E, weights, M))[1].tobytes() == logs.tobytes()
 
 
-# ------------------------------------------------------------ linear algebra
+# ------------------------------------------- the Gaussian term: det(I - B M)
 
 def test_det_known_values():
-    assert det(np.eye(3)) == pytest.approx(1.0, rel=1e-14)
-    assert det([[2.0, 0.0], [0.0, 3.0]]) == pytest.approx(6.0, rel=1e-13)
-    assert det([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(-1.0, rel=1e-13)
-    assert det(np.zeros((0, 0))) == 1.0
+    assert det(np.eye(3), np.zeros((3, 3))) == 1.0
+    assert det(np.diag([1.0, 4.0]), np.diag([0.5, 0.125])) == pytest.approx(0.25, rel=1e-14)
+    assert det(np.eye(2), -2.0 * np.eye(2)) == pytest.approx(9.0, rel=1e-14)
+    # a rank-one multinomial covariance: det(I - B M) = 1 - b1 - b2
+    binary = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert det(binary, np.diag([0.25, 0.5])) == pytest.approx(0.25, rel=1e-14)
+    assert det(np.zeros((0, 0)), np.zeros((0, 0))) == 1.0
 
 
 def test_det_accuracy_moderate_size():
+    # M and B share eigenvectors, so det(I - B M) = prod(1 - m b) = prod(d)
     rng = np.random.default_rng(3)
     for n in (5, 20, 80):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = np.exp(rng.uniform(-0.5, 0.5, size=n))
         d = np.exp(rng.uniform(-0.5, 0.5, size=n))
-        m = (q * d) @ q.T  # SPD with known determinant
-        expected = float(np.prod(d))
-        assert det(m) == pytest.approx(expected, rel=1e-11)
+        cov, curvature = (q * m) @ q.T, (q * ((1.0 - d) / m)) @ q.T
+        assert det(cov, curvature) == pytest.approx(float(np.prod(d)), rel=1e-11)
 
 
 def test_det_signals_singularity():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((5, 5))
-    rank_deficient = [
-        np.zeros((4, 4)),
-        np.array([[1.0, 2.0], [2.0, 4.0]]),
-        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
-        np.vstack([a[:4], a[1]]),  # a repeated row
-        rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+    singular = [
+        (np.eye(4), np.eye(4)),  # S = 0
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.diag([0.5, 0.5])),  # 1 - b1 - b2 = 0
+        (np.ones((3, 3)), np.full((3, 3), 1.0 / 9.0)),  # R B R = the projector on 1
     ]
-    for m in rank_deficient:
-        with pytest.raises(SingularMatrixError):
-            det(m)
-        with pytest.raises(SingularMatrixError):
-            solve(m, np.ones(len(m)))
-    # one pivot at half / twice PIVOT_RTOL * scale, the scale being 4
-    with pytest.raises(SingularMatrixError):
-        det(np.diag([4.0, 1.0, 0.5 * PIVOT_RTOL * 4.0, 2.0]))
-    assert det(np.diag([4.0, 1.0, 2.0 * PIVOT_RTOL * 4.0, 2.0])) == pytest.approx(
-        16.0 * PIVOT_RTOL * 4.0, rel=1e-14)
-
-
-def test_solve_and_inv():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    b = rng.standard_normal(6)
-    x = solve(a, b)
-    assert np.allclose(a @ x, b, atol=1e-12)
-    assert np.allclose(a @ solve(a, np.eye(6)), np.eye(6), atol=1e-12)  # the inverse
-    with pytest.raises(SingularMatrixError):
-        solve(np.zeros((2, 2)), np.ones(2))
-
-
-def _well_conditioned(n: int, seed: int) -> np.ndarray:
-    """Q1 diag(d) Q2 with random orthogonal Q1, Q2 and d in [0.5, 2]: condition
-    number at most 4, and entries of both signs, so pivoting has to choose."""
-    rng = np.random.default_rng(seed)
-    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (q1 * rng.uniform(0.5, 2.0, size=n)) @ q2
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 4))
-def test_lu_det_solve_match_scipy(n, seed, columns):
-    # scipy's LAPACK LU and numpy's det are the independent oracles
-    a = _well_conditioned(n, seed)
-    rng = np.random.default_rng(seed + 1)
-    b1, b2 = rng.standard_normal(n), rng.standard_normal((n, columns))
-    lu, perm, swaps = _lu(a)
-    ref_lu, ref_piv = lu_factor(a)
-    ref_perm = np.arange(n)
-    for k, p in enumerate(ref_piv):  # LAPACK's swap sequence as a row order
-        ref_perm[[k, p]] = ref_perm[[p, k]]
-    assert np.array_equal(perm, ref_perm)
-    assert swaps == int(np.sum(ref_piv != np.arange(n)))
-    assert np.abs(lu - ref_lu).max() <= 1e-12 * np.abs(ref_lu).max()
-    assert det(a) == pytest.approx(float(np.linalg.det(a)), rel=1e-12)
-    for b in (b1, b2, np.eye(n)):  # the identity gives the inverse
-        x, ref = solve(a, b), lu_solve((ref_lu, ref_piv), b)
-        assert x.shape == ref.shape
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_lu_pivot_ties_take_the_first_row():
-    # |column 0| ties three ways, and after one step |column 1| ties at 2; both
-    # steps are exact in floats, and LAPACK keeps the first row on a tie
-    a = np.array([[1.0, 2.0, 0.0], [-1.0, 0.0, 3.0], [1.0, 0.0, 1.0]])
-    lu, perm, swaps = _lu(a)
-    ref_lu, ref_piv = lu_factor(a)
-    assert perm.tolist() == [0, 1, 2] and swaps == 0
-    assert ref_piv.tolist() == [0, 1, 2]
-    assert np.array_equal(lu, ref_lu)
-    assert det(a) == pytest.approx(8.0, rel=1e-14)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.permutations(list(range(12))), st.integers(1, 12))
-def test_permutation_matrix_det_is_exact_sign(order, n):
-    order = [i for i in order if i < n]
-    sign, seen = 1, set()
-    for start in range(n):  # parity from the cycles: an independent count
-        length = 0
-        while start not in seen:
-            seen.add(start)
-            start, length = order[start], length + 1
-        sign *= (-1) ** max(length - 1, 0)
-    assert det(np.eye(n)[order]) == float(sign)
-
-
-def test_solve_checks_its_inputs():
-    with pytest.raises(ValueError):
-        solve(np.eye(3), np.ones(2))
-    with pytest.raises(ValueError):
-        det(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        det([[1.0, np.nan], [0.0, 1.0]])
-    assert solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
-
-
-def _one_matrix_det(a: np.ndarray) -> float:
-    """A plain LU loop, as the reference: the kernel's pivot rule, row swaps,
-    scaling, rank-1 update and log-sum."""
-    lu = np.array(a, dtype=float)
-    n, swaps = len(lu), 0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            swaps += 1
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    pivots = np.diag(lu)
-    sign = (-1.0) ** swaps * float(np.prod(np.sign(pivots)))
-    return sign * math.exp(float(np.log(np.abs(pivots)).sum()))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**32 - 1))
-def test_det_matches_the_one_matrix_loop_bit_for_bit(n, size, seed):
-    # scales spread over six decades and both signs, so pivoting and the
-    # log-sum differ from matrix to matrix
-    rng = np.random.default_rng(seed)
-    stack = rng.standard_normal((size, n, n)) * 10.0 ** rng.uniform(-3, 3, (size, 1, 1))
-    dets = [det(m) for m in stack]
-    assert all(type(d) is float for d in dets)
-    reference = [_one_matrix_det(m) for m in stack]
-    assert np.array_equal(np.array(dets).view(np.int64), np.array(reference).view(np.int64))
+    for cov, curvature in singular:
+        with pytest.raises(ATInstabilityError, match="^fluctuation determinant is singular "):
+            det(cov, curvature)
+    # with M = I, S = diag(s); one eigenvalue at half / twice STABILITY_RTOL
+    # times the scale 4 (1 - (1 - x) is x to about 1e-4 here)
+    tiny = STABILITY_RTOL * 4.0
+    with pytest.raises(ATInstabilityError, match="is singular"):
+        det(np.eye(4), np.eye(4) - np.diag([4.0, 1.0, 0.5 * tiny, 2.0]))
+    assert det(np.eye(4), np.eye(4) - np.diag([4.0, 1.0, 2.0 * tiny, 2.0])) == pytest.approx(
+        16.0 * tiny, rel=1e-3)
 
 
 def test_det_takes_one_square_finite_matrix():
     non_finite = np.eye(2)
     non_finite[0, 1] = np.inf
-    for bad in (np.ones((4, 2, 3)), np.ones(3), np.stack([np.eye(2)] * 2)):
-        with pytest.raises(ValueError, match="^expected a square matrix$"):
-            det(bad)
-    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-        det(non_finite)
-    with pytest.raises(ValueError, match="^expected a square matrix$"):
-        solve(np.stack([np.eye(2)] * 2), np.ones(2))
+    message = "^expected a finite square covariance and a curvature of its size$"
+    for bad in (np.ones((4, 2, 3)), np.ones(3), np.stack([np.eye(2)] * 2), np.ones((2, 3))):
+        with pytest.raises(ValueError, match=message):
+            det(bad, bad)
+    for cov, curvature in ((non_finite, np.eye(2)), (np.eye(2), non_finite),
+                           (np.eye(3), np.eye(2)), (np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError, match=message):
+            det(cov, curvature)
+
+
+def _random_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A PSD M = A A^T of a random rank 0..n (so often singular) and a
+    symmetric B at a random scale, so that S = I - R B R is positive
+    definite in some draws and not in others."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+    b = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1.5, 0.5)
+    return a @ a.T, b + b.T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_det_matches_numpy(n, seed):
+    # numpy is the oracle: LAPACK's LU determinant of I - B M and the real
+    # parts of its general eigenvalues (real here: B M is similar to R B R on
+    # the range of M, and is 0 off it)
+    cov, curvature = _random_pair(n, seed)
+    middle = np.eye(n) - curvature @ cov
+    eigs = np.linalg.eigvals(middle).real
+    scale = max(1.0, float(np.abs(eigs).max()))
+    low = float(eigs.min())
+    assume(abs(low) > 1e-6 * scale)  # clear of the tolerance
+    if low < 0:
+        with pytest.raises(ATInstabilityError, match="not a maximum"):
+            det(cov, curvature)
+        return
+    assert det(cov, curvature) == pytest.approx(float(np.linalg.det(middle)), rel=1e-9)
+    R, S, spectrum = fluctuation_root(cov, curvature)
+    assert np.allclose(R @ R, cov, atol=1e-12 * max(1.0, float(np.abs(cov).max())))
+    assert np.array_equal(spectrum, np.linalg.eigvalsh(S))
+    assert np.prod(spectrum) == det(cov, curvature)
 
 
 def test_det_product_identity_sylvester():
-    # det(I_n + A B) = det(I_m + B A) for rectangular A (n x m), B (m x n)
+    # det(I_n - B A A^T) = det(I_m - A^T B A) for rectangular A (n x m): M = A A^T
+    # on one side, M = I and the curvature A^T B A on the other; the two S
+    # share their eigenvalues apart from ones, so both raise or neither does
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    worst, refused = 0.0, 0
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, 9))
         a = rng.uniform(-1.0, 1.0, size=(n, m))
-        b = rng.uniform(-1.0, 1.0, size=(m, n))
-        d1 = det(np.eye(n) + a @ b)
-        d2 = det(np.eye(m) + b @ a)
-        defect = abs(d1 - d2) / (1.0 + abs(d1))
-        worst = max(worst, defect)
+        b = rng.uniform(-0.3, 0.3, size=(n, n))
+        b = b + b.T
+        try:
+            d1 = det(a @ a.T, b)
+        except ATInstabilityError:
+            refused += 1
+            with pytest.raises(ATInstabilityError):
+                det(np.eye(m), a.T @ b @ a)
+            continue
+        d2 = det(np.eye(m), a.T @ b @ a)
+        worst = max(worst, abs(d1 - d2) / (1.0 + abs(d1)))
     assert worst <= 1e-9
+    assert 100 < refused < 900  # both branches are exercised
 
 
 # ---------------------------------------------- multi-start fixed point
