@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from central_approx import acceptance, factor_graph
-from central_approx.cli import _json_value, fmt, main, parse_N_list
+from central_approx.cli import Report, _json_value, fmt, main, parse_N_list, render
 from central_approx.config import load_config
 from central_approx.errors import ValidationFailure
 
@@ -335,6 +335,19 @@ def test_fmt_twelve_digits():
     assert fmt(float("-inf")) == "-inf"
 
 
+def test_text_table_right_aligns_each_column():
+    rep = Report("x")
+    rep.scalar("N", 3)
+    rep.table(["N", "value", "exact", "ok"],
+              [(10, np.float64(-1.25), Fraction(1, 3), True), (200, 1e-20, None, False)])
+    assert render(rep, "table") == ("N = 3\n\n"
+                                    "  N  value  exact     ok\n"
+                                    " 10  -1.25    1/3   true\n"
+                                    "200  1e-20         false\n")
+    rep.table(["a", "long name"], [])  # a header alone
+    assert render(rep, "table") == "N = 3\n\na  long name\n"
+
+
 @pytest.mark.parametrize("value, text, json_value", [
     (np.float64(0.1), "0.1", 0.1),
     (np.float64(1 / 3), "0.333333333333", 0.333333333333),
@@ -351,6 +364,7 @@ def test_fmt_twelve_digits():
     (math.nan, "nan", "nan"),
     (math.inf, "inf", "inf"),
     (-math.inf, "-inf", "-inf"),
+    ("0|1", "0|1", "0|1"),
 ])
 def test_formatting_needs_no_numpy(value, text, json_value):
     # the strings numpy-aware formatting gave; the CLI module imports no numpy
