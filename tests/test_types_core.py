@@ -492,6 +492,22 @@ def test_det_takes_one_square_finite_matrix():
             det(cov, curvature)
 
 
+def test_solve_checks_its_inputs():
+    # the one solve left is M (I - B M)^-1 = R S^-1 R from fluctuation_root:
+    # a mismatched pair, a non-square or a non-finite matrix is refused, and
+    # the empty pair gives the empty matrix with determinant 1
+    from central_approx.clt import _resolvent_covariance
+
+    with pytest.raises(ValueError):
+        _resolvent_covariance(np.eye(3), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        det(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        det([[1.0, np.nan], [0.0, 1.0]], np.zeros((2, 2)))
+    assert _resolvent_covariance(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+    assert det(np.zeros((0, 0)), np.zeros((0, 0))) == 1.0
+
+
 def _random_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A PSD M = A A^T of a random rank 0..n (so often singular) and a
     symmetric B at a random scale, so that S = I - R B R is positive
