@@ -110,11 +110,10 @@ def render(report: Report, fmt_name: str) -> str:
     if report.columns:
         if lines:
             lines.append("")
-        # built column by column: a list of strings per column, none per row
-        values = zip(*report.rows) if report.rows else [()] * len(report.columns)
-        columns = [[name, *map(fmt, column)] for name, column in zip(report.columns, values)]
-        line = "  ".join(f"{{:>{max(map(len, column))}}}" for column in columns)
-        lines += [line.format(*row).rstrip() for row in zip(*columns)]
+        cells = [report.columns] + [[fmt(v) for v in row] for row in report.rows]
+        widths = [max(len(row[i]) for row in cells) for i in range(len(report.columns))]
+        for row in cells:
+            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -308,8 +308,8 @@ class CentralApproxResult:
 def central_approx_constant(spec: DenseModelSpec,
                             solution: MaximizerRecord) -> CentralApproxResult:
     """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}, summed over the
-    co-maximizers (log_gaussian_sum); raises at a boundary maximizer or a
-    non-positive determinant."""
+    co-maximizers (log_gaussian_sum); raises at a boundary maximizer, or where
+    a co-maximizer is singular or not a maximum (types_core.fluctuation_root)."""
     log_constant, dets = log_gaussian_sum(
         dense_fluctuation(spec, nu) for nu in solution.co_maximizers)
     return CentralApproxResult(solution.F, log_constant, dets[0])

@@ -1,7 +1,5 @@
 """Type and overlap fluctuation covariances against exact finite-N oracles."""
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -340,17 +338,22 @@ def test_resolvent_and_lift_match_numpy(cells, p, seed):
         assert np.abs(ours - direct).max() <= 1e-9 * max(1.0, float(np.abs(direct).max()))
 
 
-def test_factor_covariance_on_729_words_is_fast():
+def test_factor_covariance_on_729_words_factors_only_the_letter_pair(monkeypatch):
     # ternary (3,6) uniform: 3^6 = 729 words, lifted from the 3 x 3 letter
-    # pair; only from_matrix's eigvalsh runs on the 729 x 729 matrix
+    # pair; only from_matrix's eigvalsh may see the 729 x 729 matrix
     from central_approx.factor_graph import make_ensemble, solve_bethe
 
     ens = make_ensemble(3, 6, Alphabet((0.0, 1.0, 2.0)), "uniform")
     sol = solve_bethe(ens)
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        cov = fg_type_covariances(ens, sol.mu_star, sol.nu_star, "factor")
-        times.append(time.perf_counter() - start)
+    calls = []
+    for name in ("solve", "inv", "det", "slogdet", "eig", "eigh", "eigvals", "eigvalsh",
+                 "cholesky", "svd", "lstsq", "pinv"):
+        def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    cov = fg_type_covariances(ens, sol.mu_star, sol.nu_star, "factor")
     assert cov.dim == 729
-    assert min(times) < 0.2
+    big = [call for call in calls if max(call[1], default=0) > 3]
+    assert big == [("eigvalsh", (729, 729))]
+    assert ("eigh", (3, 3)) in calls  # the letter pair's root
