@@ -1,8 +1,9 @@
 """JSON run configurations: schema validation and model construction.
 
 A config names one model and its parameters; everything else (N sweeps,
-output format, seeds) comes from the command line.  Unknown keys are
-rejected up front so a typo cannot silently fall back to a default.
+output format, seeds) comes from the command line.  One function, _object,
+makes every object in the schema closed: unknown keys are refused up front,
+at every level, so a typo cannot silently fall back to a default.
 
 Reading and validating a config needs no numpy: the builders import the
 model modules when they are called, and only load_config imports json.
@@ -23,152 +24,60 @@ if TYPE_CHECKING:
     from .replica_rs import RSParams
     from .types_core import Alphabet
 
-_NUMBER_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-
-_DENSE_F = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "zero"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "field"}, "h": {"type": "number"}},
-            "required": ["kind", "h"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "table"}, "values": _NUMBER_LIST},
-            "required": ["kind", "values"],
-            "additionalProperties": False,
-        },
-    ]
+_NUMBER = {"type": "number"}
+_NUMBER_LIST = {"type": "array", "items": _NUMBER, "minItems": 1}
+_POWERS = {
+    "type": "object",
+    "patternProperties": {"^[0-9]+$": {"type": "integer", "minimum": 0}},
+    "additionalProperties": False,
 }
 
-_DENSE_G = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "zero"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "quadratic"},
-                "lam": {"type": "number"},
-                "pairs": {"enum": ["all", "distinct", "diagonal"]},
-            },
-            "required": ["kind", "lam"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "sk"}, "beta": {"type": "number"}},
-            "required": ["kind", "beta"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "poly"},
-                "terms": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "coef": {"type": "number"},
-                            "powers": {
-                                "type": "object",
-                                "patternProperties": {
-                                    "^[0-9]+$": {"type": "integer", "minimum": 0}
-                                },
-                                "additionalProperties": False,
-                            },
-                        },
-                        "required": ["coef", "powers"],
-                        "additionalProperties": False,
-                    },
-                },
-            },
-            "required": ["kind", "terms"],
-            "additionalProperties": False,
-        },
-    ]
-}
+
+def _object(optional=(), **properties) -> dict:
+    """A closed object: exactly ``properties``, each required unless in ``optional``."""
+    required = [name for name in properties if name not in optional]
+    return {"type": "object", "properties": properties,
+            **({"required": required} if required else {}), "additionalProperties": False}
+
+
+def _kind(kind: str, optional=(), **properties) -> dict:
+    return _object(optional, kind={"const": kind}, **properties)
+
+
+def _model(model: str, optional=(), **properties) -> dict:
+    return _object(optional, schema_version={"const": 1}, model={"const": model}, **properties)
 
 
 def _guards(key: str) -> dict:
     """A model's guards block: its own size guard ``key`` and allow_large."""
-    return {
-        "type": "object",
-        "properties": {
-            key: {"type": "integer", "minimum": 1},
-            "allow_large": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    }
+    return _object((key, "allow_large"),
+                   **{key: {"type": "integer", "minimum": 1}, "allow_large": {"type": "boolean"}})
 
 
 CONFIG_SCHEMA = {
     "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "schema_version": {"const": 1},
-                "model": {"const": "dense"},
-                "n": {"type": "integer", "minimum": 1},
-                "alphabet": _NUMBER_LIST,
-                "f": _DENSE_F,
-                "g": _DENSE_G,
-                "guards": _guards("type_sum"),
-            },
-            "required": ["schema_version", "model", "n", "alphabet", "g"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "schema_version": {"const": 1},
-                "model": {"const": "factor-graph"},
-                "l": {"type": "integer", "minimum": 2},
-                "r": {"type": "integer", "minimum": 2},
-                "alphabet": _NUMBER_LIST,
-                "factor": {
-                    "oneOf": [
-                        {"type": "string"},
-                        {
-                            "type": "object",
-                            "properties": {"values": _NUMBER_LIST},
-                            "required": ["values"],
-                            "additionalProperties": False,
-                        },
-                    ]
-                },
-                "guards": _guards("type_pairs"),
-            },
-            "required": ["schema_version", "model", "l", "r", "alphabet", "factor"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "schema_version": {"const": 1},
-                "model": {"const": "rs"},
-                "n": {"type": "integer", "minimum": 2},
-                "q": {"type": "number"},
-                "r": {"type": "number"},
-                "P": {"type": "number"},
-                "Q": {"type": "number"},
-                "R": {"type": "number"},
-            },
-            "required": ["schema_version", "model", "n", "q", "r", "P", "Q", "R"],
-            "additionalProperties": False,
-        },
+        _model("dense", ("f", "guards"),
+               n={"type": "integer", "minimum": 1},
+               alphabet=_NUMBER_LIST,
+               f={"oneOf": [_kind("zero"), _kind("field", h=_NUMBER),
+                            _kind("table", values=_NUMBER_LIST)]},
+               g={"oneOf": [
+                   _kind("zero"),
+                   _kind("quadratic", ("pairs",), lam=_NUMBER,
+                         pairs={"enum": ["all", "distinct", "diagonal"]}),
+                   _kind("sk", beta=_NUMBER),
+                   _kind("poly", terms={"type": "array",
+                                        "items": _object(coef=_NUMBER, powers=_POWERS)}),
+               ]},
+               guards=_guards("type_sum")),
+        _model("factor-graph", ("guards",),
+               l={"type": "integer", "minimum": 2},
+               r={"type": "integer", "minimum": 2},
+               alphabet=_NUMBER_LIST,
+               factor={"oneOf": [{"type": "string"}, _object(values=_NUMBER_LIST)]},
+               guards=_guards("type_pairs")),
+        _model("rs", n={"type": "integer", "minimum": 2},
+               q=_NUMBER, r=_NUMBER, P=_NUMBER, Q=_NUMBER, R=_NUMBER),
     ]
 }
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, NumericalFailure
 from .types_core import (
     RESTARTS,
     Alphabet,
@@ -193,9 +193,12 @@ class DenseModelSpec:
         self.num_symbols = len(self.symbols)
         self.pair_list = pair_indices(n)
         sym = np.array(self.symbols, dtype=float)  # (K, n)
-        self.pair_products = np.column_stack(
-            [sym[:, a] * sym[:, b] for (a, b) in self.pair_list]
-        )
+        # a product past the float range is inf; the routes that use it
+        # refuse a result that is not finite
+        with np.errstate(over="ignore"):
+            self.pair_products = np.column_stack(
+                [sym[:, a] * sym[:, b] for (a, b) in self.pair_list]
+            )
         self.f_values = np.array([float(f(s)) for s in self.symbols])
         if not np.all(np.isfinite(self.f_values)):
             raise ValueError("local term must be finite on every symbol")
@@ -243,12 +246,18 @@ def exact_type_sum(spec: DenseModelSpec, N: int, *,
     """log of the configuration sum: sum over the pair-product sums r of
     [y^r] (sum_x e^{f(x)} y^{J(x)})^N * e^{N g(r/N)}, the power from
     types_core.power_terms and guarded by it (``guard=None`` lifts it).
-    Equal to the literal configuration sum wherever both are feasible."""
+    Equal to the literal configuration sum wherever both are feasible;
+    NumericalFailure where the sum overflows to a value that is not finite."""
     if N < 1:
         raise ValueError("need N >= 1")
-    pieces = [logsumexp(coef + N * spec.g.derivative_batch(rows / N))
-              for rows, coef in power_terms(spec.pair_products, spec.f_values, N, guard=guard)]
-    return logsumexp(pieces)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pieces = [logsumexp(coef + N * spec.g.derivative_batch(rows / N))
+                  for rows, coef in power_terms(spec.pair_products, spec.f_values, N, guard=guard)]
+        total = logsumexp(pieces)
+    if not math.isfinite(total):
+        raise NumericalFailure(
+            f"exact sum at N={N} is {total}, not finite: the model overflows the float range")
+    return total
 
 
 # ------------------------------------------------------- variational layer

@@ -572,26 +572,32 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     the point tested.  Each co-maximizer is the lowest-index converged start
     within DEDUP_TOL of it (select_maximizers); F, the residual
     |fmap(x) - x| and ``iterations_best`` (the updates before the stop) are
-    those of the best one.  NonConvergenceError, carrying the smallest
-    residual, when no start stops within MAX_ITER.
+    those of the best one.  A start whose map value is not finite (an
+    overflow) can never converge, so it is dropped there.  NonConvergenceError
+    when no start is left, or, carrying the smallest residual, when no start
+    stops within MAX_ITER.
     """
     X = np.array(starts, dtype=float)
     iterations = np.full(len(X), MAX_ITER)
     rows = np.arange(len(X))
-    for it in range(MAX_ITER):
-        current = X[rows]
-        target = fmap(current)
-        X[rows] = (1.0 - DAMPING) * current + DAMPING * target
-        done = np.abs(target - current).max(axis=1) <= FIXED_POINT_TOL
-        iterations[rows[done]] = it
-        rows = rows[~done]
-        if not rows.size:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(MAX_ITER):
+            current = X[rows]
+            target = fmap(current)
+            X[rows] = (1.0 - DAMPING) * current + DAMPING * target
+            done = np.abs(target - current).max(axis=1) <= FIXED_POINT_TOL
+            iterations[rows[done]] = it
+            rows = rows[~done & np.isfinite(target).all(axis=1)]
+            if not rows.size:
+                break
     ok = iterations < MAX_ITER
     if not ok.any():
+        if not rows.size:
+            raise NonConvergenceError(
+                f"the fixed-point map is not finite at any of the {len(X)} starts")
         raise NonConvergenceError(
             f"no restart converged within {MAX_ITER} iterations",
-            residual=float(np.abs(fmap(X) - X).max(axis=1).min()),
+            residual=float(np.abs(fmap(X[rows]) - X[rows]).max(axis=1).min()),
         )
     X, iterations = X[ok], iterations[ok]
     obj = objectives(X)

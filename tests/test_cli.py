@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -477,6 +478,43 @@ def test_dense_exact_with_a_tiny_field(capsys, tmp_path, h):
         "f": {"kind": "field", "h": h}, "g": {"kind": "zero"}}))
     code, out, err = run_cli(capsys, "dense-exact", "--config", str(path), "--N", "6")
     assert (code, err) == (0, "") and "6.59167373201" in out
+
+
+_OVERFLOW_COMMANDS = [["dense-exact", "--N", "10"], ["dense-compare", "--N", "10"],
+                      ["dense-asymptotic", "--N", "10"], ["clt-cov"]]
+
+
+# exit codes of valid dense models past the float range: with alphabet
+# [1e200, 0] the pair product 1e200 * 1e200 overflows, and with [1e100, 0]
+# N g(q) does; the solver drops every start at its first non-finite map value
+@pytest.mark.parametrize("argv", _OVERFLOW_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("top", [1e200, 1e100])
+def test_overflowing_dense_model_exits_3_at_once(capsys, tmp_path, top, argv):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "model": "dense", "n": 1, "alphabet": [top, 0],
+        "g": {"kind": "quadratic", "lam": 0.5}}))
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert (code, out, len(err.splitlines())) == (3, "", 1), err
+    assert err.startswith("numerical failure: ") and "finite" in err
+    assert not caught, [str(w.message) for w in caught]
+    assert time.perf_counter() - start < 2.0
+
+
+def test_overflowing_pair_products_stay_exact_without_coupling(capsys, tmp_path):
+    # with g = 0 the infinite pair product never enters a weight: N log 2
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "model": "dense", "n": 1, "alphabet": [1e200, 0],
+        "g": {"kind": "zero"}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "dense-exact", "--config", str(path), "--N", "10")
+    assert (code, out, err) == (0, " N     log_exact\n10  6.9314718056\n", "")
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_fg_flags_equal_config(capsys, fg_config):

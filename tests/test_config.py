@@ -279,6 +279,50 @@ def test_checker_agrees_with_jsonschema_on_every_single_edit():
     assert [cfg for cfg in edited if not _agrees_with_jsonschema(cfg)] == []
 
 
+def _object_schemas(schema):
+    """Every node of ``schema`` that declares ``"type": "object"``."""
+    if isinstance(schema, dict):
+        if schema.get("type") == "object":
+            yield schema
+        for child in schema.values():
+            yield from _object_schemas(child)
+    elif isinstance(schema, list):
+        for child in schema:
+            yield from _object_schemas(child)
+
+
+def _object_matches(value, schema, path=()):
+    """(path, schema node) for each object in the valid config ``value``, with
+    the node of ``schema`` it validates under (its oneOf branch resolved)."""
+    if "oneOf" in schema:
+        [schema] = [b for b in schema["oneOf"] if not list(config._violations(value, b, ()))]
+    if isinstance(value, dict):
+        yield path, schema
+        for key, child in value.items():
+            if key in schema.get("properties", {}):
+                yield from _object_matches(child, schema["properties"][key], path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _object_matches(child, schema["items"], path + (i,))
+
+
+def test_every_object_in_the_schema_is_closed():
+    # jsonschema agrees with an open schema too, so the agreement tests above
+    # cannot see an object that lets unknown keys through
+    objects = {id(node): node for node in _object_schemas(CONFIG_SCHEMA)}
+    assert len(objects) == 15
+    for node in objects.values():
+        assert node["additionalProperties"] is False
+        assert set(node.get("required", [])) <= set(node.get("properties", {}))
+    reached = set()
+    for cfg in SEED_CONFIGS:
+        for path, node in _object_matches(cfg, CONFIG_SCHEMA):
+            reached.add(id(node))
+            with pytest.raises(ValidationFailure, match="'unknown_key'"):
+                validate_config(_apply(cfg, path + ("unknown_key",), 1))
+    assert reached == set(objects)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3)
     | st.sampled_from([2.0, 1.0, 0.0, 1e300, math.nan, "dense", "rs", "zero", "sk", "0"]),

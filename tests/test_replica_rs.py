@@ -1,6 +1,8 @@
 """RS pattern matrices, the three-factor determinant, and the n->0 correction."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -186,6 +188,47 @@ def test_sk_small_beta_vanishes():
 
 def test_sk_single_sample():
     assert sk_paramagnetic_correction(0.5, 1) == pytest.approx(-0.0719205, abs=1e-7)
+
+
+def _quenched_sk_gap(N: int, beta: float, draws: int, seed: int) -> tuple[float, float]:
+    """Mean and standard error of log Z - N (log 2 + beta^2/4) over seeded
+    SK samples, H = (beta/sqrt(N)) sum_{i<j} J_ij s_i s_j with J_ij iid N(0, 1),
+    each log Z summed exactly over all 2^N spin vectors."""
+    rng = random.Random(seed)
+    i, j = np.triu_indices(N, 1)
+    # fix s_0 = +1: flipping every spin leaves H unchanged, so log Z gains log 2
+    spins = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=N - 1)])
+    products = spins[:, i] * spins[:, j]
+    scale = beta / math.sqrt(N)
+    gaps = []
+    for start in range(0, draws, 500):
+        count = min(500, draws - start)
+        J = np.array([rng.gauss(0.0, scale) for _ in range(count * len(i))])
+        H = products @ J.reshape(count, len(i)).T  # one column per sample
+        top = H.max(axis=0)
+        gaps.append(math.log(2.0) + top + np.log(np.exp(H - top).sum(axis=0)))
+    gap = np.concatenate(gaps) - N * (math.log(2.0) + beta * beta / 4.0)
+    return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(draws))
+
+
+def test_quenched_sk_matches_the_correction():
+    # E[Z^n] of this H is the dense sk model (pair curvature beta^2) times
+    # exp(n N beta^2/4 - n^2 beta^2/4), so as n -> 0 the package's correction
+    # gives E[log Z] - N (log 2 + beta^2/4) -> N (1/(4N)) log(1 - beta^2)
+    # (Aizenman, Lebowitz & Ruelle 1987).  The finite-N gap is a/N + O(1/N^2);
+    # the cycle (high-temperature) expansion of log Z gives, with x = beta^2,
+    #   a = x^2/8 + x^3 (2 - x) / (8 (1 - x)^2) + x^4 / (2 (1 - x))
+    # (the log cosh terms, the (N)_k / N^k count of k-cycles, E tanh^2 per
+    # edge), 0.0165 at beta = 0.5; 100,000 draws at each N = 3..10 read
+    # N x gap between 0.013 and 0.020.  The allowance is twice that leading
+    # term.  At this seed |mean - want| is 0.0006 against a bound of 0.0063;
+    # with the correction scaled by 1.1 it is 0.0078, and the check fails.
+    N, beta = 12, 0.5
+    x = beta * beta
+    a = x * x / 8 + x**3 * (2 - x) / (8 * (1 - x) ** 2) + x**4 / (2 * (1 - x))
+    mean, se = _quenched_sk_gap(N, beta, draws=20_000, seed=20260415)
+    want = N * sk_paramagnetic_correction(beta, N)
+    assert abs(mean - want) < 4 * se + 2 * a / N, (mean, se, want)
 
 
 def test_sk_rejects_out_of_scope_beta():
