@@ -10,7 +10,10 @@ fails (instability, non-convergence), with the reason on stderr.
 Each subcommand imports the model modules it runs once its input is read,
 so --help, the closed forms (sk, rs-det, rs-correction) and input errors
 start without numpy, and a dense command never loads the factor-graph code.
-The json and csv modules load only for the format that uses them.
+The json and csv modules load only for the format that uses them.  The
+verbs cmd_exact, cmd_asymptotic and cmd_compare serve both models: each
+reads --N, then ``_route`` builds the dense or factor-graph model the
+command names, so a bad size list exits 2 before any model is built.
 """
 
 import argparse
@@ -138,11 +141,6 @@ def _model_config(path: str, *models: str, error: str | None = None) -> dict:
     return cfg
 
 
-def _dense_from_args(args) -> tuple:
-    cfg = _model_config(args.config, "dense")
-    return build_dense(cfg), cfg.get("guards", {})
-
-
 def _reject_model_flags(args, names) -> None:
     """A config sets the whole model, so no model flag may come with it."""
     given = [name for name in names if getattr(args, name) is not None]
@@ -203,44 +201,61 @@ def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) 
     return rep
 
 
-def cmd_dense_exact(args) -> Report:
-    spec, guards = _dense_from_args(args)
-    from .dense import exact_type_sum
+def _route(args, Ns):
+    """``(exact, solve)`` of the model a ``dense-*`` or ``fg-*`` command names:
+    ``exact(N)`` is the guarded exact log sum; ``solve()`` gives F, log_constant
+    and ``scalar()``, the ``(name, value)`` that ``*-asymptotic`` adds (``det``,
+    or the step size ``s``).  An fg route first refuses every N not admitted."""
+    if args.command.startswith("dense-"):
+        cfg = _model_config(args.config, "dense")
+        spec = build_dense(cfg)
+        from .dense import central_approx_constant, exact_type_sum, solve_variational
 
-    rep = Report("dense-exact")
-    kw = _sum_kwargs(guards, "type_sum")
-    rows = [(N, exact_type_sum(spec, N, **kw)) for N in parse_N_list(args.N)]
-    rep.table(["N", "log_exact"], rows)
+        kw = _sum_kwargs(cfg.get("guards", {}), "type_sum")
+
+        def solve():
+            result = central_approx_constant(spec, solve_variational(spec, seed=args.seed))
+            return result.F, result.log_constant, lambda: ("det", result.det_value)
+
+        return lambda N: exact_type_sum(spec, N, **kw), solve
+    ens, guards = _ensemble_from_args(args)
+    for N in Ns:
+        ens.require_admissible(N)
+    from .factor_graph import exact_expected_Z, fg_constant_log, lattice_step_s, solve_bethe
+
+    kw = _sum_kwargs(guards, "type_pairs", getattr(args, "allow_large", False))
+
+    def solve():
+        sol = solve_bethe(ens, seed=args.seed)
+        return sol.F, fg_constant_log(ens, sol), lambda: ("s", lattice_step_s(ens))
+
+    return lambda N: exact_expected_Z(ens, N, **kw), solve
+
+
+def cmd_exact(args) -> Report:
+    Ns = parse_N_list(args.N)
+    exact, _ = _route(args, Ns)
+    rep = Report(args.command)
+    rep.table(["N", "log_exact"], [(N, exact(N)) for N in Ns])
     return rep
 
 
-def _dense_solution(spec, args):
-    from .dense import central_approx_constant, solve_variational
-
-    solution = solve_variational(spec, seed=args.seed)
-    return central_approx_constant(spec, solution)
-
-
-def cmd_dense_asymptotic(args) -> Report:
-    spec, _ = _dense_from_args(args)
-    result = _dense_solution(spec, args)
-    rep = Report("dense-asymptotic")
-    rep.scalar("F", result.F)
-    rep.scalar("log_constant", result.log_constant)
-    rep.scalar("det", result.det_value)
-    rows = [(N, N * result.F + result.log_constant) for N in parse_N_list(args.N)]
-    rep.table(["N", "log_asymptotic"], rows)
+def cmd_asymptotic(args) -> Report:
+    Ns = parse_N_list(args.N)
+    F, log_constant, scalar = _route(args, Ns)[1]()
+    rep = Report(args.command)
+    rep.scalar("F", F)
+    rep.scalar("log_constant", log_constant)
+    rep.scalar(*scalar())
+    rep.table(["N", "log_asymptotic"], [(N, N * F + log_constant) for N in Ns])
     return rep
 
 
-def cmd_dense_compare(args) -> Report:
-    spec, guards = _dense_from_args(args)
-    from .dense import exact_type_sum
-
-    result = _dense_solution(spec, args)
-    kw = _sum_kwargs(guards, "type_sum")
-    return _compare_report("dense-compare", result.F, result.log_constant, parse_N_list(args.N),
-                           lambda N: exact_type_sum(spec, N, **kw))
+def cmd_compare(args) -> Report:
+    Ns = parse_N_list(args.N)
+    exact, solve = _route(args, Ns)
+    F, log_constant, _ = solve()
+    return _compare_report(args.command, F, log_constant, Ns, exact)
 
 
 def cmd_rs_det(args) -> Report:
@@ -281,42 +296,6 @@ def cmd_sk(args) -> Report:
     else:
         rep.table(["N", "correction"], rows)
     return rep
-
-
-def cmd_fg_exact(args) -> Report:
-    ens, guards = _ensemble_from_args(args)
-    from .factor_graph import exact_expected_Z
-
-    kw = _sum_kwargs(guards, "type_pairs", args.allow_large)
-    rep = Report("fg-exact")
-    rows = [(N, exact_expected_Z(ens, N, **kw)) for N in parse_N_list(args.N)]
-    rep.table(["N", "log_exact"], rows)
-    return rep
-
-
-def cmd_fg_asymptotic(args) -> Report:
-    ens, _ = _ensemble_from_args(args)
-    from .factor_graph import fg_constant_log, lattice_step_s, solve_bethe
-
-    sol = solve_bethe(ens, seed=args.seed)
-    const = fg_constant_log(ens, sol)
-    rep = Report("fg-asymptotic")
-    rep.scalar("F", sol.F)
-    rep.scalar("log_constant", const)
-    rep.scalar("s", lattice_step_s(ens))
-    rows = [(N, N * sol.F + const) for N in parse_N_list(args.N)]
-    rep.table(["N", "log_asymptotic"], rows)
-    return rep
-
-
-def cmd_fg_compare(args) -> Report:
-    ens, guards = _ensemble_from_args(args)
-    from .factor_graph import exact_expected_Z, fg_constant_log, solve_bethe
-
-    kw = _sum_kwargs(guards, "type_pairs", args.allow_large)
-    sol = solve_bethe(ens, seed=args.seed)
-    return _compare_report("fg-compare", sol.F, fg_constant_log(ens, sol), parse_N_list(args.N),
-                           lambda N: exact_expected_Z(ens, N, **kw))
 
 
 def cmd_fg_s(args) -> Report:
@@ -445,6 +424,21 @@ def _add_rs_flags(p) -> None:
     p.add_argument("--R", type=float)
 
 
+def _add_route_commands(sub, route: str, add_model_flags, *helps: str) -> None:
+    """Register ``{route}-exact``, ``-asymptotic`` and ``-compare``, in that order."""
+    for verb, run, help_text in zip(("exact", "asymptotic", "compare"),
+                                    (cmd_exact, cmd_asymptotic, cmd_compare), helps):
+        name = f"{route}-{verb}"
+        p = sub.add_parser(name, help=help_text)
+        add_model_flags(p)
+        p.add_argument("--N", required=True,
+                       help="comma-separated sizes" if name == "dense-exact" else None)
+        if route == "fg" and verb != "asymptotic":
+            p.add_argument("--allow-large", action="store_true")
+        _add_output_flags(p)
+        p.set_defaults(run=run)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="central-approx",
@@ -452,23 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dense-exact", help="exact log type sum at each N")
-    p.add_argument("--config", required=True)
-    p.add_argument("--N", required=True, help="comma-separated sizes")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_dense_exact)
-
-    p = sub.add_parser("dense-asymptotic", help="N F + log constant at each N")
-    p.add_argument("--config", required=True)
-    p.add_argument("--N", required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_dense_asymptotic)
-
-    p = sub.add_parser("dense-compare", help="exact vs asymptotic, with ratios")
-    p.add_argument("--config", required=True)
-    p.add_argument("--N", required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_dense_compare)
+    _add_route_commands(sub, "dense", lambda p: p.add_argument("--config", required=True),
+                        "exact log type sum at each N", "N F + log constant at each N",
+                        "exact vs asymptotic, with ratios")
 
     p = sub.add_parser("rs-det", help="replica-symmetric fluctuation determinant")
     _add_rs_flags(p)
@@ -487,25 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(run=cmd_sk)
 
-    p = sub.add_parser("fg-exact", help="exact log E[Z] of an (l,r) ensemble")
-    _add_fg_model_flags(p)
-    p.add_argument("--N", required=True)
-    p.add_argument("--allow-large", action="store_true")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_fg_exact)
-
-    p = sub.add_parser("fg-asymptotic", help="N F + log constant for an ensemble")
-    _add_fg_model_flags(p)
-    p.add_argument("--N", required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_fg_asymptotic)
-
-    p = sub.add_parser("fg-compare", help="exact vs asymptotic for an ensemble")
-    _add_fg_model_flags(p)
-    p.add_argument("--N", required=True)
-    p.add_argument("--allow-large", action="store_true")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_fg_compare)
+    _add_route_commands(sub, "fg", _add_fg_model_flags,
+                        "exact log E[Z] of an (l,r) ensemble",
+                        "N F + log constant for an ensemble",
+                        "exact vs asymptotic for an ensemble")
 
     p = sub.add_parser("fg-s", help="lattice step size with method breakdown")
     _add_fg_model_flags(p)

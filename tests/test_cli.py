@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from central_approx import acceptance, factor_graph
-from central_approx.cli import Report, _json_value, fmt, main, parse_N_list, render
+from central_approx.cli import Report, _json_value, build_parser, fmt, main, parse_N_list, render
 from central_approx.config import load_config
 from central_approx.errors import ValidationFailure
 
@@ -116,6 +116,18 @@ _FG = {"factor_graph", "types_core", "numpy"}
     pytest.param(["rs-det", "--n", "4", "--q", "0", "--r", "0", "--P", "nan", "--Q", "0",
                   "--R", "0"], 2, {"replica_rs"}, id="non-finite-rs"),
     pytest.param(["sk", "--beta", "0.5", "--N", "ten"], 2, {"replica_rs"}, id="bad-N-list"),
+    # a bad --N list is read before the model is built, let alone solved; the
+    # (2,2) all-equal ternary model would exit 3 at its solve
+    pytest.param(["dense-compare", "--config", str(_CONFIGS / "cw.json"), "--N", "ten"], 2,
+                 set(), id="bad-N-dense-compare"),
+    pytest.param(["dense-asymptotic", "--config", str(_CONFIGS / "cw.json"), "--N", "0"], 2,
+                 set(), id="bad-N-dense-asymptotic"),
+    pytest.param(["fg-compare", "--l", "2", "--r", "2", "--alphabet", "0,1,2", "--factor",
+                  "all-equal", "--N", "ten"], 2, set(), id="bad-N-fg-compare"),
+    pytest.param(["fg-asymptotic", "--l", "2", "--r", "2", "--alphabet", "0,1,2", "--factor",
+                  "all-equal", "--N", "0"], 2, set(), id="bad-N-fg-asymptotic"),
+    pytest.param(["fg-exact", "--l", "3", "--r", "6", "--factor", "parity", "--N", "12,x"], 2,
+                 set(), id="bad-N-fg-exact"),
     pytest.param(["ldpc-codewords", "--l", "3", "--r", "6", "--N", "0"], 2, set(),
                  id="ldpc-bad-N"),
     pytest.param(["dense-asymptotic", "--config", str(_CONFIGS / "cw.json"), "--N", "10",
@@ -528,6 +540,52 @@ def test_fg_needs_model(capsys):
     code, _, err = run_cli(capsys, "fg-exact", "--N", "20")
     assert code == 2
     assert "--config" in err
+
+
+_NOT_ADMITTED = "error: N=61 is not admissible for (l,r)=(3,6): r must divide N*l\n"
+
+
+def test_fg_asymptotic_refuses_an_N_the_ensemble_does_not_admit(capsys):
+    # no (3,6) graph has 61 variables, so there is no E[Z] to approximate
+    assert run_cli(capsys, "fg-asymptotic", "--l", "3", "--r", "6", "--factor", "parity",
+                   "--N", "61") == (2, "", _NOT_ADMITTED)
+
+
+def test_fg_compare_refuses_an_N_the_ensemble_does_not_admit_before_it_solves(
+        capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_bethe ran")
+
+    monkeypatch.setattr(factor_graph, "solve_bethe", no_solve)
+    assert run_cli(capsys, "fg-compare", "--l", "3", "--r", "6", "--factor", "parity",
+                   "--N", "60,61") == (2, "", _NOT_ADMITTED)
+
+
+_DENSE_ARGV = ["--config", str(_CONFIGS / "cw.json"), "--N", "10"]
+_FG_ARGV = ["--l", "3", "--r", "6", "--factor", "parity", "--N", "12"]
+
+
+# --allow-large lifts only an exact sum's guard, so only the fg commands that
+# sum take it; the dense commands take their model from --config alone
+@pytest.mark.parametrize("argv, parses", [
+    (["fg-exact", *_FG_ARGV, "--allow-large"], True),
+    (["fg-compare", *_FG_ARGV, "--allow-large"], True),
+    (["fg-asymptotic", *_FG_ARGV, "--allow-large"], False),
+    (["dense-exact", *_DENSE_ARGV, "--allow-large"], False),
+    (["dense-asymptotic", *_DENSE_ARGV, "--allow-large"], False),
+    (["dense-compare", *_DENSE_ARGV, "--allow-large"], False),
+    (["dense-exact", *_DENSE_ARGV, "--l", "3"], False),
+    (["dense-asymptotic", *_DENSE_ARGV, "--l", "3"], False),
+    (["dense-compare", *_DENSE_ARGV, "--l", "3"], False),
+])
+def test_route_commands_take_only_their_flags(capsys, argv, parses):
+    if parses:
+        assert build_parser().parse_args(argv).allow_large is True
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fg_table_factor(capsys, tmp_path):

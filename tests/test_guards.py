@@ -95,6 +95,8 @@ def _run(capsys, *argv):
 @pytest.mark.parametrize("base, key, argv", [
     ("cw.json", "type_sum", ["dense-exact", "--N", "40"]),
     ("parity36.json", "type_pairs", ["fg-exact", "--N", "12"]),
+    ("cw.json", "type_sum", ["dense-compare", "--N", "40"]),
+    ("parity36.json", "type_pairs", ["fg-compare", "--N", "12"]),
 ])
 def test_config_allow_large_lifts_the_model_guard(capsys, tmp_path, base, key, argv):
     cfg = json.loads((ROOT / "configs" / base).read_text())
@@ -116,8 +118,9 @@ def test_allow_large_flag_lifts_the_factor_graph_guard(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     cfg = json.loads((ROOT / "configs" / "parity36.json").read_text())
     path.write_text(json.dumps({**cfg, "guards": {"type_pairs": 1}}))
-    code, _, _ = _run(capsys, "fg-exact", "--config", str(path), "--N", "12")
-    assert code == 2
-    lifted = _run(capsys, "fg-exact", "--config", str(path), "--N", "12", "--allow-large")
-    assert lifted == _run(capsys, "fg-exact", "--config", str(ROOT / "configs" / "parity36.json"),
-                          "--N", "12")
+    for command in ("fg-exact", "fg-compare"):
+        code, _, _ = _run(capsys, command, "--config", str(path), "--N", "12")
+        assert code == 2
+        lifted = _run(capsys, command, "--config", str(path), "--N", "12", "--allow-large")
+        assert lifted == _run(capsys, command, "--config",
+                              str(ROOT / "configs" / "parity36.json"), "--N", "12")
