@@ -14,6 +14,9 @@ The json and csv modules load only for the format that uses them.  The
 verbs cmd_exact, cmd_asymptotic and cmd_compare serve both models: each
 reads --N, then ``_route`` builds the dense or factor-graph model the
 command names, so a bad size list exits 2 before any model is built.
+The four that run an exact sum (``*-exact``, ``*-compare``) take one switch,
+--allow-large, which lifts the sum's guard; a config sets that guard with
+its one ``guard`` key.
 """
 
 import argparse
@@ -152,7 +155,7 @@ def _ensemble_from_args(args):
     if args.config:
         _reject_model_flags(args, ("l", "r", "alphabet", "factor"))
         cfg = _model_config(args.config, "factor-graph")
-        return build_ensemble(cfg), cfg.get("guards", {})
+        return build_ensemble(cfg), cfg
     if args.l is None or args.r is None or args.factor is None:
         raise ValidationFailure("need either --config or all of --l, --r, --factor")
     alphabet = parse_alphabet((args.alphabet or "0,1").split(","))
@@ -178,15 +181,6 @@ def _rs_params(args):
 
 # ------------------------------------------------------------- subcommands
 
-def _sum_kwargs(guards: dict, key: str, lift: bool = False) -> dict:
-    """Keywords of an exact sum: ``guard=None`` when the config's
-    ``allow_large`` or ``lift`` (the --allow-large flag) lifts the guard,
-    else the config's guard under ``key`` if it sets one."""
-    if guards.get("allow_large") or lift:
-        return {"guard": None}
-    return {"guard": guards[key]} if key in guards else {}
-
-
 def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) -> Report:
     """Scalars F and log_constant; per N the exact and asymptotic logs and their ratio."""
     rep = Report(command)
@@ -203,33 +197,32 @@ def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) 
 
 def _route(args, Ns):
     """``(exact, solve)`` of the model a ``dense-*`` or ``fg-*`` command names:
-    ``exact(N)`` is the guarded exact log sum; ``solve()`` gives F, log_constant
-    and ``scalar()``, the ``(name, value)`` that ``*-asymptotic`` adds (``det``,
-    or the step size ``s``).  An fg route first refuses every N not admitted."""
+    ``exact(N)`` is the exact log sum under the config's ``guard``, or none
+    under --allow-large; ``solve()`` gives F, log_constant and the ``(name,
+    value)`` scalar that ``*-asymptotic`` adds (``det``, or the step size
+    ``s``), each computed once.  An fg route first refuses every N not admitted."""
     if args.command.startswith("dense-"):
         cfg = _model_config(args.config, "dense")
-        spec = build_dense(cfg)
-        from .dense import central_approx_constant, exact_type_sum, solve_variational
-
-        kw = _sum_kwargs(cfg.get("guards", {}), "type_sum")
+        model = build_dense(cfg)
+        from .dense import central_approx_constant, exact_type_sum as exact, solve_variational
 
         def solve():
-            result = central_approx_constant(spec, solve_variational(spec, seed=args.seed))
-            return result.F, result.log_constant, lambda: ("det", result.det_value)
+            result = central_approx_constant(model, solve_variational(model, seed=args.seed))
+            return result.F, result.log_constant, ("det", result.det_value)
+    else:
+        model, cfg = _ensemble_from_args(args)
+        for N in Ns:
+            model.require_admissible(N)
+        from .factor_graph import exact_expected_Z as exact, fg_constant_log, solve_bethe
 
-        return lambda N: exact_type_sum(spec, N, **kw), solve
-    ens, guards = _ensemble_from_args(args)
-    for N in Ns:
-        ens.require_admissible(N)
-    from .factor_graph import exact_expected_Z, fg_constant_log, lattice_step_s, solve_bethe
-
-    kw = _sum_kwargs(guards, "type_pairs", getattr(args, "allow_large", False))
-
-    def solve():
-        sol = solve_bethe(ens, seed=args.seed)
-        return sol.F, fg_constant_log(ens, sol), lambda: ("s", lattice_step_s(ens))
-
-    return lambda N: exact_expected_Z(ens, N, **kw), solve
+        def solve():
+            sol = solve_bethe(model, seed=args.seed)
+            return sol.F, fg_constant_log(model, sol), ("s", model.step_s)
+    if getattr(args, "allow_large", False):
+        kw = {"guard": None}
+    else:
+        kw = {"guard": int(cfg["guard"])} if "guard" in cfg else {}
+    return lambda N: exact(model, N, **kw), solve
 
 
 def cmd_exact(args) -> Report:
@@ -246,7 +239,7 @@ def cmd_asymptotic(args) -> Report:
     rep = Report(args.command)
     rep.scalar("F", F)
     rep.scalar("log_constant", log_constant)
-    rep.scalar(*scalar())
+    rep.scalar(*scalar)
     rep.table(["N", "log_asymptotic"], [(N, N * F + log_constant) for N in Ns])
     return rep
 
@@ -433,7 +426,7 @@ def _add_route_commands(sub, route: str, add_model_flags, *helps: str) -> None:
         add_model_flags(p)
         p.add_argument("--N", required=True,
                        help="comma-separated sizes" if name == "dense-exact" else None)
-        if route == "fg" and verb != "asymptotic":
+        if verb != "asymptotic":
             p.add_argument("--allow-large", action="store_true")
         _add_output_flags(p)
         p.set_defaults(run=run)

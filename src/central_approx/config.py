@@ -1,9 +1,12 @@
 """JSON run configurations: schema validation and model construction.
 
 A config names one model and its parameters; everything else (N sweeps,
-output format, seeds) comes from the command line.  One function, _object,
-makes every object in the schema closed: unknown keys are refused up front,
-at every level, so a typo cannot silently fall back to a default.
+output format, seeds) comes from the command line.  A dense or
+factor-graph config may set ``guard``, the size guard of its exact sum (the
+``guard=`` argument of the Python API); only the --allow-large flag lifts
+it.  One function, _object, makes every object in the schema closed:
+unknown keys are refused up front, at every level, so a typo cannot
+silently fall back to a default.
 
 Reading and validating a config needs no numpy: the builders import the
 model modules when they are called, and only load_config imports json.
@@ -26,6 +29,7 @@ if TYPE_CHECKING:
 
 _NUMBER = {"type": "number"}
 _NUMBER_LIST = {"type": "array", "items": _NUMBER, "minItems": 1}
+_GUARD = {"type": "integer", "minimum": 1}  # an exact sum's size guard (the guard= argument)
 _POWERS = {
     "type": "object",
     "patternProperties": {"^[0-9]+$": {"type": "integer", "minimum": 0}},
@@ -48,15 +52,9 @@ def _model(model: str, optional=(), **properties) -> dict:
     return _object(optional, schema_version={"const": 1}, model={"const": model}, **properties)
 
 
-def _guards(key: str) -> dict:
-    """A model's guards block: its own size guard ``key`` and allow_large."""
-    return _object((key, "allow_large"),
-                   **{key: {"type": "integer", "minimum": 1}, "allow_large": {"type": "boolean"}})
-
-
 CONFIG_SCHEMA = {
     "oneOf": [
-        _model("dense", ("f", "guards"),
+        _model("dense", ("f", "guard"),
                n={"type": "integer", "minimum": 1},
                alphabet=_NUMBER_LIST,
                f={"oneOf": [_kind("zero"), _kind("field", h=_NUMBER),
@@ -69,13 +67,13 @@ CONFIG_SCHEMA = {
                    _kind("poly", terms={"type": "array",
                                         "items": _object(coef=_NUMBER, powers=_POWERS)}),
                ]},
-               guards=_guards("type_sum")),
-        _model("factor-graph", ("guards",),
+               guard=_GUARD),
+        _model("factor-graph", ("guard",),
                l={"type": "integer", "minimum": 2},
                r={"type": "integer", "minimum": 2},
                alphabet=_NUMBER_LIST,
                factor={"oneOf": [{"type": "string"}, _object(values=_NUMBER_LIST)]},
-               guards=_guards("type_pairs")),
+               guard=_GUARD),
         _model("rs", n={"type": "integer", "minimum": 2},
                q=_NUMBER, r=_NUMBER, P=_NUMBER, Q=_NUMBER, R=_NUMBER),
     ]

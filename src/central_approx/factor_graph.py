@@ -20,6 +20,7 @@ wherever f is strictly positive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -135,6 +136,11 @@ class EnsembleSpec:
             self.f_exact = tuple(x if isinstance(x, Fraction) else Fraction(int(x)) for x in vals)
         self.factor_name = factor_name
         self.support = np.flatnonzero(f > 0)
+
+    @functools.cached_property
+    def step_s(self) -> int:
+        """The lattice step size, lattice_step_s(self), computed once per ensemble."""
+        return lattice_step_s(self)
 
     @property
     def word_labels(self) -> tuple:
@@ -723,7 +729,7 @@ def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> float:
     log_sum, _ = log_gaussian_sum(fg_fluctuation(ensemble, mu, nu) for mu, nu
                                   in zip(solution.word_measures, solution.co_maximizers))
     K = len(ensemble.alphabet)
-    return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(lattice_step_s(ensemble)) + log_sum
+    return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(ensemble.step_s) + log_sum
 
 
 def fg_asymptotic_estimate(ensemble: EnsembleSpec, N: int,

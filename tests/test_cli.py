@@ -269,11 +269,13 @@ def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
     ("parity36.json", {}, ["fg-compare", "--N", "12", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     ("cw.json", {}, ["clt-cov", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    # a guard key of the other model is refused, not ignored
-    ("cw.json", {"guards": {"type_pairs": 1}}, ["dense-exact", "--N", "10"],
-     ": guards: Additional properties are not allowed ('type_pairs' was unexpected)"),
-    ("parity36.json", {"guards": {"type_sum": 1}}, ["fg-exact", "--N", "12"],
-     ": guards: Additional properties are not allowed ('type_sum' was unexpected)"),
+    # the retired guards block, under each of its old keys, is refused, not ignored
+    ("cw.json", {"guards": {"type_sum": 1}}, ["dense-exact", "--N", "10"],
+     ": Additional properties are not allowed ('guards' was unexpected)"),
+    ("parity36.json", {"guards": {"type_pairs": 1}}, ["fg-exact", "--N", "12"],
+     ": Additional properties are not allowed ('guards' was unexpected)"),
+    ("cw.json", {"guards": {"allow_large": True}}, ["dense-compare", "--N", "10"],
+     ": Additional properties are not allowed ('guards' was unexpected)"),
 ])
 def test_bad_config_exits_2(capsys, tmp_path, base, change, argv, message):
     bad = tmp_path / "bad.json"
@@ -561,22 +563,52 @@ def test_fg_compare_refuses_an_N_the_ensemble_does_not_admit_before_it_solves(
                    "--N", "60,61") == (2, "", _NOT_ADMITTED)
 
 
+# the (3,6) parity run's output, which counting the step-size calls must not move
+_PARITY_ASYMPTOTIC = """\
+# F = 0.34657359028
+# log_constant = -1.22124532709e-15
+# s = 3
+N,log_asymptotic
+12,4.15888308336
+60,20.7944154168
+"""
+
+
+def test_fg_asymptotic_computes_the_step_size_once(capsys, monkeypatch):
+    # the constant and the printed s share one Smith-form step size
+    calls = []
+    step = factor_graph.lattice_step_s
+
+    def counted(ensemble):
+        calls.append(ensemble)
+        return step(ensemble)
+
+    monkeypatch.setattr(factor_graph, "lattice_step_s", counted)
+    argv = ["--l", "3", "--r", "6", "--factor", "parity", "--N", "12,60", "--format", "csv"]
+    assert run_cli(capsys, "fg-asymptotic", *argv) == (0, _PARITY_ASYMPTOTIC, "")
+    assert len(calls) == 1
+    assert run_cli(capsys, "fg-compare", *argv)[0] == 0
+    assert len(calls) == 2
+
+
 _DENSE_ARGV = ["--config", str(_CONFIGS / "cw.json"), "--N", "10"]
 _FG_ARGV = ["--l", "3", "--r", "6", "--factor", "parity", "--N", "12"]
 
 
-# --allow-large lifts only an exact sum's guard, so only the fg commands that
+# --allow-large lifts only an exact sum's guard, so only the four commands that
 # sum take it; the dense commands take their model from --config alone
 @pytest.mark.parametrize("argv, parses", [
     (["fg-exact", *_FG_ARGV, "--allow-large"], True),
     (["fg-compare", *_FG_ARGV, "--allow-large"], True),
     (["fg-asymptotic", *_FG_ARGV, "--allow-large"], False),
-    (["dense-exact", *_DENSE_ARGV, "--allow-large"], False),
     (["dense-asymptotic", *_DENSE_ARGV, "--allow-large"], False),
-    (["dense-compare", *_DENSE_ARGV, "--allow-large"], False),
     (["dense-exact", *_DENSE_ARGV, "--l", "3"], False),
     (["dense-asymptotic", *_DENSE_ARGV, "--l", "3"], False),
     (["dense-compare", *_DENSE_ARGV, "--l", "3"], False),
+    (["dense-exact", *_DENSE_ARGV, "--factor", "parity"], False),
+    (["dense-compare", *_DENSE_ARGV, "--factor", "parity"], False),
+    (["dense-exact", *_DENSE_ARGV, "--allow-large"], True),
+    (["dense-compare", *_DENSE_ARGV, "--allow-large"], True),
 ])
 def test_route_commands_take_only_their_flags(capsys, argv, parses):
     if parses:

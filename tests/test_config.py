@@ -81,7 +81,7 @@ def test_unknown_nested_key_rejected():
     bad = dense_cfg(g={"kind": "sk", "beta": 0.5, "typo": True})
     with pytest.raises(ValidationFailure):
         validate_config(bad)
-    bad = dense_cfg(guards={"type_sum": 100, "nope": 1})
+    bad = dense_cfg(f={"kind": "field", "h": 0.3, "nope": 1})
     with pytest.raises(ValidationFailure):
         validate_config(bad)
 
@@ -213,9 +213,9 @@ SEED_CONFIGS = [json.loads(p.read_text()) for p in sorted(ROOT.glob("configs/*.j
 # plus one config per branch of the nested oneOfs that the files do not reach
 SEED_CONFIGS += [
     dense_cfg(f={"kind": "field", "h": 0.3}, g={"kind": "quadratic", "lam": 0.5, "pairs": "all"},
-              guards={"type_sum": 10, "allow_large": False}),
+              guard=10),
     dense_cfg(n=2, f={"kind": "table", "values": [0.1, 0.2, 0.3, 0.4]}, g={"kind": "zero"}),
-    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guards={"type_pairs": 100}),
+    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guard=100),
     RS_CFG,
 ]
 
@@ -310,7 +310,7 @@ def test_every_object_in_the_schema_is_closed():
     # jsonschema agrees with an open schema too, so the agreement tests above
     # cannot see an object that lets unknown keys through
     objects = {id(node): node for node in _object_schemas(CONFIG_SCHEMA)}
-    assert len(objects) == 15
+    assert len(objects) == 13
     for node in objects.values():
         assert node["additionalProperties"] is False
         assert set(node.get("required", [])) <= set(node.get("properties", {}))
@@ -372,13 +372,8 @@ def test_json_schema_number_semantics():
     (dense_cfg(alphabet=[]), "alphabet: [] should be non-empty"),
     (fg_cfg(factor={"values": [1], "x": 1}),
      "factor: Additional properties are not allowed ('x' was unexpected)"),
-    (dense_cfg(guards={"type_sum": 0}), "guards.type_sum: 0 is less than the minimum of 1"),
-    (fg_cfg(guards={"type_pairs": 0}), "guards.type_pairs: 0 is less than the minimum of 1"),
-    # each model takes only its own guard key
-    (fg_cfg(guards={"type_sum": 1}),
-     "guards: Additional properties are not allowed ('type_sum' was unexpected)"),
-    (dense_cfg(guards={"type_pairs": 1}),
-     "guards: Additional properties are not allowed ('type_pairs' was unexpected)"),
+    (dense_cfg(guard=0), "guard: 0 is less than the minimum of 1"),
+    (fg_cfg(guard=0), "guard: 0 is less than the minimum of 1"),
 ])
 def test_error_names_the_deepest_violation(cfg, message):
     # from the oneOf branch the declared model (or kind) selects

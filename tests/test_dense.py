@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from central_approx.acceptance import contrast_identity_defect
+from central_approx.config import build_dense, load_config
 from central_approx.errors import (
     ATInstabilityError,
     BoundaryMaximizerError,
@@ -35,6 +37,7 @@ from central_approx.dense import (
 from central_approx.dense import _variational_objective
 from oracles import brute_force_expectation, windowed_type_sum
 
+ROOT = Path(__file__).resolve().parents[1]
 BINARY = Alphabet((0.0, 1.0))
 SPINS = Alphabet((1.0, -1.0))
 FD_REL_STEP = 1e-5
@@ -261,6 +264,19 @@ def test_type_sum_guard_respects_override():
     val = exact_type_sum(spec, N, guard=None)
     # f = 0, g = 0: the sum is |X^n|^N
     assert val == pytest.approx(N * math.log(4), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [6, 10, 20])
+def test_two_replica_sum_is_the_sk_second_moment(N):
+    # an n = 2 config is E[Z^2]: for H = (beta/sqrt N) sum_{i<j} J_ij s_i s_j,
+    # E[Z^2] = 2^N e^{beta^2 (N-2)/2} sum_k C(N,k) e^{beta^2 (N-2k)^2 / (2N)},
+    # summed over the overlap q = N - 2k of the two replicas; the route drops
+    # the e^{beta^2 (N-2)/2}
+    spec = build_dense(load_config(str(ROOT / "perfbench" / "inputs" / "sk2.json")))
+    beta = 0.5
+    closed = N * math.log(2) + math.log(sum(
+        math.comb(N, k) * math.exp(beta**2 * (N - 2 * k) ** 2 / (2 * N)) for k in range(N + 1)))
+    assert exact_type_sum(spec, N) == pytest.approx(closed, rel=0, abs=1e-12)
 
 
 # ------------------------------------------------------ variational layer

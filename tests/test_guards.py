@@ -1,4 +1,5 @@
-"""Size guards: one ``guard`` argument per check, where None lifts it."""
+"""Size guards: one ``guard`` argument per check, where None lifts it; on the
+command line one config key, ``guard``, sets it and one flag, --allow-large, lifts it."""
 
 import json
 from pathlib import Path
@@ -92,35 +93,25 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("base, key, argv", [
-    ("cw.json", "type_sum", ["dense-exact", "--N", "40"]),
-    ("parity36.json", "type_pairs", ["fg-exact", "--N", "12"]),
-    ("cw.json", "type_sum", ["dense-compare", "--N", "40"]),
-    ("parity36.json", "type_pairs", ["fg-compare", "--N", "12"]),
-])
-def test_config_allow_large_lifts_the_model_guard(capsys, tmp_path, base, key, argv):
-    cfg = json.loads((ROOT / "configs" / base).read_text())
-    path = tmp_path / "cfg.json"
+@pytest.mark.parametrize("base, argv", [
+    ("cw.json", ["dense-exact", "--N", "40"]),
+    ("parity36.json", ["fg-exact", "--N", "12"]),
+    ("cw.json", ["dense-compare", "--N", "40"]),
+    ("parity36.json", ["fg-compare", "--N", "12"]),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_allow_large_lifts_the_config_guard(capsys, tmp_path, base, argv):
+    # one config key sets the guard of every exact-sum command, and one flag lifts it
+    committed = ROOT / "configs" / base
+    guarded = tmp_path / "cfg.json"
+    guarded.write_text(json.dumps({**json.loads(committed.read_text()), "guard": 1}))
 
-    def run(guards):
-        path.write_text(json.dumps({**cfg, "guards": guards}))
-        return _run(capsys, argv[0], "--config", str(path), *argv[1:])
+    def run(path, *flags):
+        return _run(capsys, argv[0], "--config", str(path), *argv[1:], *flags)
 
-    unguarded = run({})
+    unguarded = run(committed)
     assert unguarded[0] == 0
-    code, out, err = run({key: 1})
+    code, out, err = run(guarded)
     assert (code, out) == (2, "") and err.startswith("error: exact sum needs")
-    assert err.endswith("(guard 1)\n")
-    assert run({key: 1, "allow_large": True}) == unguarded
-
-
-def test_allow_large_flag_lifts_the_factor_graph_guard(capsys, tmp_path):
-    path = tmp_path / "cfg.json"
-    cfg = json.loads((ROOT / "configs" / "parity36.json").read_text())
-    path.write_text(json.dumps({**cfg, "guards": {"type_pairs": 1}}))
-    for command in ("fg-exact", "fg-compare"):
-        code, _, _ = _run(capsys, command, "--config", str(path), "--N", "12")
-        assert code == 2
-        lifted = _run(capsys, command, "--config", str(path), "--N", "12", "--allow-large")
-        assert lifted == _run(capsys, command, "--config",
-                              str(ROOT / "configs" / "parity36.json"), "--N", "12")
+    assert err.count("\n") == 1 and err.endswith("(guard 1)\n")
+    assert run(guarded, "--allow-large") == unguarded
+    assert run(committed, "--allow-large") == unguarded
