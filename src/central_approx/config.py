@@ -52,9 +52,11 @@ def _model(model: str, optional=(), **properties) -> dict:
     return _object(optional, schema_version={"const": 1}, model={"const": model}, **properties)
 
 
+_RETIRED = _object()  # the old guards block: closed and empty, so each key it held is named
+
 CONFIG_SCHEMA = {
     "oneOf": [
-        _model("dense", ("f", "guard"),
+        _model("dense", ("f", "guard", "guards"),
                n={"type": "integer", "minimum": 1},
                alphabet=_NUMBER_LIST,
                f={"oneOf": [_kind("zero"), _kind("field", h=_NUMBER),
@@ -67,13 +69,13 @@ CONFIG_SCHEMA = {
                    _kind("poly", terms={"type": "array",
                                         "items": _object(coef=_NUMBER, powers=_POWERS)}),
                ]},
-               guard=_GUARD),
-        _model("factor-graph", ("guard",),
+               guard=_GUARD, guards=_RETIRED),
+        _model("factor-graph", ("guard", "guards"),
                l={"type": "integer", "minimum": 2},
                r={"type": "integer", "minimum": 2},
                alphabet=_NUMBER_LIST,
                factor={"oneOf": [{"type": "string"}, _object(values=_NUMBER_LIST)]},
-               guard=_GUARD),
+               guard=_GUARD, guards=_RETIRED),
         _model("rs", n={"type": "integer", "minimum": 2},
                q=_NUMBER, r=_NUMBER, P=_NUMBER, Q=_NUMBER, R=_NUMBER),
     ]

@@ -269,13 +269,13 @@ def test_config_validation_after_lazy_schema_import(capsys, tmp_path):
     ("parity36.json", {}, ["fg-compare", "--N", "12", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     ("cw.json", {}, ["clt-cov", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    # the retired guards block, under each of its old keys, is refused, not ignored
+    # each key of the retired guards block is refused by name, not ignored
     ("cw.json", {"guards": {"type_sum": 1}}, ["dense-exact", "--N", "10"],
-     ": Additional properties are not allowed ('guards' was unexpected)"),
+     ": guards: Additional properties are not allowed ('type_sum' was unexpected)"),
     ("parity36.json", {"guards": {"type_pairs": 1}}, ["fg-exact", "--N", "12"],
-     ": Additional properties are not allowed ('guards' was unexpected)"),
+     ": guards: Additional properties are not allowed ('type_pairs' was unexpected)"),
     ("cw.json", {"guards": {"allow_large": True}}, ["dense-compare", "--N", "10"],
-     ": Additional properties are not allowed ('guards' was unexpected)"),
+     ": guards: Additional properties are not allowed ('allow_large' was unexpected)"),
 ])
 def test_bad_config_exits_2(capsys, tmp_path, base, change, argv, message):
     bad = tmp_path / "bad.json"

@@ -215,7 +215,7 @@ SEED_CONFIGS += [
     dense_cfg(f={"kind": "field", "h": 0.3}, g={"kind": "quadratic", "lam": 0.5, "pairs": "all"},
               guard=10),
     dense_cfg(n=2, f={"kind": "table", "values": [0.1, 0.2, 0.3, 0.4]}, g={"kind": "zero"}),
-    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guard=100),
+    fg_cfg(l=2, r=2, factor={"values": [1, 2, 2, 1]}, guard=100, guards={}),
     RS_CFG,
 ]
 
@@ -310,7 +310,7 @@ def test_every_object_in_the_schema_is_closed():
     # jsonschema agrees with an open schema too, so the agreement tests above
     # cannot see an object that lets unknown keys through
     objects = {id(node): node for node in _object_schemas(CONFIG_SCHEMA)}
-    assert len(objects) == 13
+    assert len(objects) == 14
     for node in objects.values():
         assert node["additionalProperties"] is False
         assert set(node.get("required", [])) <= set(node.get("properties", {}))
@@ -374,6 +374,11 @@ def test_json_schema_number_semantics():
      "factor: Additional properties are not allowed ('x' was unexpected)"),
     (dense_cfg(guard=0), "guard: 0 is less than the minimum of 1"),
     (fg_cfg(guard=0), "guard: 0 is less than the minimum of 1"),
+    # the retired guards block may stay only empty: each key it held is named
+    (fg_cfg(guards={"type_pairs": 1}),
+     "guards: Additional properties are not allowed ('type_pairs' was unexpected)"),
+    (dense_cfg(guards={"allow_large": True}),
+     "guards: Additional properties are not allowed ('allow_large' was unexpected)"),
 ])
 def test_error_names_the_deepest_violation(cfg, message):
     # from the oneOf branch the declared model (or kind) selects

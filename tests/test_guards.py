@@ -115,3 +115,14 @@ def test_allow_large_lifts_the_config_guard(capsys, tmp_path, base, argv):
     assert err.count("\n") == 1 and err.endswith("(guard 1)\n")
     assert run(guarded, "--allow-large") == unguarded
     assert run(committed, "--allow-large") == unguarded
+
+
+def test_allow_large_flag_lifts_the_factor_graph_guard(capsys, tmp_path):
+    # the flag lifts the guard of its own run only: the next run without it is refused
+    committed = ROOT / "configs" / "parity36.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**json.loads(committed.read_text()), "guard": 1}))
+    for command in ("fg-exact", "fg-compare"):
+        lifted = _run(capsys, command, "--config", str(path), "--N", "12", "--allow-large")
+        assert lifted == _run(capsys, command, "--config", str(committed), "--N", "12")
+        assert _run(capsys, command, "--config", str(path), "--N", "12")[0] == 2
