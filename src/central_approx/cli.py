@@ -7,13 +7,18 @@ rerun with the same config and seed is byte-identical.  Exit codes: 0 on
 success, 2 for anything wrong with the input, 3 when the math itself
 fails (instability, non-convergence), with the reason on stderr.
 
-Each subcommand imports the model modules it runs once its input is read,
-so --help, the closed forms (sk, rs-det, rs-correction) and input errors
-start without numpy, and a dense command never loads the factor-graph code.
-The json and csv modules load only for the format that uses them.  The
-verbs cmd_exact, cmd_asymptotic and cmd_compare serve both models: each
-reads --N, then ``_route`` builds the dense or factor-graph model the
-command names, so a bad size list exits 2 before any model is built.
+One table, COMMANDS, names each subcommand with its help, the function that
+runs it and its flags.  main registers every name and help but builds the
+flags of the command that argv names alone, so a process pays for one
+command's argparse actions, and the printed help and errors are those of a
+parser with every command's flags.  Each subcommand imports the model
+modules it runs once its input is read, so --help, the closed forms (sk,
+rs-det, rs-correction) and input errors start without numpy, and a dense
+command never loads the factor-graph code.  The json and csv modules load
+only for the format that uses them.  The verbs cmd_exact, cmd_asymptotic
+and cmd_compare serve both models: each reads --N, then ``_route`` builds
+the dense or factor-graph model the command names, so a bad size list exits
+2 before any model is built.
 The four that run an exact sum (``*-exact``, ``*-compare``) take one switch,
 --allow-large, which lifts the sum's guard; a config sets that guard with
 its one ``guard`` key.
@@ -393,102 +398,82 @@ def cmd_selftest(args) -> Report:
 
 # --------------------------------------------------------------- plumbing
 
-def _add_output_flags(p) -> None:
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
+# Flags as (name, add_argument keywords).  Every command ends with the output
+# flags; a route command runs an exact sum unless it is ``*-asymptotic``, and
+# only those that do take --allow-large.
+_OUTPUT_FLAGS = (
+    ("--format", {"choices": ("table", "csv", "json"), "default": "table"}),
+    ("--out", {"help": "write the report here instead of stdout"}),
+    ("--seed", {"type": int, "default": 0}),
+)
+_DENSE_MODEL_FLAGS = (("--config", {"required": True}),)
+_FG_MODEL_FLAGS = (
+    ("--config", {"help": "factor-graph config JSON"}),
+    ("--l", {"type": int}),
+    ("--r", {"type": int}),
+    ("--alphabet", {"help": "comma-separated symbol values (default 0,1)"}),
+    ("--factor", {"help": "parity | all-equal | uniform | table:<path>"}),
+)
+_RS_MODEL_FLAGS = (
+    ("--config", {"help": "rs config JSON"}),
+    ("--n", {"type": int}),
+    *((f"--{name}", {"type": float}) for name in ("q", "r", "P", "Q", "R")),
+)
+_SIZES = ("--N", {"required": True})
+_ALLOW_LARGE = ("--allow-large", {"action": "store_true"})
+
+# command -> (help, the function that runs it, its flags before the output
+# flags), in the order --help lists them
+COMMANDS = {
+    "dense-exact": ("exact log type sum at each N", cmd_exact,
+                    (*_DENSE_MODEL_FLAGS,
+                     ("--N", {"required": True, "help": "comma-separated sizes"}),
+                     _ALLOW_LARGE)),
+    "dense-asymptotic": ("N F + log constant at each N", cmd_asymptotic,
+                         (*_DENSE_MODEL_FLAGS, _SIZES)),
+    "dense-compare": ("exact vs asymptotic, with ratios", cmd_compare,
+                      (*_DENSE_MODEL_FLAGS, _SIZES, _ALLOW_LARGE)),
+    "rs-det": ("replica-symmetric fluctuation determinant", cmd_rs_det, _RS_MODEL_FLAGS),
+    "rs-correction": ("n->0 free-energy correction", cmd_rs_correction,
+                      (*_RS_MODEL_FLAGS, ("--N", {"type": int, "required": True}))),
+    "sk": ("SK paramagnetic finite-size correction", cmd_sk,
+           (("--beta", {"type": float, "required": True}),
+            ("--N", {"required": True, "help": "size, or comma-separated sizes"}))),
+    "fg-exact": ("exact log E[Z] of an (l,r) ensemble", cmd_exact,
+                 (*_FG_MODEL_FLAGS, _SIZES, _ALLOW_LARGE)),
+    "fg-asymptotic": ("N F + log constant for an ensemble", cmd_asymptotic,
+                      (*_FG_MODEL_FLAGS, _SIZES)),
+    "fg-compare": ("exact vs asymptotic for an ensemble", cmd_compare,
+                   (*_FG_MODEL_FLAGS, _SIZES, _ALLOW_LARGE)),
+    "fg-s": ("lattice step size with method breakdown", cmd_fg_s, _FG_MODEL_FLAGS),
+    "ldpc-codewords": ("expected LDPC codeword counts", cmd_ldpc,
+                       (("--l", {"type": int, "required": True}),
+                        ("--r", {"type": int, "required": True}),
+                        _SIZES,
+                        ("--omega", {"type": float,
+                                     "help": "weight fraction; omit for the total"}))),
+    "clt-cov": ("fluctuation covariance matrices", cmd_clt_cov,
+                (("--config", {"required": True}),
+                 ("--kind", {"help": "dense: type|overlap; factor-graph: factor|variable"}))),
+    "selftest": ("run the acceptance battery", cmd_selftest,
+                 (("--only", {"help": "comma-separated subset of check names"}),)),
+}
 
 
-def _add_fg_model_flags(p) -> None:
-    p.add_argument("--config", help="factor-graph config JSON")
-    p.add_argument("--l", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--alphabet", help="comma-separated symbol values (default 0,1)")
-    p.add_argument("--factor", help="parity | all-equal | uniform | table:<path>")
-
-
-def _add_rs_flags(p) -> None:
-    p.add_argument("--config", help="rs config JSON")
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--P", type=float)
-    p.add_argument("--Q", type=float)
-    p.add_argument("--R", type=float)
-
-
-def _add_route_commands(sub, route: str, add_model_flags, *helps: str) -> None:
-    """Register ``{route}-exact``, ``-asymptotic`` and ``-compare``, in that order."""
-    for verb, run, help_text in zip(("exact", "asymptotic", "compare"),
-                                    (cmd_exact, cmd_asymptotic, cmd_compare), helps):
-        name = f"{route}-{verb}"
-        p = sub.add_parser(name, help=help_text)
-        add_model_flags(p)
-        p.add_argument("--N", required=True,
-                       help="comma-separated sizes" if name == "dense-exact" else None)
-        if verb != "asymptotic":
-            p.add_argument("--allow-large", action="store_true")
-        _add_output_flags(p)
-        p.set_defaults(run=run)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser: every command's name and help, and the flags of the
+    commands in ``commands`` alone (all of them by default)."""
     parser = argparse.ArgumentParser(
         prog="central-approx",
         description="Partition-function asymptotics, exact up to the constant factor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_route_commands(sub, "dense", lambda p: p.add_argument("--config", required=True),
-                        "exact log type sum at each N", "N F + log constant at each N",
-                        "exact vs asymptotic, with ratios")
-
-    p = sub.add_parser("rs-det", help="replica-symmetric fluctuation determinant")
-    _add_rs_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_rs_det)
-
-    p = sub.add_parser("rs-correction", help="n->0 free-energy correction")
-    _add_rs_flags(p)
-    p.add_argument("--N", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_rs_correction)
-
-    p = sub.add_parser("sk", help="SK paramagnetic finite-size correction")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--N", required=True, help="size, or comma-separated sizes")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_sk)
-
-    _add_route_commands(sub, "fg", _add_fg_model_flags,
-                        "exact log E[Z] of an (l,r) ensemble",
-                        "N F + log constant for an ensemble",
-                        "exact vs asymptotic for an ensemble")
-
-    p = sub.add_parser("fg-s", help="lattice step size with method breakdown")
-    _add_fg_model_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_fg_s)
-
-    p = sub.add_parser("ldpc-codewords", help="expected LDPC codeword counts")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--N", required=True)
-    p.add_argument("--omega", type=float, help="weight fraction; omit for the total")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_ldpc)
-
-    p = sub.add_parser("clt-cov", help="fluctuation covariance matrices")
-    p.add_argument("--config", required=True)
-    p.add_argument("--kind", help="dense: type|overlap; factor-graph: factor|variable")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_clt_cov)
-
-    p = sub.add_parser("selftest", help="run the acceptance battery")
-    p.add_argument("--only", help="comma-separated subset of check names")
-    _add_output_flags(p)
-    p.set_defaults(run=cmd_selftest)
-
+    for name, (help_text, run, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in commands:
+            for flag, kwargs in (*flags, *_OUTPUT_FLAGS):
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(run=run)
     return parser
 
 
@@ -511,8 +496,12 @@ def _emit_failure(args, text: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first positional token as the command, and no
+    # top-level option takes a value, so that is the first token naming one;
+    # only that command's flags are built
+    command = next((token for token in argv if token in COMMANDS), None)
+    args = build_parser((command,)).parse_args(argv)
     try:
         if args.seed < 0:  # dirichlet_starts rejects it too, but only once a model is built
             raise ValidationFailure(f"--seed must be >= 0, got {args.seed}")

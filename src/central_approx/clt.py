@@ -24,13 +24,13 @@ code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .types_core import fluctuation_root, logsumexp, type_array_blocks
+from .types_core import fluctuation_root, logsumexp, require_interior, type_array_blocks
 
 if TYPE_CHECKING:
     from .dense import DenseModelSpec
@@ -51,8 +51,7 @@ SYM_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CovarianceResult:
+class CovarianceResult(namedtuple("CovarianceResult", "matrix labels rank min_eigenvalue")):
     """A (possibly singular) covariance matrix with basis labels and rank.
 
     ``min_eigenvalue`` is exactly 0.0 when rank < dim: the smallest
@@ -61,10 +60,7 @@ class CovarianceResult:
     the scale (the largest |entry|, at least 1) of zero is stored as exactly
     0.0, after the rank and ``min_eigenvalue`` are taken."""
 
-    matrix: np.ndarray
-    labels: tuple
-    rank: int
-    min_eigenvalue: float
+    __slots__ = ()
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, labels: tuple) -> "CovarianceResult":
@@ -104,7 +100,10 @@ def _resolvent_covariance(M: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _lifted_covariance(w: np.ndarray, K: np.ndarray, B: np.ndarray) -> np.ndarray:
     """T (I - K B K^T T)^{-1} for T = diag(w) - w w^T, lifted by Woodbury from
     the small pair (K^T T K, B): T + T K (B + B G B) K^T T, G that pair's
-    resolvent covariance; nothing on the big basis is solved."""
+    resolvent covariance; nothing on the big basis is solved.  B = 0 lifts
+    nothing, so T is returned without reading K (which may not be finite)."""
+    if not B.any():
+        return np.diag(w) - np.outer(w, w)
     TK = w[:, None] * K - np.outer(w, w @ K)
     G = _resolvent_covariance(K.T @ TK, B)
     return np.diag(w) - np.outer(w, w) + TK @ (B + B @ G @ B) @ TK.T
@@ -116,12 +115,14 @@ def dense_type_covariance(spec: DenseModelSpec, nu_star) -> CovarianceResult:
     Returns (S' - S)(I - J D2g J^T (S' - S))^{-1} where S', S are the
     diagonal and outer-product moment matrices of nu* and D2g is the
     coupling Hessian at the maximizing overlaps, lifted from the pair
-    (U' - U, D2g) = (J^T (S' - S) J, D2g) (_lifted_covariance).
+    (U' - U, D2g) = (J^T (S' - S) J, D2g) (_lifted_covariance).  Only D2g is
+    built here, so a model with no coupling gets S' - S even where U' - U
+    overflows.
     """
-    from .dense import dense_fluctuation
-
-    _, hessian = dense_fluctuation(spec, nu_star)
-    cov = _lifted_covariance(np.asarray(nu_star, dtype=float), spec.pair_products, hessian)
+    w = np.asarray(nu_star, dtype=float)
+    require_interior(w)
+    hessian = spec.g.hessian(spec.overlaps(w))
+    cov = _lifted_covariance(w, spec.pair_products, hessian)
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))
 
 

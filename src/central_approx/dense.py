@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -68,9 +67,10 @@ class PolyOverlap:
     order come from one routine, ``derivative_batch``.
 
     ``terms`` is a sequence of (coefficient, powers) where powers maps a
-    pair position (index into pair_indices(n)) to a nonnegative exponent.
-    g must be invariant under simultaneous replica permutations; model
-    construction checks this exactly on the canonical terms.
+    pair position (index into pair_indices(n)) to a nonnegative exponent;
+    a term with coefficient 0 is dropped, so a g with no coupling has no
+    terms.  g must be invariant under simultaneous replica permutations;
+    model construction checks this exactly on the canonical terms.
     """
 
     def __init__(self, n: int, terms):
@@ -87,7 +87,8 @@ class PolyOverlap:
             coef = float(coef)
             if not math.isfinite(coef):
                 raise ValueError(f"coefficient {coef} is not finite")
-            cleaned.append((coef, tuple(sorted(pw.items()))))
+            if coef:  # a zero coefficient adds nothing; no terms means no coupling
+                cleaned.append((coef, tuple(sorted(pw.items()))))
         self.terms = tuple(cleaned)
 
     @classmethod
@@ -268,9 +269,13 @@ def _variational_objective(spec: DenseModelSpec, w: np.ndarray) -> float:
 
 
 def _stationary_map(spec: DenseModelSpec, W: np.ndarray) -> np.ndarray:
-    """Softmax of the local score at the overlaps of each row of W."""
+    """Softmax of the local score at the overlaps of each row of W; with no
+    coupling term the score is f alone (a zero gradient times a pair product
+    past the float range would be nan)."""
     J = spec.pair_products
-    score = spec.f_values + spec.g.gradient_batch(W @ J) @ J.T
+    score = np.tile(spec.f_values, (len(W), 1))
+    if spec.g.terms:
+        score += spec.g.gradient_batch(W @ J) @ J.T
     e = np.exp(score - score.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -294,31 +299,38 @@ def solve_variational(spec: DenseModelSpec, *, seed: int = 0) -> MaximizerRecord
 def dense_fluctuation(spec: DenseModelSpec, nu_star) -> tuple[np.ndarray, np.ndarray]:
     """(U' - U, D2g) at an interior measure (require_interior): the covariance
     of the pair products under nu* and the Hessian of g at q(nu*), both P x P
-    for P = n(n+1)/2 pairs."""
+    for P = n(n+1)/2 pairs.  NumericalFailure where a pair product past the
+    float range leaves U' - U not finite."""
     w = np.asarray(nu_star, dtype=float)
     if w.size != spec.num_symbols:
         raise ValueError("measure has the wrong number of cells")
     require_interior(w)
     J = spec.pair_products
     q = w @ J
-    return J.T @ (J * w[:, None]) - np.outer(q, q), spec.g.hessian(q)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        cov = J.T @ (J * w[:, None]) - np.outer(q, q)
+    if not np.isfinite(cov).all():
+        raise NumericalFailure("pair covariance U' - U is not finite: "
+                               "a pair product overflows the float range")
+    return cov, spec.g.hessian(q)
 
 
-@dataclass
-class CentralApproxResult:
-    """Exponent and Gaussian constant factor of the type sum; ``det_value``
-    is the determinant at the best co-maximizer."""
-
-    F: float
-    log_constant: float
-    det_value: float
+CentralApproxResult = namedtuple("CentralApproxResult", "F log_constant det_value")
+CentralApproxResult.__doc__ = """Exponent and Gaussian constant factor of the type sum;
+``det_value`` is the determinant at the best co-maximizer."""
 
 
 def central_approx_constant(spec: DenseModelSpec,
                             solution: MaximizerRecord) -> CentralApproxResult:
     """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}, summed over the
     co-maximizers (log_gaussian_sum); raises at a boundary maximizer, or where
-    a co-maximizer is singular or not a maximum (types_core.fluctuation_root)."""
+    a co-maximizer is singular or not a maximum (types_core.fluctuation_root).
+    With no coupling term D2g = 0, so each factor is exactly 1 and no pair
+    covariance is built (one past the float range would not be finite)."""
+    if not spec.g.terms:
+        for nu in solution.co_maximizers:
+            require_interior(nu)
+        return CentralApproxResult(solution.F, math.log(len(solution.co_maximizers)), 1.0)
     log_constant, dets = log_gaussian_sum(
         dense_fluctuation(spec, nu) for nu in solution.co_maximizers)
     return CentralApproxResult(solution.F, log_constant, dets[0])

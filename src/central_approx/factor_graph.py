@@ -15,7 +15,11 @@ special cases.
 
 Factor functions are arrays over all words in X^r, order significant.
 Words are enumerated lexicographically by symbol index; the support is
-wherever f is strictly positive.
+wherever f is strictly positive.  A table of rationals takes the exact
+route: its Fractions are built when first read (``EnsembleSpec.f_exact``),
+so ``fractions`` loads only where a rational is built (an exact sum, a
+table file, the permutation oracle, the box density), never for a solve.
+Its records are a plain class and named tuples, which import nothing.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
+import numbers
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +50,9 @@ from .types_core import (
     require_interior,
     solve_multistart,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "EnsembleSpec",
@@ -95,9 +102,11 @@ class EnsembleSpec:
     """An (l,r)-regular ensemble: degrees, alphabet, and the factor table.
 
     ``table`` is a sequence of K^r numbers in word order.  ``f_values`` holds
-    them as read-only floats; ``f_exact`` as Fractions when every one is an
-    int, a numpy integer or a Fraction (the exact route), else None (the
-    float route).
+    them as read-only floats and ``log_f`` their logs (-inf off the support),
+    computed once for the Bethe map.  ``f_exact``, built on first read, holds
+    them as Fractions when every one is a rational (an int, a bool, a numpy
+    integer or a Fraction: the exact route), else None (the float route); so
+    only code that reads it imports ``fractions``.
     """
 
     def __init__(self, l: int, r: int, alphabet: Alphabet, table,
@@ -131,11 +140,21 @@ class EnsembleSpec:
             raise ValidationFailure("factor function has empty support")
         f.setflags(write=False)
         self.f_values = f
-        self.f_exact = None
-        if all(isinstance(x, (int, np.integer, Fraction)) for x in vals):
-            self.f_exact = tuple(x if isinstance(x, Fraction) else Fraction(int(x)) for x in vals)
+        with np.errstate(divide="ignore"):
+            self.log_f = np.log(f)
+        self.log_f.setflags(write=False)
+        self._table = vals
         self.factor_name = factor_name
         self.support = np.flatnonzero(f > 0)
+
+    @functools.cached_property
+    def f_exact(self) -> tuple | None:
+        """The table as Fractions when every value is rational, else None."""
+        if not all(isinstance(x, numbers.Rational) for x in self._table):
+            return None
+        from fractions import Fraction
+
+        return tuple(Fraction(int(x.numerator), int(x.denominator)) for x in self._table)
 
     @functools.cached_property
     def step_s(self) -> int:
@@ -178,6 +197,8 @@ def load_factor_table(path: str, alphabet: Alphabet, r: int) -> list:
     Blank lines and #-comments are skipped.  Every word must appear
     exactly once.
     """
+    from fractions import Fraction
+
     K = len(alphabet)
     vals: list = [None] * (K**r)
     try:
@@ -255,14 +276,11 @@ def make_ensemble(l: int, r: int, alphabet: Alphabet, factor) -> EnsembleSpec:
 # brute-force oracle over all edge permutations
 
 
-@dataclass
-class PermutationOracleResult:
-    """Exact averages over every edge permutation and every assignment."""
-
-    expected_Z: Fraction | float
-    log_expected_Z: float
-    type_counts: dict
-    permutations: int
+PermutationOracleResult = namedtuple(
+    "PermutationOracleResult", "expected_Z log_expected_Z type_counts permutations")
+PermutationOracleResult.__doc__ = """Exact averages over every edge permutation and
+every assignment: E[Z] (a Fraction on an exact table, else a float), its log,
+E[N(v,u)] per (variable type, factor type) key, and the (Nl)! permutations."""
 
 
 def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
@@ -289,6 +307,8 @@ def brute_force_permutation_oracle(ensemble: EnsembleSpec, N: int, *,
     spaces past int64 are refused too.  ``permutations`` is the (Nl)! that
     the average stands for.
     """
+    from fractions import Fraction
+
     l = ensemble.l
     stubs = N * l
     M = ensemble.num_factors(N)
@@ -405,7 +425,7 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int | None,
         D = math.lcm(*(x.denominator for x in vals))
         weights = [x.numerator * (D // x.denominator) for x in vals]
     else:
-        weights = np.log(ensemble.f_values[S])
+        weights = ensemble.log_f[S]
     Vs, coefs = [], []
     for rows, coef in power_terms(ensemble.letter_counts[S, 1:], weights, M, guard=guard):
         keep = ~np.any(rows % l, axis=1)
@@ -417,6 +437,8 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int | None,
     V = np.concatenate(Vs)
     if exact:
         # multinomial(v) prod (l v_z)! / (Nl)! = prod ratio[v_z] / ratio[N]
+        from fractions import Fraction
+
         ratio = [1]  # ratio[x] = (l x)! / x!
         for x in range(1, N + 1):
             ratio.append(ratio[-1] * math.prod(range(l * x - l + 1, l * x + 1)) // x)
@@ -460,13 +482,15 @@ def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *,
 # Bethe maximization
 
 
-@dataclass
 class BetheSolution(MaximizerRecord):
     """The Bethe maximum: the shared record over letter marginals, plus the
     maximizing word measure of each co-maximizer, as the rows of one
     read-only array."""
 
-    word_measures: np.ndarray
+    def __init__(self, co_maximizers: np.ndarray, F: float, residual: float,
+                 diagnostics: dict, word_measures: np.ndarray):
+        super().__init__(co_maximizers, F, residual, diagnostics)
+        self.word_measures = word_measures
 
     @property
     def mu_star(self) -> np.ndarray:
@@ -479,10 +503,8 @@ def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray) -> np.ndarray:
     by a matrix product, so that a row rounds the same whatever else shares
     its batch."""
     loggain = (ensemble.l - 1) / ensemble.l * np.log(np.clip(nu, 1e-300, None))
-    with np.errstate(divide="ignore"):
-        logf = np.log(ensemble.f_values)
-    expo = logf + sum(loggain[..., z, None] * counts
-                      for z, counts in enumerate(ensemble.letter_counts.T))
+    expo = ensemble.log_f + sum(loggain[..., z, None] * counts
+                                for z, counts in enumerate(ensemble.letter_counts.T))
     e = np.exp(expo - expo.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -496,7 +518,7 @@ def _bethe_marginal(ensemble: EnsembleSpec, mu: np.ndarray) -> np.ndarray:
 def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray) -> float:
     lr = ensemble.l / ensemble.r
     on = mu > 0
-    flog = float(mu[on] @ np.log(ensemble.f_values[on]))
+    flog = float(mu[on] @ ensemble.log_f[on])
     return float(lr * (entropy(mu) + flog) - (ensemble.l - 1) * entropy(nu))
 
 
@@ -702,6 +724,8 @@ def step_size_methods(ensemble: EnsembleSpec) -> dict:
         in_box = [0] * l  # points of [-L, L] in each residue class
         for e in range(-L, L + 1):
             in_box[e % l] += 1
+        from fractions import Fraction
+
         out["box_density"] = Fraction(_residue_sum(A, l, in_box), (2 * L + 1) ** n)
     return out
 
@@ -741,16 +765,11 @@ def fg_asymptotic_estimate(ensemble: EnsembleSpec, N: int,
     return N * solution.F + fg_constant_log(ensemble, solution)
 
 
-@dataclass
-class LdpcResult:
-    """Expected-codeword asymptotics: count, growth rate, constant."""
-
-    N: int
-    omega: float | None
-    log_expected_count: float
-    growth_rate: float
-    log_constant: float
-    theta: float = 0.0
+LdpcResult = namedtuple("LdpcResult",
+                        "N omega log_expected_count growth_rate log_constant theta",
+                        defaults=(0.0,))
+LdpcResult.__doc__ = """Expected-codeword asymptotics: count, growth rate, constant,
+and the field theta on letter 1 (0 unless a weight fraction omega is fixed)."""
 
 
 def expected_codewords_at_weight(l: int, r: int, N: int, w: int, *,
@@ -770,7 +789,7 @@ def _weight_tilt(ensemble: EnsembleSpec, omega: float) -> tuple[float, np.ndarra
     bisection over the support finds lam to machine precision; omega must
     lie strictly inside the range of N_1/r there."""
     on = ensemble.support
-    logf, ones = np.log(ensemble.f_values[on]), ensemble.letter_counts[on, 1]
+    logf, ones = ensemble.log_f[on], ensemble.letter_counts[on, 1]
 
     def measure(lam: float) -> np.ndarray:
         expo = logf + lam * ones

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,15 +59,14 @@ DEDUP_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite set of distinct real symbol values."""
+    """Ordered finite set of distinct real symbol values, immutable; equal
+    alphabets have equal ``values``."""
 
-    values: tuple[float, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "_index")
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+    def __init__(self, values):
+        vals = tuple(float(v) for v in values)
         if len(vals) == 0:
             raise ValueError("alphabet must be nonempty")
         if not all(math.isfinite(v) for v in vals):
@@ -77,6 +75,20 @@ class Alphabet:
             raise ValueError("alphabet values must be distinct")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vals)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Alphabet is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(values={self.values!r})"
 
     def index(self, value) -> int:
         try:
@@ -536,17 +548,19 @@ def require_interior(weights) -> None:
         )
 
 
-@dataclass
 class MaximizerRecord:
     """Result of a multi-start solve: the co-maximizers, best first, and how
     the solve went.  ``co_maximizers`` is a read-only (m, K) float array, one
     measure per row.  ``diagnostics`` holds exactly ``restarts`` (starts
-    run), ``converged`` (starts that stopped) and ``iterations_best``."""
+    run), ``converged`` (starts that stopped) and ``iterations_best``.  The
+    fields are plain attributes, in that order in ``vars(record)``."""
 
-    co_maximizers: np.ndarray
-    F: float
-    residual: float
-    diagnostics: dict
+    def __init__(self, co_maximizers: np.ndarray, F: float, residual: float,
+                 diagnostics: dict):
+        self.co_maximizers = co_maximizers
+        self.F = F
+        self.residual = residual
+        self.diagnostics = diagnostics
 
     @property
     def nu_star(self) -> np.ndarray:

@@ -105,3 +105,22 @@ def test_traced_imports_load_every_wrapped_module():
                           timeout=60, env=env)
     assert len(modules) > 5
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a plain class or a named tuple: dataclasses (about 5 ms
+    # per process, with its generated classes) would load in every command
+    # that builds one.  Imports inside functions count too.
+    found = []
+    for path in sorted((ROOT / "src" / "central_approx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for module in modules
+                      if module.partition(".")[0] == "dataclasses"]
+    assert len(list((ROOT / "src" / "central_approx").glob("*.py"))) > 5
+    assert found == []

@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 
 from central_approx import acceptance, factor_graph
-from central_approx.cli import Report, _json_value, build_parser, fmt, main, parse_N_list, render
+from central_approx.cli import (
+    COMMANDS,
+    Report,
+    _json_value,
+    build_parser,
+    fmt,
+    main,
+    parse_N_list,
+    render,
+)
 from central_approx.config import load_config
 from central_approx.errors import ValidationFailure
 
@@ -57,6 +66,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _csv_report(out: str) -> tuple[dict, list[dict]]:
+    """A --format csv report's `# name = value` scalars and its table rows."""
+    lines = out.splitlines()
+    scalars = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+    return scalars, list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
 def _src_env() -> dict:
@@ -160,24 +176,32 @@ def test_command_loads_only_its_modules(argv, code, loaded):
 
 
 _NUMPY_FREE = {"numpy", "numpy.random", "dataclasses", "inspect"}
-_UNUSED_STDLIB = {"json", "csv", "fractions", "decimal"}
+_RATIONALS = {"fractions", "decimal"}
+_UNUSED_STDLIB = {"json", "csv"} | _RATIONALS
+_MODEL = {"numpy.random", "dataclasses"}
 
 
 # numpy.random costs a process about 6 MB and 15 ms; the solvers' restarts and
-# the selftest draws come from the stdlib generator.  The numpy-free commands
-# also skip dataclasses (and inspect, which it imports).  A run that reads no
-# config and prints a table loads neither json nor csv, nor fractions (with
-# decimal), which only the model modules import.
+# the selftest draws come from the stdlib generator.  No command loads
+# dataclasses: the records are plain classes and named tuples (the numpy-free
+# commands skip inspect too, which numpy imports).  A run that reads no
+# config and prints a table loads neither json nor csv, and fractions (with
+# decimal) loads only where a rational is built: an exact sum, a table file,
+# a dense model's symmetry check, the selftest's checks.
 @pytest.mark.parametrize("argv, absent", [
     pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"],
-                 {"numpy.random"}, id="fg-compare"),
+                 _MODEL, id="fg-compare"),
     pytest.param(["dense-compare", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
-                 {"numpy.random"}, id="dense-compare"),
-    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], {"numpy.random"},
+                 _MODEL, id="dense-compare"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], _MODEL,
                  id="clt-cov-dense"),
     pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "factor"],
-                 {"numpy.random"}, id="clt-cov-fg"),
-    pytest.param(["selftest"], {"numpy.random"}, id="selftest"),
+                 _MODEL | _RATIONALS, id="clt-cov-fg"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json")],
+                 _MODEL | _RATIONALS, id="clt-cov-fg-variable"),
+    pytest.param(["ldpc-codewords", "--l", "3", "--r", "6", "--N", "60", "--omega", "0.3"],
+                 _MODEL | _RATIONALS, id="ldpc-omega"),
+    pytest.param(["selftest"], _MODEL, id="selftest"),
     pytest.param(["--help"], _NUMPY_FREE | _UNUSED_STDLIB, id="help"),
     pytest.param(["sk", "--beta", "0.5", "--N", "1000"], _NUMPY_FREE | _UNUSED_STDLIB, id="sk"),
     pytest.param(["rs-det", "--config", str(_CONFIGS / "sk_pqr.json")], _NUMPY_FREE,
@@ -201,6 +225,20 @@ def test_command_leaves_heavy_modules_unloaded(argv, absent):
                           text=True, timeout=120, env=_src_env(), cwd=ROOT)
     assert proc.stdout, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []], proc.stderr
+
+
+def test_exact_sum_on_a_rational_table_loads_fractions():
+    # the (3,6) parity table is rational, so fg-compare's exact sum builds one
+    script = (
+        "import sys, io, contextlib, central_approx.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, 'fractions' in sys.modules)\n"
+    )
+    argv = ["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env=_src_env(), cwd=ROOT)
+    assert proc.stdout == "0 True\n", proc.stderr
 
 
 def test_package_import_is_lazy():
@@ -531,6 +569,48 @@ def test_overflowing_pair_products_stay_exact_without_coupling(capsys, tmp_path)
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("g", [{"kind": "zero"}, {"kind": "quadratic", "lam": 0}],
+                         ids=["zero", "lam-0"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_uncoupled_model_past_the_float_range_has_constant_zero(capsys, tmp_path, n, g):
+    # with g = 0 the Gaussian factor is exactly 1 and needs no pair covariance,
+    # which the overflowed pair product leaves infinite: the route commands
+    # print N n log 2 and ratio 1, the type covariance is the multinomial one,
+    # and only the overlap covariance, which is that pair covariance, exits 3
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "model": "dense", "n": n, "alphabet": [1e200, 0], "g": g}))
+    cfg = ["--config", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compare = run_cli(capsys, "dense-compare", *cfg, "--N", "10,20", "--format", "csv")
+        asymptotic = run_cli(capsys, "dense-asymptotic", *cfg, "--N", "10", "--format", "csv")
+        types = run_cli(capsys, "clt-cov", *cfg, "--format", "csv")
+        overlaps = run_cli(capsys, "clt-cov", *cfg, "--kind", "overlap")
+    assert not caught, [str(w.message) for w in caught]
+    code, out, err = compare
+    assert (code, err) == (0, "")
+    scalars, rows = _csv_report(out)
+    assert scalars["log_constant"] == "0" and float(scalars["F"]) == pytest.approx(n * math.log(2))
+    assert [row["ratio"] for row in rows] == ["1", "1"]
+    assert [float(row["log_exact"]) for row in rows] == pytest.approx(
+        [10 * n * math.log(2), 20 * n * math.log(2)], rel=1e-12)
+    code, out, err = asymptotic
+    assert (code, err) == (0, "")
+    scalars, _ = _csv_report(out)
+    assert (scalars["log_constant"], scalars["det"]) == ("0", "1")
+    code, out, err = types
+    assert (code, err) == (0, "")
+    scalars, rows = _csv_report(out)
+    K = 2**n  # the multinomial covariance diag(w) - w w^T at the uniform w
+    assert (scalars["dim"], scalars["rank"]) == (str(K), str(K - 1))
+    assert [float(row["value"]) for row in rows] == pytest.approx(
+        [(1 / K if row["row"] == row["col"] else 0) - 1 / K**2 for row in rows], abs=1e-12)
+    code, out, err = overlaps
+    assert (code, out, len(err.splitlines())) == (3, "", 1), err
+    assert err.startswith("numerical failure: pair covariance U' - U is not finite")
+
+
 def test_fg_flags_equal_config(capsys, fg_config):
     by_flags = run_cli(capsys, "fg-compare", "--l", "3", "--r", "6",
                        "--factor", "parity", "--N", "20")
@@ -618,6 +698,57 @@ def test_route_commands_take_only_their_flags(capsys, argv, parses):
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _parser_exit(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of an argv that argparse ends itself."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+# main builds the flags of the named command alone; what argparse prints must
+# be what a parser with every command's flags prints
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h", "sk"], [], ["nope"], ["nope", "sk"], ["--bogus", "sk", "--N", "2"],
+    *([name, "--help"] for name in COMMANDS),
+    ["fg-compare", "--l", "3"], ["dense-exact", "--config", "cw.json"], ["ldpc-codewords"],
+    ["sk", "--beta", "x", "--N", "3"], ["sk", "--beta", "1", "--N", "2", "--format", "xml"],
+    ["fg-asymptotic", *_FG_ARGV, "--allow-large"],
+], ids=" ".join)
+def test_parser_prints_what_a_full_build_prints(capsys, argv):
+    full = _parser_exit(capsys, build_parser().parse_args, argv)
+    assert _parser_exit(capsys, main, argv) == full
+    code, out, err = full
+    if "--help" in argv or "-h" in argv:
+        assert (code, err) == (0, "") and out.startswith("usage: central-approx")
+    else:
+        assert (code, out) == (2, "") and "central-approx" in err
+
+
+def test_parser_errors_keep_their_messages(capsys):
+    code, _, err = _parser_exit(capsys, main, ["nope"])
+    assert code == 2 and err.endswith(
+        "error: argument command: invalid choice: 'nope' (choose from "
+        + ", ".join(map(repr, COMMANDS)) + ")\n")
+    code, _, err = _parser_exit(capsys, main, ["fg-compare", "--l", "3"])
+    assert code == 2 and err.endswith(
+        "central-approx fg-compare: error: the following arguments are required: --N\n")
+
+
+def test_main_builds_only_the_named_commands_flags(monkeypatch):
+    # each add_argument call builds a HelpFormatter: -h for the top level and
+    # for each command, then sk's two flags and the three output flags
+    import argparse
+
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **kw: calls.append(a) or add_argument(self, *a, **kw))
+    assert main(["sk", "--beta", "0.5", "--N", "10", "--out", os.devnull]) == 0
+    flags = [a for a in calls if a != ("-h", "--help")]
+    assert len(calls) - len(flags) == 1 + len(COMMANDS)
+    assert flags == [("--beta",), ("--N",), ("--format",), ("--out",), ("--seed",)]
 
 
 def test_fg_table_factor(capsys, tmp_path):

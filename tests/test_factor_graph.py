@@ -132,6 +132,51 @@ def test_parity_support_is_even_weight_words():
     assert sorted(weights) == [0, 2, 2, 2, 2, 2, 2, 4]
 
 
+def _eager_f_exact(table):
+    """f_exact as the ensemble built it at construction before it became lazy."""
+    vals = list(table)
+    if all(isinstance(x, (int, np.integer, Fraction)) for x in vals):
+        return tuple(x if isinstance(x, Fraction) else Fraction(int(x)) for x in vals)
+    return None
+
+
+@pytest.mark.parametrize("table", [
+    [1, 0, 2, 3],
+    [True, False, True, True],
+    np.array([1, 0, 2, 3], dtype=np.int64),
+    np.array([1, 0, 2, 3], dtype=np.int32),
+    [Fraction(1, 3), 0, Fraction(5, 2), 2],
+    [1, 0, 2.0, 3],
+    [1, 0, np.float64(2), 3],
+    [Fraction(1, 3), 0, 0.5, 2],
+], ids=["int", "bool", "int64", "int32", "fraction", "float", "np-float", "fraction-float"])
+def test_lazy_f_exact_equals_the_eager_tuple(table):
+    ens = make_ensemble(2, 2, BINARY, table)
+    want = _eager_f_exact(table)
+    assert ens.f_exact == want
+    assert (want is None) == any(isinstance(x, float) for x in table)
+    if want is not None:
+        assert all(type(x) is Fraction and type(x.numerator) is int for x in ens.f_exact)
+    assert ens.f_exact is ens.f_exact  # built once
+
+
+def test_lazy_f_exact_on_a_table_file_and_a_named_factor(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("0 0 2\n0 1 1/3\n1 0 0.25\n1 1 0\n")
+    ens = make_ensemble(2, 2, BINARY, f"table:{path}")
+    assert ens.f_exact == _eager_f_exact(load_factor_table(str(path), BINARY, 2)) == (
+        Fraction(2), Fraction(1, 3), Fraction(1, 4), Fraction(0))
+    parity = make_ensemble(3, 6, BINARY, "parity")
+    assert parity.f_exact == _eager_f_exact(parity.f_values.astype(np.int64))
+
+
+def test_log_f_is_the_log_of_the_table():
+    ens = make_ensemble(2, 2, TERNARY, [0.5, 0, 2, 1, 3, 0, 0.25, 1, 7])
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(ens.log_f, np.log(ens.f_values))
+    assert not ens.log_f.flags.writeable
+
+
 # -------------------------------------------------- expected type counts
 
 def test_single_symbol_type_count_is_one():

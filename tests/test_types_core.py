@@ -70,6 +70,17 @@ def test_alphabet_basicindexing():
         a.index(0.5)
 
 
+def test_alphabet_is_a_value():
+    # a plain class with the value semantics of the frozen record it replaced
+    a = Alphabet((0, 1))
+    assert a.values == (0.0, 1.0) and a == Alphabet(values=[0.0, 1.0])
+    assert hash(a) == hash(Alphabet((0.0, 1.0))) and a != Alphabet((1.0, 0.0))
+    assert repr(a) == "Alphabet(values=(0.0, 1.0))"
+    for name in ("values", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (2.0,))
+
+
 def test_alphabet_rejects_duplicates_and_nonfinite():
     with pytest.raises(ValueError):
         Alphabet((1.0, 1.0))
