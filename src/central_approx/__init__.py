@@ -25,7 +25,6 @@ _EXPORTS = {
     "exact_type_sum": "dense",
     "solve_variational": "dense",
     "central_approx_constant": "dense",
-    "asymptotic_estimate": "dense",
     "RSParams": "replica_rs",
     "rs_determinant": "replica_rs",
     "rs_correction_n0": "replica_rs",

@@ -18,7 +18,8 @@ command never loads the factor-graph code.  The json and csv modules load
 only for the format that uses them.  The verbs cmd_exact, cmd_asymptotic
 and cmd_compare serve both models: each reads --N, then ``_route`` builds
 the dense or factor-graph model the command names, so a bad size list exits
-2 before any model is built.
+2 before any model is built.  Both models' asymptotics come as one record,
+types_core.CentralApprox, which the verbs read alike.
 The four that run an exact sum (``*-exact``, ``*-compare``) take one switch,
 --allow-large, which lifts the sum's guard; a config sets that guard with
 its one ``guard`` key.
@@ -186,47 +187,34 @@ def _rs_params(args):
 
 # ------------------------------------------------------------- subcommands
 
-def _compare_report(command: str, F: float, log_constant: float, Ns, log_exact) -> Report:
-    """Scalars F and log_constant; per N the exact and asymptotic logs and their ratio."""
-    rep = Report(command)
-    rep.scalar("F", F)
-    rep.scalar("log_constant", log_constant)
-    rows = []
-    for N in Ns:
-        exact = log_exact(N)
-        est = N * F + log_constant
-        rows.append((N, exact, est, math.exp(exact - est)))
-    rep.table(["N", "log_exact", "log_asymptotic", "ratio"], rows)
-    return rep
-
-
 def _route(args, Ns):
     """``(exact, solve)`` of the model a ``dense-*`` or ``fg-*`` command names:
     ``exact(N)`` is the exact log sum under the config's ``guard``, or none
-    under --allow-large; ``solve()`` gives F, log_constant and the ``(name,
+    under --allow-large; ``solve()`` solves the model once and gives its
+    central-approximation record (types_core.CentralApprox) and the ``(name,
     value)`` scalar that ``*-asymptotic`` adds (``det``, or the step size
-    ``s``), each computed once.  An fg route first refuses every N not admitted."""
-    if args.command.startswith("dense-"):
+    ``s``).  An fg route first refuses every N not admitted."""
+    dense = args.command.startswith("dense-")
+    if dense:
         cfg = _model_config(args.config, "dense")
         model = build_dense(cfg)
-        from .dense import central_approx_constant, exact_type_sum as exact, solve_variational
-
-        def solve():
-            result = central_approx_constant(model, solve_variational(model, seed=args.seed))
-            return result.F, result.log_constant, ("det", result.det_value)
+        from .dense import central_approx_constant as constant
+        from .dense import exact_type_sum as exact, solve_variational as solver
     else:
         model, cfg = _ensemble_from_args(args)
         for N in Ns:
             model.require_admissible(N)
-        from .factor_graph import exact_expected_Z as exact, fg_constant_log, solve_bethe
-
-        def solve():
-            sol = solve_bethe(model, seed=args.seed)
-            return sol.F, fg_constant_log(model, sol), ("s", model.step_s)
+        from .factor_graph import exact_expected_Z as exact, fg_constant_log as constant
+        from .factor_graph import solve_bethe as solver
     if getattr(args, "allow_large", False):
         kw = {"guard": None}
     else:
         kw = {"guard": int(cfg["guard"])} if "guard" in cfg else {}
+
+    def solve():
+        approx = constant(model, solver(model, seed=args.seed))
+        return approx, ("det", approx.det_value) if dense else ("s", model.step_s)
+
     return lambda N: exact(model, N, **kw), solve
 
 
@@ -240,20 +228,29 @@ def cmd_exact(args) -> Report:
 
 def cmd_asymptotic(args) -> Report:
     Ns = parse_N_list(args.N)
-    F, log_constant, scalar = _route(args, Ns)[1]()
+    approx, scalar = _route(args, Ns)[1]()
     rep = Report(args.command)
-    rep.scalar("F", F)
-    rep.scalar("log_constant", log_constant)
+    rep.scalar("F", approx.F)
+    rep.scalar("log_constant", approx.log_constant)
     rep.scalar(*scalar)
-    rep.table(["N", "log_asymptotic"], [(N, N * F + log_constant) for N in Ns])
+    rep.table(["N", "log_asymptotic"], [(N, approx.at(N)) for N in Ns])
     return rep
 
 
 def cmd_compare(args) -> Report:
+    """Scalars F and log_constant; per N the exact and asymptotic logs and their ratio."""
     Ns = parse_N_list(args.N)
     exact, solve = _route(args, Ns)
-    F, log_constant, _ = solve()
-    return _compare_report(args.command, F, log_constant, Ns, exact)
+    approx, _ = solve()
+    rep = Report(args.command)
+    rep.scalar("F", approx.F)
+    rep.scalar("log_constant", approx.log_constant)
+    rows = []
+    for N in Ns:
+        log_exact, est = exact(N), approx.at(N)
+        rows.append((N, log_exact, est, math.exp(log_exact - est)))
+    rep.table(["N", "log_exact", "log_asymptotic", "ratio"], rows)
+    return rep
 
 
 def cmd_rs_det(args) -> Report:
@@ -315,15 +312,15 @@ def cmd_ldpc(args) -> Report:
         rep.scalar("omega", args.omega)
     Ns = parse_N_list(args.N)
     from .factor_graph import ldpc_expected_codewords, make_ensemble
-    from .types_core import Alphabet
+    from .types_core import Alphabet, CentralApprox
 
     ens = make_ensemble(args.l, args.r, Alphabet((0.0, 1.0)), "parity")
     for N in Ns:
         ens.require_admissible(N)
     # growth rate, constant and tilt do not depend on N: solve once
     res = ldpc_expected_codewords(args.l, args.r, Ns[0], omega=args.omega)
-    rows = [(N, N * res.growth_rate + res.log_constant, res.growth_rate,
-             res.log_constant, res.theta) for N in Ns]
+    approx = CentralApprox(res.growth_rate, res.log_constant, None)
+    rows = [(N, approx.at(N), res.growth_rate, res.log_constant, res.theta) for N in Ns]
     rep.table(["N", "log_expected_count", "growth_rate", "log_constant", "theta"], rows)
     return rep
 

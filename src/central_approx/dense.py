@@ -11,9 +11,10 @@ Two routes are provided:
 
 * ``exact_type_sum``: the sum from the generating function of the
   pair-product sums, feasible into the thousands of sites;
-* ``asymptotic_estimate``: N F plus the log of the Gaussian constant
-  factor coming from the curvature of the type sum at its maximizing
-  measure.
+* ``central_approx_constant``: the central-approximation record
+  (types_core.CentralApprox) at the maximizing measure of
+  ``solve_variational``, whose ``at(N)`` is N F plus the log of the
+  Gaussian constant factor coming from the curvature of the type sum there.
 
 Pair coordinates are ordered (a, b) with a <= b, lexicographically:
 (1,1), (1,2), ..., (1,n), (2,2), ..., (n,n) (1-based in documentation,
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict, namedtuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,10 +32,11 @@ from .errors import GuardError, NumericalFailure
 from .types_core import (
     RESTARTS,
     Alphabet,
+    CentralApprox,
     MaximizerRecord,
+    central_approx,
     dirichlet_starts,
     entropy,
-    log_gaussian_sum,
     log_multinomial_rows,
     logsumexp,
     power_terms,
@@ -67,10 +67,13 @@ class PolyOverlap:
     order come from one routine, ``derivative_batch``.
 
     ``terms`` is a sequence of (coefficient, powers) where powers maps a
-    pair position (index into pair_indices(n)) to a nonnegative exponent;
-    a term with coefficient 0 is dropped, so a g with no coupling has no
-    terms.  g must be invariant under simultaneous replica permutations;
-    model construction checks this exactly on the canonical terms.
+    pair position (index into pair_indices(n)) to a nonnegative exponent.
+    Each monomial's coefficients are summed once, exactly: ``canonical`` maps
+    it to that sum times 2^1074 (an integer, as every float is a multiple of
+    2^-1074) and ``terms`` keeps the sum rounded to a float, in first-seen
+    order; a zero sum is dropped, so a g with no coupling has no terms.  g
+    must be invariant under simultaneous replica permutations; model
+    construction checks this exactly on ``canonical``.
     """
 
     def __init__(self, n: int, terms):
@@ -78,7 +81,7 @@ class PolyOverlap:
             raise ValueError("need n >= 1")
         self.n = n
         self.n_pairs = n * (n + 1) // 2
-        cleaned = []
+        exact: dict = {}
         for coef, powers in terms:
             pw = {int(k): int(v) for k, v in dict(powers).items() if int(v) != 0}
             for k in pw:
@@ -87,9 +90,14 @@ class PolyOverlap:
             coef = float(coef)
             if not math.isfinite(coef):
                 raise ValueError(f"coefficient {coef} is not finite")
-            if coef:  # a zero coefficient adds nothing; no terms means no coupling
-                cleaned.append((coef, tuple(sorted(pw.items()))))
-        self.terms = tuple(cleaned)
+            num, den = coef.as_integer_ratio()
+            key = tuple(sorted(pw.items()))
+            exact[key] = exact.get(key, 0) + num * (1 << 1074) // den
+        self.canonical = {powers: c for powers, c in exact.items() if c}
+        try:
+            self.terms = tuple((c / (1 << 1074), powers) for powers, c in self.canonical.items())
+        except OverflowError:
+            raise ValueError("a monomial's coefficients sum past the float range") from None
 
     @classmethod
     def zero(cls, n: int) -> "PolyOverlap":
@@ -206,15 +214,11 @@ class DenseModelSpec:
         self._check_g_symmetry()
 
     def _check_g_symmetry(self):
-        """ValueError unless g's canonical terms (monomial -> exact coefficient,
-        equal monomials merged, zero coefficients dropped) are unchanged by
-        each adjacent replica transposition; these generate every replica
-        permutation."""
+        """ValueError unless g's canonical terms (PolyOverlap.canonical: each
+        monomial's exact coefficient) are unchanged by each adjacent replica
+        transposition; these generate every replica permutation."""
         pos = {pair: k for k, pair in enumerate(self.pair_list)}
-        merged = defaultdict(Fraction)
-        for coef, powers in self.g.terms:
-            merged[powers] += Fraction(coef)
-        terms = {powers: coef for powers, coef in merged.items() if coef != 0}
+        terms = self.g.canonical
         for t in range(self.n - 1):
             swap = {t: t + 1, t + 1: t}
             image = [pos[tuple(sorted((swap.get(a, a), swap.get(b, b))))]
@@ -315,30 +319,17 @@ def dense_fluctuation(spec: DenseModelSpec, nu_star) -> tuple[np.ndarray, np.nda
     return cov, spec.g.hessian(q)
 
 
-CentralApproxResult = namedtuple("CentralApproxResult", "F log_constant det_value")
-CentralApproxResult.__doc__ = """Exponent and Gaussian constant factor of the type sum;
-``det_value`` is the determinant at the best co-maximizer."""
-
-
 def central_approx_constant(spec: DenseModelSpec,
-                            solution: MaximizerRecord) -> CentralApproxResult:
-    """Gaussian constant factor det(I - D2g (U' - U))^{-1/2}, summed over the
-    co-maximizers (log_gaussian_sum); raises at a boundary maximizer, or where
-    a co-maximizer is singular or not a maximum (types_core.fluctuation_root).
+                            solution: MaximizerRecord) -> CentralApprox:
+    """The central approximation of the type sum (types_core.central_approx):
+    F, and the Gaussian constant factor det(I - D2g (U' - U))^{-1/2} summed
+    over the co-maximizers; raises at a boundary maximizer, or where a
+    co-maximizer is singular or not a maximum (types_core.fluctuation_root).
     With no coupling term D2g = 0, so each factor is exactly 1 and no pair
     covariance is built (one past the float range would not be finite)."""
     if not spec.g.terms:
         for nu in solution.co_maximizers:
             require_interior(nu)
-        return CentralApproxResult(solution.F, math.log(len(solution.co_maximizers)), 1.0)
-    log_constant, dets = log_gaussian_sum(
-        dense_fluctuation(spec, nu) for nu in solution.co_maximizers)
-    return CentralApproxResult(solution.F, log_constant, dets[0])
-
-
-def asymptotic_estimate(spec: DenseModelSpec, N: int,
-                        result: CentralApproxResult | None = None) -> float:
-    """N F + log constant: the central-approximation estimate of the log sum."""
-    if result is None:
-        result = central_approx_constant(spec, solve_variational(spec))
-    return N * result.F + result.log_constant
+        return CentralApprox(solution.F, math.log(len(solution.co_maximizers)), 1.0)
+    return central_approx(solution.F,
+                          (dense_fluctuation(spec, nu) for nu in solution.co_maximizers))

@@ -39,10 +39,11 @@ from .errors import GuardError, NonConvergenceError, ValidationFailure
 from .types_core import (
     RESTARTS,
     Alphabet,
+    CentralApprox,
     MaximizerRecord,
+    central_approx,
     dirichlet_starts,
     entropy,
-    log_gaussian_sum,
     log_factorials,
     log_multinomial_rows,
     logsumexp,
@@ -747,22 +748,25 @@ def lattice_step_s(ensemble: EnsembleSpec) -> int:
 # asymptotic estimate and the LDPC application
 
 
-def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> float:
-    """log of the N-free constant: l^((K-1)/2) / s * the sum over the
-    co-maximizers of det(I - C(V'-V))^(-1/2) (log_gaussian_sum)."""
-    log_sum, _ = log_gaussian_sum(fg_fluctuation(ensemble, mu, nu) for mu, nu
-                                  in zip(solution.word_measures, solution.co_maximizers))
-    K = len(ensemble.alphabet)
-    return 0.5 * (K - 1) * math.log(ensemble.l) - math.log(ensemble.step_s) + log_sum
+def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> CentralApprox:
+    """The central approximation at the Bethe maximum (types_core.central_approx):
+    F, and the log of the N-free constant, the lattice factor l^((K-1)/2) / s
+    (its log is ``lattice_log``) times the sum over the co-maximizers of
+    det(I - C(V'-V))^(-1/2).  The name is older than the record, which it now
+    returns: perfbench/traced.py times this function by name, so renaming it
+    is a benchmark change."""
+    return central_approx(
+        solution.F,
+        (fg_fluctuation(ensemble, mu, nu)
+         for mu, nu in zip(solution.word_measures, solution.co_maximizers)),
+        0.5 * (len(ensemble.alphabet) - 1) * math.log(ensemble.l) - math.log(ensemble.step_s))
 
 
 def fg_asymptotic_estimate(ensemble: EnsembleSpec, N: int,
                            solution: BetheSolution | None = None) -> float:
-    """log E[Z] up to (1+o(1)): N F + the constant term."""
+    """log E[Z] up to (1+o(1)): the record's at(N), solving if no solution is given."""
     ensemble.require_admissible(N)
-    if solution is None:
-        solution = solve_bethe(ensemble)
-    return N * solution.F + fg_constant_log(ensemble, solution)
+    return fg_constant_log(ensemble, solution or solve_bethe(ensemble)).at(N)
 
 
 LdpcResult = namedtuple("LdpcResult",
@@ -837,9 +841,8 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
     ens = make_ensemble(l, r, Alphabet((0.0, 1.0)), "parity")
     ens.require_admissible(N)
     if omega is None:
-        sol = solve_bethe(ens)
-        const = fg_constant_log(ens, sol)
-        return LdpcResult(N, None, N * sol.F + const, sol.F, const)
+        approx = fg_constant_log(ens, solve_bethe(ens))
+        return LdpcResult(N, None, approx.at(N), approx.F, approx.log_constant)
     if not 0.0 <= omega <= 1.0:
         raise ValidationFailure(f"weight fraction must lie in [0, 1], got {omega:g}")
     omega_max = float(np.max(ens.letter_counts[ens.support, 1])) / r
@@ -859,6 +862,7 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
     nu = np.array([1.0 - omega, omega])
     growth = _bethe_objective(ens, nu, mu)
     theta = l * lam - (l - 1) * math.log(omega / (1.0 - omega))
-    # the one pair, all that fg_constant_log reads
-    const = fg_constant_log(ens, SimpleNamespace(co_maximizers=[nu], word_measures=[mu]))
-    return LdpcResult(N, omega, N * growth + const, growth, const, theta)
+    # the one pair and its growth rate, all that fg_constant_log reads
+    approx = fg_constant_log(ens, SimpleNamespace(F=growth, co_maximizers=[nu],
+                                                  word_measures=[mu]))
+    return LdpcResult(N, omega, approx.at(N), approx.F, approx.log_constant, theta)

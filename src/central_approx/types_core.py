@@ -18,8 +18,8 @@ the dense and factor-graph sides share:
 * the multi-start solve shared by the variational and Bethe solvers (batched
   fixed-point loop with one stop rule from RESTARTS + 1 starts, co-maximizer
   selection, one result record), the one boundary rule for a maximizer
-  (``require_interior``), and the Gaussian constant summed over the
-  co-maximizers.
+  (``require_interior``), and both models' central-approximation record
+  ``CentralApprox`` (``at(N)`` is N F + log C), built by ``central_approx``.
 
 A measure is a plain float row, nonnegative and summing to one by
 construction of the solver that returns it; the co-maximizers of a solve are
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -631,13 +632,21 @@ def solve_multistart(starts: np.ndarray, fmap, objectives) -> MaximizerRecord:
     )
 
 
-def log_gaussian_sum(fluctuations) -> tuple[float, list[float]]:
-    """log sum_m det(I - B_m M_m)^(-1/2) over (M_m, B_m) pairs, the covariance
-    and the curvature at each co-maximizer, best first.
+class CentralApprox(namedtuple("CentralApprox", "F log_constant det_value")):
+    """log E[Z] = N F + log_constant + o(1): the growth rate, the log of the
+    N-free constant, and det(I - B M) at the best co-maximizer."""
+    __slots__ = ()
 
-    Returns the log sum and the determinants (det, once per pair), best
-    first.  Raises ATInstabilityError where a pair is singular or not a
-    maximum; the builders of the pairs apply require_interior.
-    """
+    def at(self, N: int) -> float:
+        return N * self.F + self.log_constant
+
+
+def central_approx(F: float, fluctuations, lattice_log: float = 0.0) -> CentralApprox:
+    """The record for growth rate F and the (M_m, B_m) pairs (covariance and
+    curvature) at the co-maximizers, best first: log_constant is lattice_log
+    (the model's N-free lattice term) + log sum_m det(I - B_m M_m)^(-1/2).
+    ATInstabilityError where a pair is singular or not a maximum; the
+    builders of the pairs apply require_interior."""
     dets = [det(cov, curvature) for cov, curvature in fluctuations]
-    return logsumexp([-0.5 * math.log(d) for d in dets]), dets
+    return CentralApprox(F, lattice_log + logsumexp([-0.5 * math.log(d) for d in dets]),
+                         dets[0])

@@ -91,6 +91,26 @@ def test_traced_benchmark_names_resolve():
     assert missing == []
 
 
+def test_record_reference_names_resolve():
+    # perfbench/record_reference.py imports from the package inside its
+    # functions (read with ast, since the script needs perfbench's modules on
+    # the path), and --scan-seeds reads a solution's unique and boundary
+    tree = ast.parse((ROOT / "perfbench" / "record_reference.py").read_text(encoding="utf-8"))
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("central_approx")
+             for alias in node.names]
+    assert ("central_approx.factor_graph", "fg_asymptotic_estimate") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+    from central_approx.factor_graph import make_ensemble, solve_bethe
+    from central_approx.types_core import Alphabet
+
+    solution = solve_bethe(make_ensemble(3, 6, Alphabet((0.0, 1.0)), "parity"))
+    assert (solution.unique, solution.boundary) == (True, False)
+
+
 def test_traced_imports_load_every_wrapped_module():
     # traced.py reads each wrapped module from sys.modules after only its own
     # imports, so those imports must load every module it wraps; a module the

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from central_approx import acceptance, factor_graph
+from central_approx import acceptance, dense, factor_graph
 from central_approx.cli import (
     COMMANDS,
     Report,
@@ -186,15 +186,22 @@ _MODEL = {"numpy.random", "dataclasses"}
 # dataclasses: the records are plain classes and named tuples (the numpy-free
 # commands skip inspect too, which numpy imports).  A run that reads no
 # config and prints a table loads neither json nor csv, and fractions (with
-# decimal) loads only where a rational is built: an exact sum, a table file,
-# a dense model's symmetry check, the selftest's checks.
+# decimal) loads only where a rational is built: an exact sum over a rational
+# table, a table file, the selftest's checks.  A dense model's symmetry check
+# sums g's coefficients as integers, so no dense command loads it.
 @pytest.mark.parametrize("argv, absent", [
     pytest.param(["fg-compare", "--config", str(_CONFIGS / "parity36.json"), "--N", "12"],
                  _MODEL, id="fg-compare"),
     pytest.param(["dense-compare", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
-                 _MODEL, id="dense-compare"),
-    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], _MODEL,
+                 _MODEL | _RATIONALS, id="dense-compare"),
+    pytest.param(["dense-exact", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
+                 _MODEL | _RATIONALS, id="dense-exact"),
+    pytest.param(["dense-asymptotic", "--config", str(_CONFIGS / "cw.json"), "--N", "10"],
+                 _MODEL | _RATIONALS, id="dense-asymptotic"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json")], _MODEL | _RATIONALS,
                  id="clt-cov-dense"),
+    pytest.param(["clt-cov", "--config", str(_CONFIGS / "cw.json"), "--kind", "overlap"],
+                 _MODEL | _RATIONALS, id="clt-cov-dense-overlap"),
     pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json"), "--kind", "factor"],
                  _MODEL | _RATIONALS, id="clt-cov-fg"),
     pytest.param(["clt-cov", "--config", str(_CONFIGS / "parity36.json")],
@@ -569,8 +576,11 @@ def test_overflowing_pair_products_stay_exact_without_coupling(capsys, tmp_path)
     assert not caught, [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("g", [{"kind": "zero"}, {"kind": "quadratic", "lam": 0}],
-                         ids=["zero", "lam-0"])
+@pytest.mark.parametrize("g", [
+    {"kind": "zero"}, {"kind": "quadratic", "lam": 0},
+    # +1 and -1 on one monomial sum to exactly 0, so g has no terms
+    {"kind": "poly", "terms": [{"coef": 1, "powers": {"0": 2}}, {"coef": -1, "powers": {"0": 2}}]},
+], ids=["zero", "lam-0", "cancelling"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_uncoupled_model_past_the_float_range_has_constant_zero(capsys, tmp_path, n, g):
     # with g = 0 the Gaussian factor is exactly 1 and needs no pair covariance,
@@ -698,6 +708,31 @@ def test_route_commands_take_only_their_flags(capsys, argv, parses):
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_CW_TWO_SIZES = ["--config", str(_CONFIGS / "cw.json"), "--N", "10,20"]
+_PARITY_TWO_SIZES = ["--l", "3", "--r", "6", "--factor", "parity", "--N", "12,24"]
+
+
+@pytest.mark.parametrize("command", ["dense-compare", "dense-asymptotic",
+                                     "fg-compare", "fg-asymptotic"])
+def test_route_commands_solve_once_and_build_one_record(capsys, monkeypatch, command):
+    # the route solves once and builds one record, which every N and scalar reads
+    if command.startswith("dense-"):
+        argv, module = _CW_TWO_SIZES, dense
+        solver, constant = "solve_variational", "central_approx_constant"
+    else:
+        argv, module = _PARITY_TWO_SIZES, factor_graph
+        solver, constant = "solve_bethe", "fg_constant_log"
+    calls = {solver: 0, constant: 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run_cli(capsys, command, *argv)[0] == 0
+    assert calls == {solver: 1, constant: 1}
 
 
 def _parser_exit(capsys, parse, argv) -> tuple:

@@ -24,7 +24,6 @@ from central_approx.types_core import FIXED_POINT_TOL, Alphabet, MaximizerRecord
 from central_approx.dense import (
     DenseModelSpec,
     PolyOverlap,
-    asymptotic_estimate,
     central_approx_constant,
     dense_fluctuation,
     distinct_pair_positions,
@@ -128,6 +127,19 @@ def test_poly_overlap_rejects_non_finite_coefficient(coef):
         PolyOverlap(1, [(coef, {0: 2})])
 
 
+def test_poly_overlap_sums_each_monomial_once_exactly():
+    # in first-seen order; 1 + 1e-16 + 1e-16 is 1 in floats, left to right,
+    # but the exact sum rounds to the next float up; +1 and -1 cancel
+    g = PolyOverlap(2, [(1.0, {0: 2}), (0.5, {1: 1, 2: 1}), (1e-16, {0: 2}), (1e-16, {0: 2}),
+                        (1.0, {2: 2}), (-1.0, {2: 2, 1: 0})])
+    assert g.terms == ((1.0000000000000002, ((0, 2),)), (0.5, ((1, 1), (2, 1))))
+    assert g.canonical == {((0, 2),): (1 << 1074) + 2 * (Fraction(1e-16) * 2**1074),
+                           ((1, 1), (2, 1)): 1 << 1073}
+    assert PolyOverlap(1, [(1.0, {0: 2}), (-1.0, {0: 2})]).terms == ()
+    with pytest.raises(ValueError, match="past the float range"):
+        PolyOverlap(1, [(1e308, {0: 2}), (1e308, {0: 2})])
+
+
 def test_analytic_derivatives_match_finite_differences():
     # derivative self-check at 100 random points, 1e-6 relative
     rng = np.random.default_rng(5)
@@ -193,6 +205,9 @@ SK3 = list(PolyOverlap.pairwise_square(3, 0.5).terms)  # (coef, powers), coef 0.
     pytest.param(4, [(1.0, {1: 2}), (1.0, {8: 2})], id="two-disjoint-pairs"),
     # one coefficient off by 1e-13 relative, within a 1e-10 sampling tolerance
     pytest.param(3, [(SK3[0][0] * (1 + 1e-13), SK3[0][1])] + SK3[1:], id="sk-skewed-1e-13"),
+    # q_11^2 + (1 + 1e-30) q_22^2: both float coefficients round to 1, the
+    # exact sums differ
+    pytest.param(2, [(1.0, {0: 2}), (1.0, {2: 2}), (1e-30, {2: 2})], id="split-off-by-1e-30"),
 ])
 def test_g_symmetry_check_rejects_asymmetric_coupling(n, terms):
     with pytest.raises(ValueError, match="invariant"):
@@ -388,7 +403,7 @@ def test_ratio_convergence_cw(cw_spec, cw_solution):
     gaps = {}
     for N in (100, 200, 400, 800):
         ts = exact_type_sum(cw_spec, N)
-        est = asymptotic_estimate(cw_spec, N, res)
+        est = res.at(N)
         gaps[N] = abs(math.exp(ts - est) - 1.0)
     assert gaps[400] < gaps[100]
     assert gaps[800] < gaps[200]
@@ -403,7 +418,7 @@ def test_ratio_exact_for_constant_overlap():
     assert res.log_constant == pytest.approx(0.0, abs=1e-14)
     for N in (5, 50):
         ts = exact_type_sum(spec, N)
-        assert ts == pytest.approx(asymptotic_estimate(spec, N, res), abs=1e-12)
+        assert ts == pytest.approx(res.at(N), abs=1e-12)
 
 
 def test_ratio_convergence_two_replica():
@@ -414,7 +429,7 @@ def test_ratio_convergence_two_replica():
     gaps = {}
     for N in (100, 200, 400):
         ts = exact_type_sum(spec, N)
-        gaps[N] = abs(math.exp(ts - asymptotic_estimate(spec, N, res)) - 1.0)
+        gaps[N] = abs(math.exp(ts - res.at(N)) - 1.0)
     assert gaps[400] < gaps[200] < gaps[100]
     assert gaps[400] < 0.02
 
@@ -487,5 +502,5 @@ def test_variational_multistart_against_exact_sum(n, lam, h):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dense, "RESTARTS", 0)
         assert sol.F >= solve_variational(spec).F - 1e-12
-    estimate = asymptotic_estimate(spec, 200, central_approx_constant(spec, sol))
+    estimate = central_approx_constant(spec, sol).at(200)
     assert math.exp(exact_type_sum(spec, 200) - estimate) == pytest.approx(1.0, abs=0.05)

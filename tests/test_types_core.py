@@ -27,7 +27,9 @@ from central_approx.types_core import (
     BOUNDARY_TOL,
     STABILITY_RTOL,
     Alphabet,
+    CentralApprox,
     MaximizerRecord,
+    central_approx,
     det,
     dirichlet_starts,
     entropy,
@@ -575,6 +577,20 @@ def test_det_product_identity_sylvester():
         worst = max(worst, abs(d1 - d2) / (1.0 + abs(d1)))
     assert worst <= 1e-9
     assert 100 < refused < 900  # both branches are exercised
+
+
+def test_central_approx_sums_the_co_maximizers_and_adds_the_lattice_term():
+    # det(I - B M) = 1/4 and 1/16: log(2 + 4) plus the lattice term; det_value
+    # is the first pair's, and at(N) is N F + log_constant
+    pairs = [(np.eye(1), [[0.75]]), (np.eye(2) / 2, np.eye(2) * 1.5)]
+    approx = central_approx(0.5, iter(pairs), -math.log(3.0))
+    assert approx == pytest.approx((0.5, math.log(2.0), 0.25), rel=1e-14)
+    assert approx.at(10) == 10 * 0.5 + approx.log_constant
+    assert isinstance(approx, CentralApprox) and approx._fields == ("F", "log_constant",
+                                                                   "det_value")
+    assert central_approx(0.0, pairs[:1]).log_constant == pytest.approx(math.log(2.0))
+    with pytest.raises(ATInstabilityError):
+        central_approx(0.0, [(np.eye(1), [[1.0]])])
 
 
 # ---------------------------------------------- multi-start fixed point
