@@ -77,18 +77,15 @@ def fmt(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, float) and math.isfinite(value):  # as fmt's fast path
-        return float(format(value, ".12g"))
+    """fmt's value as JSON: None, bools, text and integers as they are, a
+    finite real as the float its text reads, anything else as its text."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, numbers.Integral):
         return int(value)
-    if _is_float(value):
-        x = float(value)
-        if math.isfinite(x):
-            return float(format(x, ".12g"))
-        return fmt(x)
-    return str(value)
+    if _is_float(value) and math.isfinite(value):
+        return float(fmt(value))
+    return fmt(value)
 
 
 def render(report: Report, fmt_name: str) -> str:

@@ -137,6 +137,8 @@ class EnsembleSpec:
             )
         if not np.all(np.isfinite(f)) or np.any(f < 0):
             raise ValidationFailure("factor values must be finite and nonnegative")
+        if any(vals[i] > 0 for i in np.flatnonzero(f == 0).tolist()):  # below the float range
+            raise ValidationFailure("positive factor values must not round to 0.0 as floats")
         if not np.any(f > 0):
             raise ValidationFailure("factor function has empty support")
         f.setflags(write=False)
@@ -411,7 +413,8 @@ def _log_fraction(x: Fraction) -> float:
 #
 # At a fixed variable type v, the sum over consistent factor types is one
 # coefficient, [y^{l v}] (sum_{w in S} f(w) y^{N(w)})^M, with N(w) the letter
-# counts of w (letter 0 implied).  types_core.power_terms builds the power.
+# counts of w (letter 0 implied).  types_core.power_terms builds the power's
+# terms at the rows l v alone.
 
 
 def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int | None,
@@ -427,14 +430,16 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int | None,
         weights = [x.numerator * (D // x.denominator) for x in vals]
     else:
         weights = ensemble.log_f[S]
+
+    def lattice(rows):  # the rows l v, or only the row l * only
+        return ~np.any(rows % l if only is None else rows - l * np.asarray(only[1:]), axis=1)
+
     Vs, coefs = [], []
-    for rows, coef in power_terms(ensemble.letter_counts[S, 1:], weights, M, guard=guard):
-        keep = ~np.any(rows % l, axis=1)
-        if only is not None:
-            keep &= np.all(rows == l * np.asarray(only[1:]), axis=1)
-        V = rows[keep] // l
+    for rows, coef in power_terms(ensemble.letter_counts[S, 1:], weights, M, guard=guard,
+                                  select=lattice):
+        V = rows // l
         Vs.append(np.column_stack([N - V.sum(axis=1), V]))
-        coefs += [coef[i] for i in np.flatnonzero(keep).tolist()] if exact else [coef[keep]]
+        coefs += coef if exact else [coef]
     V = np.concatenate(Vs)
     if exact:
         # multinomial(v) prod (l v_z)! / (Nl)! = prod ratio[v_z] / ratio[N]
@@ -443,7 +448,7 @@ def _type_sum(ensemble: EnsembleSpec, N: int, exact: bool, guard: int | None,
         ratio = [1]  # ratio[x] = (l x)! / x!
         for x in range(1, N + 1):
             ratio.append(ratio[-1] * math.prod(range(l * x - l + 1, l * x + 1)) // x)
-        total = sum(c * math.prod(ratio[x] for x in v) for v, c in zip(V.tolist(), coefs) if c)
+        total = sum(c * math.prod(ratio[x] for x in v) for v, c in zip(V.tolist(), coefs))
         return Fraction(total, ratio[N] * D**M)
     terms = np.concatenate(coefs) + log_multinomial_rows(V) + log_factorials(l * V).sum(axis=1)
     return logsumexp(terms - math.lgamma(N * l + 1))

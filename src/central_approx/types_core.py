@@ -8,8 +8,9 @@ the dense and factor-graph sides share:
 * exact and log-gamma multinomial coefficients of integer counts, entropy,
   and the local (Gaussian) approximation of a multinomial around a measure;
 * all types of a total, lexicographic, in guarded int64 array blocks;
-* the one exact contraction kernel, the terms of a polynomial power, packed
-  or expanded over types (``power_terms``);
+* the one exact contraction kernel, the terms of a polynomial power that a
+  caller's row selector keeps, packed or expanded over types, with plain
+  coefficients (``power_terms``);
 * one symmetric eigendecomposition per (M, B) pair (``fluctuation_root``):
   R, the PSD root of M, and S = I - R B R, whose eigenvalue product is
   ``det``; S must be positive definite (a maximum), else the pair raises;
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -350,10 +351,10 @@ def _block_log_power(at: np.ndarray, weights: np.ndarray, M: int) -> np.ndarray 
         return np.log(X.T.ravel()[:length]) + (np.repeat(E, B)[:length] * math.log(2) + scale)
 
 
-def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
-    """Exponent rows and nonzero coefficients of the M-th power, one term per
-    distinct row of E, packed by _packing into one flat polynomial (strides:
-    products of the lower columns' slot counts).
+def _packed_power(E: np.ndarray, weights, M: int, packing: tuple, select) -> tuple:
+    """Exponent rows and coefficients of the M-th power, one term per nonzero
+    slot whose row ``select`` keeps, packed by _packing into one flat
+    polynomial (strides: products of the lower columns' slot counts).
 
     Exact weights run J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
     with the lowest term q_0 t^a factored out, the coefficients of the power
@@ -389,42 +390,36 @@ def _packed_power(E: np.ndarray, weights, M: int, packing: tuple) -> tuple:
             power = _log_power(at, weights, M)
         slots = np.flatnonzero(power > -np.inf)
         coefs = power[slots]
-    return slots[:, None] // strides % spans * step + M * low, coefs
+    rows = slots[:, None] // strides % spans * step + M * low
+    keep = select(rows)
+    return rows[keep], [c for c, k in zip(coefs, keep.tolist()) if k] if width else coefs[keep]
 
 
-class _TypeCoefficients(Sequence):
-    """multinomial(u) prod w^u for the types u, the rows of U, each computed
-    when read: a caller that keeps few rows builds few big integers."""
-
-    def __init__(self, U: np.ndarray, weights: list):
-        self.U, self.weights = U, weights
-
-    def __len__(self) -> int:
-        return len(self.U)
-
-    def __getitem__(self, i: int) -> int:
-        u = self.U[i].tolist()
-        return multinomial(u) * math.prod(map(pow, self.weights, u))
-
-
-def _expanded_power(E: np.ndarray, weights, M: int) -> Iterator[tuple]:
+def _expanded_power(E: np.ndarray, weights, M: int, select) -> Iterator[tuple]:
     """Blocks of exponent rows and coefficients of the M-th power by the
-    multinomial theorem: one term u @ E per type u of type_array_blocks(M, T).
-    Exact coefficients are computed when read (_TypeCoefficients)."""
+    multinomial theorem: one term u @ E per type u of type_array_blocks(M, T)
+    whose row ``select`` keeps; only those types' coefficients are built."""
     for U in type_array_blocks(M, len(E), guard=None):
+        U = U[select(U @ E)]
         if isinstance(weights, np.ndarray):
             coefs = log_multinomial_rows(U) + U @ weights
         else:
-            coefs = _TypeCoefficients(U, weights)
+            coefs = [multinomial(u) * math.prod(map(pow, weights, u)) for u in U.tolist()]
         yield U @ E, coefs
 
 
-def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tuple]:
+def _every_row(rows: np.ndarray) -> np.ndarray:
+    return np.ones(len(rows), dtype=bool)
+
+
+def power_terms(exponents, weights, M: int, *, guard: int | None,
+                select=_every_row) -> Iterator[tuple]:
     """Terms of (sum_t w_t y^{E_t})^M, E_t the rows of ``exponents``, in blocks of
-    (exponent rows, coefficients): exact integers for Python-int weights, logs
-    for a float array of log weights.  Rows may repeat; a caller sums over them.
-    Exact coefficients come as a sequence that a caller indexes by the rows it
-    keeps; the expansion computes each one only when it is read.
+    (exponent rows, coefficients): a list of Python ints for Python-int
+    weights, a float array of logs for a float array of log weights.  Rows
+    may repeat; a caller sums over them.  ``select(rows)`` gives a bool mask
+    per block of exponent rows, and only the terms it keeps are returned (the
+    expansion builds only their coefficients); by default every term.
 
     Equal rows are merged first and rows of weight zero (log weight -inf)
     dropped; T rows remain, and T = 0 gives one empty block.  Integer
@@ -462,9 +457,9 @@ def power_terms(exponents, weights, M: int, *, guard: int | None) -> Iterator[tu
         words = f"{packed} packed coefficient words or " if packed < math.inf else ""
         raise GuardError(f"exact sum needs {words}{expanded} types (guard {guard})")
     if packed < expanded:
-        yield _packed_power(E, merged, M, packing)
+        yield _packed_power(E, merged, M, packing, select)
     else:
-        yield from _expanded_power(E, merged, M)
+        yield from _expanded_power(E, merged, M, select)
 
 
 # ---------------------------------------------------------------------------

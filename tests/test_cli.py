@@ -797,6 +797,16 @@ def test_fg_table_factor(capsys, tmp_path):
     assert "log_exact" in out
 
 
+def test_fg_table_value_below_the_float_range_exits_2(capsys, tmp_path):
+    # 1e-400 reads as an exact rational whose float is 0.0
+    table = tmp_path / "factor.txt"
+    table.write_text("0 0 1\n0 1 0\n1 0 0\n1 1 1e-400\n")
+    code, out, err = run_cli(capsys, "fg-exact", "--l", "2", "--r", "2",
+                             "--factor", f"table:{table}", "--N", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: positive factor values must not round to 0.0 as floats\n"
+
+
 def test_rs_det_flags_and_config(capsys, tmp_path):
     argv = ["rs-det", "--n", "4", "--q", "0.1", "--r", "0.05",
             "--P", "0.2", "--Q", "0.1", "--R", "0.05"]

@@ -97,6 +97,16 @@ def test_factor_table_validation():
             make_ensemble(2, 2, BINARY, factor)
 
 
+def test_a_positive_rational_below_the_float_range_is_refused():
+    # float(10^-400) is 0.0: kept, the word would leave the support, and the
+    # exact E[Z] at N = 2 would be 1 rather than about 1 + 6.7e-401
+    with pytest.raises(ValidationFailure, match="must not round to 0.0"):
+        factor_graph.EnsembleSpec(2, 2, BINARY, [1, 0, 0, Fraction(1, 10**400)])
+    # zeros of every kind, and the least subnormal, still load
+    ens = factor_graph.EnsembleSpec(2, 2, BINARY, [1, Fraction(0), 0.0, 5e-324])
+    assert ens.support.tolist() == [0, 3]
+
+
 @pytest.mark.parametrize("alphabet, tokens", [
     ((0.0, 1.0), ("0.0", "1")),  # 0.0 names the symbol 0
     ((1e-7, 1.0), ("1e-7", "1.0")),  # 1e-7, not only the 1e-07 of format(value, "g")

@@ -52,6 +52,7 @@ from central_approx.types_core import (
     LOG_BLOCK,
     _block_log_power,
     _compositions,
+    _every_row,
     _expanded_power,
     _log_power,
     _packed_power,
@@ -327,8 +328,8 @@ def test_packed_and_expanded_powers_agree(M, exact, data):
         # must shift each slot by its largest term
         scale = data.draw(st.sampled_from([2.0, 800.0]))
         weights = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=T, max_size=T)))
-    packed = _grouped([_packed_power(E, weights, M, _packing(E, weights, M))], exact)
-    expanded = _grouped(_expanded_power(E, weights, M), exact)
+    packed = _grouped([_packed_power(E, weights, M, _packing(E, weights, M), _every_row)], exact)
+    expanded = _grouped(_expanded_power(E, weights, M, _every_row), exact)
     assert packed.keys() == expanded.keys()
     for row, c in expanded.items():
         if exact:
@@ -347,6 +348,33 @@ def test_power_terms_merges_rows_and_guards_both_sides():
     with pytest.raises(GuardError):
         list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=6))
     assert len(list(power_terms(np.array([[0], [1], [2]]), [1, 1, 1], 3, guard=None))) == 1
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "log"])
+@pytest.mark.parametrize("rows, M, side", [
+    ([[0], [1], [2]], 5, "_packed_power"),  # 11 packed words against 21 types
+    ([[0, 0], [1, 3], [2, 1]], 4, "_expanded_power"),  # 117 words against 15 types
+])
+def test_power_terms_returns_only_the_selected_terms(monkeypatch, exact, rows, M, side):
+    # the terms whose first exponent is even, in the order of the whole
+    # power, with plain coefficients: a list of ints, or a float array of logs
+    E = np.array(rows)
+    weights = [3, 1, 2] if exact else np.log([3.0, 1.0, 2.0])
+    ran = []
+    real = getattr(types_core, side)
+    monkeypatch.setattr(types_core, side, lambda *args: ran.append(side) or real(*args))
+
+    def terms(blocks):
+        out = []
+        for rows, coefs in blocks:
+            assert type(coefs) is (list if exact else np.ndarray)
+            out += zip(map(tuple, rows.tolist()), coefs)
+        return out
+
+    every = terms(power_terms(E, weights, M, guard=None))
+    even = terms(power_terms(E, weights, M, guard=None, select=lambda rows: rows[:, 0] % 2 == 0))
+    assert even == [(row, c) for row, c in every if row[0] % 2 == 0]
+    assert 0 < len(even) < len(every) and ran == [side, side]
 
 
 def _bignum_power(E, weights, M, packing):
@@ -381,7 +409,7 @@ def test_recurrence_power_equals_the_bignum_power(D, M, data):
     while M > 1 and math.prod(_packing(E, weights, M)[2].tolist()) > 4096:
         M -= 1
     packing = _packing(E, weights, M)
-    rows, coefs = _packed_power(E, weights, M, packing)
+    rows, coefs = _packed_power(E, weights, M, packing, _every_row)
     oracle_rows, oracle_coefs = _bignum_power(E, weights, M, packing)
     assert np.array_equal(rows, oracle_rows)
     assert coefs == oracle_coefs
@@ -444,11 +472,12 @@ def test_block_log_power_keeps_the_support_of_the_slot_loop(A, M, data):
     # through the packing: the block power or, when it declines, the loop's
     # bits, the same whatever power was built before
     E = np.column_stack([at, np.full(len(at), 3)])  # a constant second column
-    rows, logs = _packed_power(E, weights, M, _packing(E, weights, M))
+    rows, logs = _packed_power(E, weights, M, _packing(E, weights, M), _every_row)
     assert np.array_equal(rows[:, 0], np.flatnonzero(loop > -np.inf))
     assert logs.tobytes() == (loop if block is None else block)[loop > -np.inf].tobytes()
-    _packed_power(E[:2], weights[:2], M + 1, _packing(E[:2], weights[:2], M + 1))
-    assert _packed_power(E, weights, M, _packing(E, weights, M))[1].tobytes() == logs.tobytes()
+    _packed_power(E[:2], weights[:2], M + 1, _packing(E[:2], weights[:2], M + 1), _every_row)
+    assert _packed_power(E, weights, M, _packing(E, weights, M),
+                         _every_row)[1].tobytes() == logs.tobytes()
 
 
 # ------------------------------------------- the Gaussian term: det(I - B M)
