@@ -346,7 +346,7 @@ def cmd_clt_cov(args) -> Report:
 
         ens = build_ensemble(cfg)
         sol = solve_bethe(ens, seed=args.seed)
-        cov = fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+        cov = fg_type_covariances(ens, sol.nu_star, kind)
     rep.scalar("kind", kind)
     rep.scalar("dim", cov.dim)
     rep.scalar("rank", cov.rank)

@@ -5,8 +5,10 @@ Gaussian whose covariance has the resolvent form M (I - B M)^{-1}: M is the
 bare multinomial covariance of the maximizing measure and B the coupling
 curvature seen through the relevant contraction.  The same shape appears
 for dense overlaps and for the two factor-graph type layers; only M, B and
-the basis change.  Every covariance starts from the small pair that the
-Gaussian constants read, ``dense.dense_fluctuation`` (U' - U, D2g) or
+the basis change.  Every covariance takes the model and one maximizer row
+(a Bethe word measure is a function of its letter marginal), and starts
+from the small pair that the Gaussian constants read,
+``dense.dense_fluctuation`` (U' - U, D2g) or
 ``factor_graph.fg_fluctuation`` (V' - V, C), and from its one symmetric
 eigendecomposition (types_core.fluctuation_root): the overlap and
 variable kinds are R S^{-1} R, and the dense type and factor kinds are
@@ -160,34 +162,36 @@ def empirical_type_covariance_oracle(spec: DenseModelSpec, N: int, *,
     return CovarianceResult.from_matrix(cov, tuple(map(tuple, spec.symbols)))
 
 
-def fg_type_covariances(ensemble, mu_star, nu_star, kind: str) -> CovarianceResult:
+def fg_type_covariances(ensemble, nu, kind: str) -> CovarianceResult:
     """The factor- or variable-type covariance of a random regular ensemble,
-    as ``kind`` names; only that one is built.
+    as ``kind`` names, at a Bethe fixed point nu; only that one is built.
 
     factor:   (T' - T)(I - K C K^T (T' - T))^{-1}   on the X^r word basis
     variable: (V' - V)(I - C (V' - V))^{-1}          on the X letter basis
 
-    with T' = diag(mu*), T = mu* mu*^T, K the per-word letter frequencies,
-    V' = K^T T' K, V = nu* nu*^T and C the variable-entropy curvature.  The
-    factor kind is lifted from the letter pair (K^T (T' - T) K, C)
-    (_lifted_covariance).  Words outside the factor support carry zero rows
-    and columns.
+    with mu = factor_graph._bethe_mu(ensemble, nu) the word measure at nu,
+    T' = diag(mu), T = mu mu^T, K the per-word letter frequencies,
+    V' = K^T T' K, V = nu nu^T and C the variable-entropy curvature
+    (factor_graph.fg_fluctuation, which refuses a nu that is not a fixed
+    point).  The factor kind is lifted from the letter pair
+    (K^T (T' - T) K, C) (_lifted_covariance).  Words outside the factor
+    support carry zero rows and columns.
 
     Both matrices describe fluctuations scaled by sqrt(M), M = Nl/r the
-    number of factor nodes: sqrt(M)(u/M - mu*) and sqrt(M)(v/N - nu*).
+    number of factor nodes: sqrt(M)(u/M - mu) and sqrt(M)(v/N - nu).
     Under sqrt(N) scaling the variable covariance picks up a factor r/l
     (check: a trivial factor makes v exactly multinomial, so the
-    sqrt(N)-scaled covariance is diag(nu*) - nu* nu*^T, which is r/l
+    sqrt(N)-scaled covariance is diag(nu) - nu nu^T, which is r/l
     times what the formula gives).
     """
-    from .factor_graph import fg_fluctuation
+    from .factor_graph import _bethe_mu, fg_fluctuation
 
     if kind not in ("factor", "variable"):
         raise ValueError(f"kind must be 'factor' or 'variable', got {kind!r}")
-    variable_bare, curvature = fg_fluctuation(ensemble, mu_star, nu_star)
+    variable_bare, curvature = fg_fluctuation(ensemble, nu)
     if kind == "variable":
         variable = _resolvent_covariance(variable_bare, curvature)
         return CovarianceResult.from_matrix(variable, ensemble.alphabet.values)
     Kf = ensemble.letter_counts / ensemble.r
-    factor = _lifted_covariance(np.asarray(mu_star, dtype=float), Kf, curvature)
+    factor = _lifted_covariance(_bethe_mu(ensemble, nu), Kf, curvature)
     return CovarianceResult.from_matrix(factor, ensemble.word_labels)

@@ -5,9 +5,11 @@ onto the M*r factor stubs, M = N*l/r.  Everything averages cleanly over
 that permutation: the expected number of assignments with a given
 variable-type v and factor-type u is a ratio of multinomials, so E[Z] is
 an exact finite sum, and its sum over u at each v is one coefficient of a
-polynomial power.  The growth rate is the Bethe maximum, and the
-constant factor combines the variable-type Gaussian, which reads only the
-|X| x |X| pair of fg_fluctuation, with an integer step size s: the
+polynomial power.  The growth rate is the Bethe maximum, a plain
+types_core.MaximizerRecord over letter marginals nu (the word measure at nu
+is _bethe_mu(ensemble, nu)), and the constant factor combines the
+variable-type Gaussian, which reads only the |X| x |X| pair of
+fg_fluctuation(ensemble, nu), with an integer step size s: the
 consistency constraints confine the factor-type lattice to a sublattice,
 and s is its index, computed from the congruence system via Smith normal
 form and cross-checked against the prime-field rank and binary gcd
@@ -30,7 +32,6 @@ import math
 import numbers
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "brute_force_permutation_oracle",
     "exact_expected_Z",
     "exact_expected_Z_exact",
-    "BetheSolution",
     "solve_bethe",
     "fg_fluctuation",
     "smith_normal_form_divisors",
@@ -488,21 +488,6 @@ def exact_expected_Z_exact(ensemble: EnsembleSpec, N: int, *,
 # Bethe maximization
 
 
-class BetheSolution(MaximizerRecord):
-    """The Bethe maximum: the shared record over letter marginals, plus the
-    maximizing word measure of each co-maximizer, as the rows of one
-    read-only array."""
-
-    def __init__(self, co_maximizers: np.ndarray, F: float, residual: float,
-                 diagnostics: dict, word_measures: np.ndarray):
-        super().__init__(co_maximizers, F, residual, diagnostics)
-        self.word_measures = word_measures
-
-    @property
-    def mu_star(self) -> np.ndarray:
-        return self.word_measures[0]
-
-
 def _bethe_mu(ensemble: EnsembleSpec, nu: np.ndarray) -> np.ndarray:
     """Maximizing word measure for a fixed letter marginal (one per row of nu),
     mu(x) ∝ f(x) prod_z nu(z)^((l-1) N_z(x)/l); summed letter by letter, not
@@ -528,7 +513,7 @@ def _bethe_objective(ensemble: EnsembleSpec, nu: np.ndarray, mu: np.ndarray) -> 
     return float(lr * (entropy(mu) + flog) - (ensemble.l - 1) * entropy(nu))
 
 
-def solve_bethe(ensemble: EnsembleSpec, *, seed: int = 0) -> BetheSolution:
+def solve_bethe(ensemble: EnsembleSpec, *, seed: int = 0) -> MaximizerRecord:
     """Damped fixed-point iteration for the Bethe maximum, multi-started.
 
     Iterates nu <- marginal(mu(nu)) where mu(nu) is the entropy-maximizing
@@ -543,38 +528,32 @@ def solve_bethe(ensemble: EnsembleSpec, *, seed: int = 0) -> BetheSolution:
         return [_bethe_objective(ensemble, nu, mu)
                 for nu, mu in zip(nus, _bethe_mu(ensemble, nus))]
 
-    record = solve_multistart(
+    return solve_multistart(
         dirichlet_starts(K, RESTARTS, seed),
         lambda nus: _bethe_marginal(ensemble, _bethe_mu(ensemble, nus)),
         objectives,
     )
-    mus = _bethe_mu(ensemble, record.co_maximizers)
-    mus.setflags(write=False)
-    return BetheSolution(**vars(record), word_measures=mus)
 
 
 # --------------------------------------------------------------------------
 # fluctuation matrices and the constant factor
 
 
-def fg_fluctuation(ensemble: EnsembleSpec, mu_star, nu_star) -> tuple[np.ndarray, np.ndarray]:
-    """(V' - V, C) at a marginal-consistent pair (mu*, nu*): the bare
-    variable-type covariance K^T diag(mu*) K - nu* nu*^T, with K the
-    per-word letter frequencies N_z(x)/r, and the diagonal variable-entropy
-    curvature r(l-1)/(l nu*), both |X| x |X|; nothing |X|^r x |X|^r is built.
-    BoundaryMaximizerError at a boundary nu* (require_interior),
-    ValidationFailure when the marginal of mu* is more than MARGINAL_TOL
-    from nu*."""
-    mu = np.asarray(mu_star, dtype=float)
-    nu = np.asarray(nu_star, dtype=float)
+def fg_fluctuation(ensemble: EnsembleSpec, nu) -> tuple[np.ndarray, np.ndarray]:
+    """(V' - V, C) at a Bethe fixed point nu: the bare variable-type
+    covariance K^T diag(mu) K - nu nu^T, with mu = _bethe_mu(ensemble, nu) the
+    word measure at nu and K the per-word letter frequencies N_z(x)/r, and the
+    diagonal variable-entropy curvature r(l-1)/(l nu), both |X| x |X|; nothing
+    |X|^r x |X|^r is built.  BoundaryMaximizerError at a boundary nu
+    (require_interior), ValidationFailure when nu is not a fixed point of the
+    Bethe map: the letter marginal of mu is more than MARGINAL_TOL from nu."""
+    nu = np.asarray(nu, dtype=float)
     require_interior(nu)
     curvature = ensemble.r * (ensemble.l - 1) / (ensemble.l * nu)
-    marg = _bethe_marginal(ensemble, mu)
-    if np.max(np.abs(marg - nu)) > MARGINAL_TOL:
-        raise ValidationFailure(
-            "mu and nu are not marginal-consistent "
-            f"(max gap {np.max(np.abs(marg - nu)):.2e})"
-        )
+    mu = _bethe_mu(ensemble, nu)
+    gap = np.max(np.abs(_bethe_marginal(ensemble, mu) - nu))
+    if gap > MARGINAL_TOL:
+        raise ValidationFailure(f"nu is not a fixed point of the Bethe map (max gap {gap:.2e})")
     Kf = ensemble.letter_counts / ensemble.r
     return Kf.T @ (mu[:, None] * Kf) - np.outer(nu, nu), np.diag(curvature)
 
@@ -753,7 +732,7 @@ def lattice_step_s(ensemble: EnsembleSpec) -> int:
 # asymptotic estimate and the LDPC application
 
 
-def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> CentralApprox:
+def fg_constant_log(ensemble: EnsembleSpec, solution: MaximizerRecord) -> CentralApprox:
     """The central approximation at the Bethe maximum (types_core.central_approx):
     F, and the log of the N-free constant, the lattice factor l^((K-1)/2) / s
     (its log is ``lattice_log``) times the sum over the co-maximizers of
@@ -762,13 +741,12 @@ def fg_constant_log(ensemble: EnsembleSpec, solution: BetheSolution) -> CentralA
     is a benchmark change."""
     return central_approx(
         solution.F,
-        (fg_fluctuation(ensemble, mu, nu)
-         for mu, nu in zip(solution.word_measures, solution.co_maximizers)),
+        (fg_fluctuation(ensemble, nu) for nu in solution.co_maximizers),
         0.5 * (len(ensemble.alphabet) - 1) * math.log(ensemble.l) - math.log(ensemble.step_s))
 
 
 def fg_asymptotic_estimate(ensemble: EnsembleSpec, N: int,
-                           solution: BetheSolution | None = None) -> float:
+                           solution: MaximizerRecord | None = None) -> float:
     """log E[Z] up to (1+o(1)): the record's at(N), solving if no solution is given."""
     ensemble.require_admissible(N)
     return fg_constant_log(ensemble, solution or solve_bethe(ensemble)).at(N)
@@ -833,11 +811,13 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
     nu = (1 - omega, omega), so no Bethe iteration runs: the growth rate is
     the Bethe objective at (mu, nu) with mu from _weight_tilt, and
     theta = l lam - (l-1) log(omega/(1-omega)) is the field on letter 1
-    that makes nu stationary.  The constant is the theta-tilted ensemble's
-    total-count constant at (mu, nu), ATInstabilityError where (mu, nu) is
-    not a maximum of that ensemble (types_core.fluctuation_root; omega <= 0.15
-    on (3,6)); the weight-localization normalization of a local limit is not
-    included.
+    that makes nu stationary.  The constant is the total-count constant of
+    the theta-tilted ensemble, table f(x) e^(theta N_1(x)/l), at the record
+    [nu], a fixed point of its Bethe map; BoundaryMaximizerError at a
+    boundary nu, before the tilt (which overflows there); ATInstabilityError
+    where nu is not a maximum of the tilted ensemble
+    (types_core.fluctuation_root; omega <= 0.15 on (3,6)); the
+    weight-localization normalization of a local limit is not included.
 
     omega = 0 is handled exactly: the all-zeros word is always the unique
     weight-0 codeword.  Weights outside the support range have expected
@@ -867,7 +847,12 @@ def ldpc_expected_codewords(l: int, r: int, N: int, omega: float | None = None) 
     nu = np.array([1.0 - omega, omega])
     growth = _bethe_objective(ens, nu, mu)
     theta = l * lam - (l - 1) * math.log(omega / (1.0 - omega))
-    # the one pair and its growth rate, all that fg_constant_log reads
-    approx = fg_constant_log(ens, SimpleNamespace(F=growth, co_maximizers=[nu],
-                                                  word_measures=[mu]))
+    require_interior(nu)  # at a boundary omega the tilt below overflows
+    tilted = EnsembleSpec(l, r, ens.alphabet,
+                          ens.f_values * np.exp(theta / l * ens.letter_counts[:, 1]))
+    # no iteration ran; the residual is the tilted Bethe map's at nu
+    gap = _bethe_marginal(tilted, _bethe_mu(tilted, nu)) - nu
+    approx = fg_constant_log(tilted, MaximizerRecord(
+        nu[None], growth, float(np.max(np.abs(gap))),
+        {"restarts": 0, "converged": 0, "iterations_best": 0}))
     return LdpcResult(N, omega, approx.at(N), approx.F, approx.log_constant, theta)

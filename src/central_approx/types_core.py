@@ -262,12 +262,13 @@ def enumerate_types(N: int, cells: int, *,
 
 def _packing(E: np.ndarray, weights, M: int) -> tuple:
     """Per integer column of E the shift (minimum), the step (gcd after the shift)
-    and the slot count span * M + 1; and the bytes a slot of the exact M-th
-    power needs, which (sum of the weights)^M bounds (0 for log weights)."""
+    and the slot count span * M + 1, a Python int (it may pass int64); and the
+    bytes a slot of the exact M-th power needs, which (sum of the weights)^M
+    bounds (0 for log weights)."""
     low = E.min(axis=0)
     step = np.maximum(np.gcd.reduce(E - low, axis=0), 1)
     width = 0 if isinstance(weights, np.ndarray) else -(-M * sum(weights).bit_length() // 8)
-    return low, step, (E - low).max(axis=0) // step * M + 1, width
+    return low, step, [span * M + 1 for span in ((E - low).max(axis=0) // step).tolist()], width
 
 
 # The block log power: slots in blocks of LOG_BLOCK linear values, one
@@ -364,6 +365,7 @@ def _packed_power(E: np.ndarray, weights, M: int, packing: tuple, select) -> tup
     bases, and a base the block power declines, the M log-domain products of
     _log_power."""
     low, step, spans, width = packing
+    spans = np.array(spans)
     strides = np.cumprod(spans) // spans
     at = (E - low) // step @ strides
     if width:
@@ -425,11 +427,13 @@ def power_terms(exponents, weights, M: int, *, guard: int | None,
     dropped; T rows remain, and T = 0 gives one empty block.  Integer
     exponents (up to 2^31 in size) can be packed (_packing, _packed_power):
     shifted by its minimum and divided by its gcd, column d spans
-    0..span_d, so the power fits prod(span_d M + 1) slots.  The expansion
+    0..span_d, so the power fits prod(span_d M + 1) slots, packable while
+    that count, an int64 slot index, is below 2^63.  The expansion
     (_expanded_power) goes block by block, in bounded memory.  The side
     needing fewer numbers is built (packed 64-bit words, or types; the
-    expansion on a tie); GuardError when both exceed ``guard``, none when
-    ``guard`` is None.
+    expansion on a tie); GuardError when both exceed ``guard``, and even
+    when ``guard`` is None where both counts reach 2^63 or a row passes
+    int64.
     """
     exact = not isinstance(weights, np.ndarray)
     E, group = np.unique(np.asarray(exponents), axis=0, return_inverse=True)
@@ -448,14 +452,19 @@ def power_terms(exponents, weights, M: int, *, guard: int | None,
     if not len(E):
         yield E, merged  # the zero polynomial
         return
-    expanded, packed = num_types(M, len(E)), math.inf
+    expanded, packed, reach = num_types(M, len(E)), math.inf, M  # reach: an int64 row entry
     if np.all(np.abs(E) <= 2**31) and np.array_equal(E, np.round(E)):  # int64-safe
         E = E.astype(np.int64)
+        reach = M * int(np.abs(E).max(initial=1))  # type rows hold M, exponent rows M max|E|
         packing = _packing(E, merged, M)
-        packed = math.prod(packing[2].tolist()) * max(1, -(-packing[3] // 8))
-    if guard is not None and min(packed, expanded) > guard:
+        slots = math.prod(packing[2])
+        if slots < 2**63:  # packable: an int64 indexes every slot
+            packed = slots * max(1, -(-packing[3] // 8))
+    wide = max(reach, min(packed, expanded)) >= 2**63  # past int64 at any guard
+    if wide or guard is not None and min(packed, expanded) > guard:
         words = f"{packed} packed coefficient words or " if packed < math.inf else ""
-        raise GuardError(f"exact sum needs {words}{expanded} types (guard {guard})")
+        limit = "past int64, at any guard" if wide else f"guard {guard}"
+        raise GuardError(f"exact sum needs {words}{expanded} types ({limit})")
     if packed < expanded:
         yield _packed_power(E, merged, M, packing, select)
     else:

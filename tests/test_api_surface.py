@@ -18,9 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # batch: BRUTE_FORCE_BATCH in tests/oracles.py; density_box_L:
 # step_size_methods adds the box density itself whenever l is odd; ref_word,
 # ref_symbol: the step size does not depend on the reference; f_exact: an
-# ensemble derives it from its table
+# ensemble derives it from its table; mu_star: the Bethe word measure is a
+# function of its letter marginal (factor_graph._bethe_mu)
 RETIRED = {"allow_large", "max_rows", "batch", "density_box_L", "ref_word", "ref_symbol",
-           "f_exact"}
+           "f_exact", "mu_star"}
 
 
 def _functions():
@@ -54,14 +55,32 @@ def test_no_signature_has_a_retired_option():
 
 
 def test_solvers_take_only_a_seed():
-    # the restart count is the constant types_core.RESTARTS
-    from central_approx.dense import solve_variational
-    from central_approx.factor_graph import solve_bethe
+    # the restart count is the constant types_core.RESTARTS, and both solvers
+    # return the one record type, no subclass
+    from central_approx.dense import DenseModelSpec, PolyOverlap, solve_variational, zero_local
+    from central_approx.factor_graph import make_ensemble, solve_bethe
+    from central_approx.types_core import Alphabet, MaximizerRecord
 
-    for solver in (solve_variational, solve_bethe):
+    binary = Alphabet((0.0, 1.0))
+    for solver, model in (
+            (solve_variational, DenseModelSpec(1, binary, zero_local(),
+                                               PolyOverlap.quadratic(1, 0.5))),
+            (solve_bethe, make_ensemble(3, 6, binary, "parity"))):
         params = inspect.signature(solver).parameters
         assert "restarts" not in params
         assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == ["seed"]
+        assert type(solver(model)) is MaximizerRecord
+
+
+def test_every_name_in_a_modules_all_resolves():
+    # a name dropped from a module must leave its __all__ too
+    missing = []
+    for module in (central_approx, *(importlib.import_module(f"central_approx.{info.name}")
+                                     for info in pkgutil.iter_modules(central_approx.__path__))):
+        missing += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert len(central_approx.__all__) > 10
+    assert missing == []
 
 
 def _traced_names() -> tuple[list, list]:

@@ -902,6 +902,21 @@ def test_ldpc_low_weight_exits_3_at_once(capsys):
     assert err.startswith("numerical failure: maximizer touches the simplex boundary "
                           "(min weight 4.94e-324)")
     assert err.count("\n") == 1
+    # the upper edge refuses as the lower one does: a boundary marginal (at
+    # 5e-324 above it is checked before the tilt, which overflows there), and
+    # just inside the boundary a point that is not a maximum
+    code, out, err = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
+                             "--N", "60", "--omega", "0.9999999999999999")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: maximizer touches the simplex boundary "
+                          "(min weight 1.11e-16)")
+    assert err.count("\n") == 1
+    code, out, err = run_cli(capsys, "ldpc-codewords", "--l", "3", "--r", "6",
+                             "--N", "60", "--omega", "0.999999")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: fluctuation determinant -3.333312e-01: "
+                          "not a maximum ")
+    assert err.count("\n") == 1
 
 
 BOUNDARY_CONFIGS = {

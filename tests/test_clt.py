@@ -248,7 +248,7 @@ def test_fg_covariance_oracle_convergence():
 
     ens = make_ensemble(2, 3, BINARY, "parity")
     sol = solve_bethe(ens)
-    fac, var = (fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+    fac, var = (fg_type_covariances(ens, sol.nu_star, kind)
                 for kind in ("factor", "variable"))
     assert fac.min_eigenvalue >= -1e-9
     assert np.abs(fac.matrix.sum(axis=1)).max() < 1e-9
@@ -273,7 +273,7 @@ def test_fg_covariance_trivial_factor_is_exact():
 
     ens = make_ensemble(2, 3, BINARY, "uniform")
     sol = solve_bethe(ens)
-    fac, var = (fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+    fac, var = (fg_type_covariances(ens, sol.nu_star, kind)
                 for kind in ("factor", "variable"))
     nu = sol.nu_star
     scaled = (ens.l / ens.r) * (np.diag(nu) - np.outer(nu, nu))
@@ -286,13 +286,13 @@ def test_fg_covariance_trivial_factor_is_exact():
 
 
 def test_fg_covariance_balanced_degrees():
-    from central_approx.factor_graph import make_ensemble, solve_bethe
+    from central_approx.factor_graph import _bethe_mu, make_ensemble, solve_bethe
 
     ens = make_ensemble(2, 2, BINARY, "uniform")
     sol = solve_bethe(ens)
-    covs = {kind: fg_type_covariances(ens, sol.mu_star, sol.nu_star, kind)
+    covs = {kind: fg_type_covariances(ens, sol.nu_star, kind)
             for kind in ("factor", "variable")}
-    assert np.allclose(sol.mu_star, 0.25, atol=1e-10)
+    assert np.allclose(_bethe_mu(ens, sol.nu_star), 0.25, atol=1e-10)
     for res in covs.values():
         assert np.abs(res.matrix.sum(axis=1)).max() < 1e-9
         assert res.min_eigenvalue >= -1e-9
@@ -308,7 +308,7 @@ def test_fg_covariance_kind_is_checked():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     sol = solve_bethe(ens)
     with pytest.raises(ValueError, match="kind"):
-        fg_type_covariances(ens, sol.mu_star, sol.nu_star, "word")
+        fg_type_covariances(ens, sol.nu_star, "word")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -352,7 +352,7 @@ def test_factor_covariance_on_729_words_factors_only_the_letter_pair(monkeypatch
             calls.append((_name, np.shape(a)))
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
-    cov = fg_type_covariances(ens, sol.mu_star, sol.nu_star, "factor")
+    cov = fg_type_covariances(ens, sol.nu_star, "factor")
     assert cov.dim == 729
     big = [call for call in calls if max(call[1], default=0) > 3]
     assert big == [("eigvalsh", (729, 729))]

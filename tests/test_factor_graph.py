@@ -29,7 +29,6 @@ from central_approx.errors import (
     ValidationFailure,
 )
 from central_approx.factor_graph import (
-    BetheSolution,
     brute_force_permutation_oracle,
     exact_expected_Z,
     exact_expected_Z_exact,
@@ -52,7 +51,12 @@ from central_approx.factor_graph import (
     _socket_maps,
     _weight_tilt,
 )
-from central_approx.types_core import Alphabet, dirichlet_starts, require_interior
+from central_approx.types_core import (
+    Alphabet,
+    MaximizerRecord,
+    dirichlet_starts,
+    require_interior,
+)
 from oracles import expected_type_count_exact, log_expected_type_count
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -503,7 +507,7 @@ def test_bethe_uniform_factor():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     sol = solve_bethe(ens)
     assert sol.F == pytest.approx(math.log(2.0), abs=1e-12)
-    assert np.allclose(sol.mu_star, 0.25, atol=1e-10)
+    assert np.allclose(_bethe_mu(ens, sol.nu_star), 0.25, atol=1e-10)
 
 
 def test_bethe_single_symbol():
@@ -526,7 +530,7 @@ def test_bethe_marginal_consistency():
     ens = make_ensemble(3, 6, BINARY, "parity")
     sol = solve_bethe(ens)
     marg = np.zeros(2)
-    for w, m in zip(ens.letter_counts, sol.mu_star):
+    for w, m in zip(ens.letter_counts, _bethe_mu(ens, sol.nu_star)):
         marg += m * w / ens.r
     assert np.abs(marg - sol.nu_star).max() < 1e-10
 
@@ -587,16 +591,17 @@ def test_bethe_maps_round_each_row_on_its_own():
 def test_assembled_matrices_shapes_and_identities():
     ens = make_ensemble(2, 3, BINARY, "uniform")
     sol = solve_bethe(ens)
-    variable_bare, curvature = fg_fluctuation(ens, sol.mu_star, sol.nu_star)
     nu = sol.nu_star
+    variable_bare, curvature = fg_fluctuation(ens, nu)
     assert variable_bare.shape == curvature.shape == (2, 2)
     assert np.allclose(variable_bare, variable_bare.T, rtol=0, atol=1e-15)
     # letter frequencies sum to one per word, so the rows of V' - V sum to the
-    # marginal gap of (mu*, nu*), zero up to the solver residual
+    # gap between nu and the marginal of its word measure, zero up to the
+    # solver residual
     assert np.allclose(variable_bare.sum(axis=1), 0.0, rtol=0, atol=1e-10)
     assert np.array_equal(curvature, np.diag(ens.r * (ens.l - 1) / (ens.l * nu)))
-    # the same pair from the measures as plain lists
-    plain = fg_fluctuation(ens, sol.mu_star.tolist(), nu.tolist())
+    # the same pair from nu as a plain list
+    plain = fg_fluctuation(ens, nu.tolist())
     for got, want in zip(plain, (variable_bare, curvature)):
         assert np.array_equal(got, want)
     # product-measure maximizer: V' - V collapses to the multinomial
@@ -605,12 +610,14 @@ def test_assembled_matrices_shapes_and_identities():
     assert np.abs(variable_bare - expect).max() < 1e-10
 
 
-def test_assemble_rejects_inconsistent_pair():
+def test_assemble_rejects_a_nu_that_is_not_a_fixed_point():
+    # the uniform (2,3) Bethe map sends (0.7, 0.3) to its square roots,
+    # normalized, about (0.60, 0.40); its fixed point (1/2, 1/2) passes
     ens = make_ensemble(2, 3, BINARY, "uniform")
-    sol = solve_bethe(ens)
     skew = np.array([0.7, 0.3])
-    with pytest.raises(ValidationFailure):
-        fg_fluctuation(ens, sol.mu_star, skew)
+    with pytest.raises(ValidationFailure, match="not a fixed point of the Bethe map"):
+        fg_fluctuation(ens, skew)
+    fg_fluctuation(ens, solve_bethe(ens).nu_star)
 
 
 def test_assemble_rejects_boundary_marginal():
@@ -619,9 +626,8 @@ def test_assemble_rejects_boundary_marginal():
     ens = make_ensemble(2, 2, BINARY, "uniform")
     for weight in (0.0, 5e-324, 1e-11):
         nu = np.array([1.0 - weight, weight])
-        mu = np.array([nu[0], 0.0, 0.0, weight])
         with pytest.raises(BoundaryMaximizerError, match="touches the simplex boundary"):
-            fg_fluctuation(ens, mu, nu)
+            fg_fluctuation(ens, nu)
 
 
 # ------------------------------------------------------- lattice step s
@@ -828,9 +834,8 @@ def test_fg_instability_raised():
     # objective, where det(I - C(V'-V)) = -0.2; the solver escapes to the two
     # asymmetric maximizers, so drive the constant with the saddle directly
     ens = make_ensemble(4, 2, BINARY, [4, 1, 1, 4])
-    half = np.array([[0.5, 0.5]])
-    saddle = BetheSolution(co_maximizers=half, F=0.0, residual=0.0, diagnostics={},
-                           word_measures=_bethe_mu(ens, half))
+    saddle = MaximizerRecord(co_maximizers=np.array([[0.5, 0.5]]), F=0.0, residual=0.0,
+                             diagnostics={})
     with pytest.raises(ATInstabilityError):
         fg_constant_log(ens, saddle)
     with pytest.raises(InstabilityError):

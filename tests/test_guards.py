@@ -2,6 +2,7 @@
 command line one config key, ``guard``, sets it and one flag, --allow-large, lifts it."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -126,3 +127,48 @@ def test_allow_large_flag_lifts_the_factor_graph_guard(capsys, tmp_path):
         lifted = _run(capsys, command, "--config", str(path), "--N", "12", "--allow-large")
         assert lifted == _run(capsys, command, "--config", str(committed), "--N", "12")
         assert _run(capsys, command, "--config", str(path), "--N", "12")[0] == 2
+
+
+# each box has 2^63 slots or more, and as many types: counted in int64, the
+# slots wrapped (often to a negative number, which the guard let through) or
+# raised OverflowError
+PAST_INT64 = {
+    "wide-alphabet": ["dense-exact", "--config", "{wide}", "--N", "4296000000"],
+    "cw-int64-max": ["dense-exact", "--config", str(ROOT / "configs" / "cw.json"),
+                     "--N", str(2**63 - 1)],
+    "cw-2^63": ["dense-exact", "--config", str(ROOT / "configs" / "cw.json"),
+                "--N", str(2**63)],
+    "parity36-2^63": ["fg-exact", "--l", "3", "--r", "6", "--factor", "parity",
+                      "--N", str(2**63)],
+}
+
+
+@pytest.mark.parametrize("name", PAST_INT64)
+def test_an_exact_sum_past_int64_exits_2_at_any_guard(capsys, tmp_path, name):
+    # 46340^2 = 2147395600 is a pair product: its box at N = 4296000000 has
+    # just over 2^63 slots, and its types are just over 2^63 too
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"schema_version": 1, "model": "dense", "n": 1,
+                                "alphabet": [0, 1, 46340],
+                                "g": {"kind": "quadratic", "lam": 1e-9}}))
+    argv = [arg.replace("{wide}", str(wide)) for arg in PAST_INT64[name]]
+    for flags in ((), ("--allow-large",)):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv, *flags)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exact sum needs")
+        assert err.count("\n") == 1 and err.endswith("(past int64, at any guard)\n")
+
+
+@pytest.mark.parametrize("exponents, M", [
+    ([[0], [1], [2147395600]], 4296000000),  # the box and the types pass 2^63
+    ([[0], [1]], 2**63 - 1),  # 2^63 slots and 2^63 types
+    ([[1]], 2**63),  # one slot and one type, whose row holds M
+    ([[0], [2**31]], 2**32),  # 2^32 + 1 types, whose rows reach 2^63
+])
+def test_power_terms_refuses_int64_overflow_with_no_guard(exponents, M):
+    with pytest.raises(GuardError, match="past int64"):
+        next(power_terms(np.array(exponents), [1] * len(exponents), M, guard=None))
+    with pytest.raises(GuardError, match="past int64"):
+        next(power_terms(np.array(exponents), np.zeros(len(exponents)), M, guard=None))
